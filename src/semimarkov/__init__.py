@@ -70,8 +70,6 @@ from .sequences import (
 from .simulate import (
     SimulationConfig,
     simulate_cohort,
-    simulate_multi_chain,
-    simulate_multi_chain_cohort,
     simulate_sequence,
 )
 

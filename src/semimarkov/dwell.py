@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, minimize

@@ -14,6 +14,7 @@ sequence boundaries (sequences are independent recordings).
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import logging
 import warnings
@@ -117,10 +118,6 @@ class TransitionMatrix:
                 raise ValueError(f"absent row {self.alphabet.name(i)} must be all zero")
         if self.kind == SEMI_MARKOV and np.any(np.diag(probs) != 0.0):
             raise ValueError("semi_markov matrices must have an exactly zero diagonal")
-
-    @property
-    def n_states(self) -> int:
-        return len(self.alphabet)
 
     def absent_states(self) -> list[str]:
         return [self.alphabet.name(i) for i in np.flatnonzero(~self.row_fitted)]
@@ -226,7 +223,7 @@ class MultiChainModel:
     def segment_at(self, t_s: float) -> int:
         """Index of the segment governing time t_s (boundary belongs to the
         later segment; times past the last boundary stay in the last segment)."""
-        return int(np.searchsorted(np.asarray(self.boundaries), t_s, side="right"))
+        return bisect.bisect_right(self.boundaries, t_s)
 
 
 # --- DTMC --------------------------------------------------------------------

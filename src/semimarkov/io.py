@@ -53,6 +53,8 @@ SCHEMA_VERSION = 1
 # relative tolerance for the manifest-vs-inferred rate cross-check.
 _SPACING_TOL_S = 1e-6
 _RATE_REL_TOL = 1e-6
+# Run-length durations must quantize to a sample count that fits in int64.
+_INT64_LIMIT = 2.0**63
 
 
 # --- canonical JSON ----------------------------------------------------------
@@ -212,6 +214,11 @@ def parse_label_csv(
         if name not in alphabet:
             raise UnknownStateError(f"{path}:{i + 2}: state {name!r} not in alphabet")
         labels[i] = alphabet.index(name)
+    # NaN compares false, so the spacing checks below would not catch it
+    bad = np.flatnonzero(~np.isfinite(times))
+    if bad.size:
+        i = int(bad[0])
+        raise MalformedCsvError(f"{path}:{i + 2}: non-finite time {rows[i][0]!r}")
     if len(times) >= 2:
         spacing = np.diff(times)
         if spacing.min() <= 0:
@@ -279,6 +286,12 @@ def parse_runlength_csv(
         else:
             states.append(state)
             seconds.append(dur)
+        # the sample count must fit in int64; an infinite duration fails too
+        if not seconds[-1] * sampling_rate_hz + 0.5 < _INT64_LIMIT:
+            raise MalformedCsvError(
+                f"{path}:{i + 2}: duration {row[1]!r} is non-finite or too long "
+                f"to count in samples at {sampling_rate_hz:g} Hz"
+            )
     if merged:
         warnings.warn(
             f"{path}: merged adjacent runs with equal states",

@@ -141,14 +141,6 @@ class RunSequence:
         return int(self.durations.sum())
 
 
-def sequences_equal(a: LabeledSequence, b: LabeledSequence) -> bool:
-    return (
-        np.array_equal(a.labels, b.labels)
-        and a.sampling_rate_hz == b.sampling_rate_hz
-        and a.id == b.id
-    )
-
-
 def encode_runs(seq: LabeledSequence) -> RunSequence:
     """Collapse a labeled sequence into maximal (state, duration) runs."""
     labels = seq.labels

@@ -1,5 +1,9 @@
 """Seeded generation of synthetic state sequences from fitted models.
 
+``simulate_sequence`` and ``simulate_cohort`` each take either a
+``SemiMarkovModel`` or a ``MultiChainModel``; a single model is simulated as
+a one-segment chain, so both kinds share one generator loop.
+
 The generator alternates dwell draws and categorical next-state draws,
 quantizing each dwell onto the output sampling grid (round half-up, one
 sample minimum) so the result is a valid RunSequence.  All randomness comes
@@ -21,7 +25,7 @@ from .errors import (
     UnreachableAbsentRowError,
 )
 from .fitting import MultiChainModel, SemiMarkovModel
-from .sequences import RunSequence, StateAlphabet
+from .sequences import RunSequence
 
 
 @dataclass(frozen=True)
@@ -39,10 +43,10 @@ class SimulationConfig:
     initial_state: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.duration_s > 0:
-            raise ValueError("duration_s must be positive")
-        if not self.output_sampling_rate_hz > 0:
-            raise ValueError("output_sampling_rate_hz must be positive")
+        for name in ("duration_s", "output_sampling_rate_hz"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _round_half_up_samples(seconds: float, rate_hz: float) -> int:
@@ -125,21 +129,15 @@ def _resolve_initial(
 
 
 def _simulate_runs(
-    segments: tuple[SemiMarkovModel, ...],
-    boundaries: tuple[float, ...],
-    config: SimulationConfig,
+    chain: MultiChainModel, config: SimulationConfig
 ) -> tuple[list[int], list[int]]:
     rate = config.output_sampling_rate_hz
     n_total = _round_half_up_samples(config.duration_s, rate)
     if n_total < 1:
         raise ValueError("duration_s is shorter than half a sample period")
+    segments = chain.segments
     rng = np.random.default_rng(config.seed)
     state = _resolve_initial(segments[0], config, rng)
-    bounds = np.asarray(boundaries, dtype=float)
-
-    def model_at(t_s: float) -> SemiMarkovModel:
-        return segments[int(np.searchsorted(bounds, t_s, side="right"))]
-
     if config.initial_state is None:
         # validity must not depend on which start the seed happened to pick
         _check_reachability(segments, _startable_states(segments[0]))
@@ -150,8 +148,7 @@ def _simulate_runs(
     elapsed = 0  # samples emitted so far
     min_dwell = 1.0 / rate
     while elapsed < n_total:
-        now = elapsed / rate
-        model = model_at(now)
+        model = segments[chain.segment_at(elapsed / rate)]
         name = model.alphabet.name(state)
         dwell_s = sample_dwell(model.dwell[name], rng, min_seconds=min_dwell)
         n = max(1, _round_half_up_samples(dwell_s, rate))
@@ -161,23 +158,28 @@ def _simulate_runs(
         elapsed += n
         if elapsed >= n_total:
             break
-        now = elapsed / rate
-        model = model_at(now)
-        row = model.transitions.probs[state]
-        state = _draw_categorical(row, rng)
+        model = segments[chain.segment_at(elapsed / rate)]
+        state = _draw_categorical(model.transitions.probs[state], rng)
     return states, durations
 
 
 def simulate_sequence(
-    model: SemiMarkovModel, config: SimulationConfig, sequence_id: str = ""
+    model: SemiMarkovModel | MultiChainModel,
+    config: SimulationConfig,
+    sequence_id: str = "",
 ) -> RunSequence:
-    """Simulate one recording from a single semi-Markov model.
+    """Simulate one recording from a semi-Markov or multi-chain model.
 
     Alternates dwell draws and next-state draws until the configured
-    duration is reached; the final run is truncated to fit.  Deterministic
-    for a fixed config.
+    duration is reached; the final run is truncated to fit.  A single model
+    is simulated as a one-segment chain.  Every stochastic choice made at
+    time t (dwell draw at a run's start, next-state draw at a transition)
+    consults the segment owning t, and a run in progress at a boundary
+    persists.  Deterministic for a fixed config.
     """
-    states, durations = _simulate_runs((model,), (), config)
+    if isinstance(model, SemiMarkovModel):
+        model = MultiChainModel(segments=(model,), boundaries=())
+    states, durations = _simulate_runs(model, config)
     return RunSequence(
         states=np.array(states, dtype=np.int64),
         durations=np.array(durations, dtype=np.int64),
@@ -187,7 +189,7 @@ def simulate_sequence(
 
 
 def simulate_cohort(
-    model: SemiMarkovModel,
+    model: SemiMarkovModel | MultiChainModel,
     n_patients: int,
     config: SimulationConfig,
     id_prefix: str = "sim",
@@ -203,39 +205,4 @@ def simulate_cohort(
     for i in range(n_patients):
         cfg = replace(config, seed=config.seed + i)
         out.append(simulate_sequence(model, cfg, sequence_id=f"{id_prefix}{i:03d}"))
-    return out
-
-
-def simulate_multi_chain(
-    mc: MultiChainModel, config: SimulationConfig, sequence_id: str = ""
-) -> RunSequence:
-    """Simulate one recording from a multi-chain model.
-
-    Every stochastic choice made at time t (dwell draw at a run's start,
-    next-state draw at a transition) consults the model owning t.  A run in
-    progress at a boundary persists; with identical segment models the output
-    is identical to simulate_sequence under the same config.
-    """
-    states, durations = _simulate_runs(mc.segments, mc.boundaries, config)
-    return RunSequence(
-        states=np.array(states, dtype=np.int64),
-        durations=np.array(durations, dtype=np.int64),
-        sampling_rate_hz=config.output_sampling_rate_hz,
-        id=sequence_id,
-    )
-
-
-def simulate_multi_chain_cohort(
-    mc: MultiChainModel,
-    n_patients: int,
-    config: SimulationConfig,
-    id_prefix: str = "sim",
-) -> list[RunSequence]:
-    """Cohort variant of simulate_multi_chain (seed discipline as simulate_cohort)."""
-    if n_patients < 1:
-        raise ValueError("n_patients must be at least 1")
-    out = []
-    for i in range(n_patients):
-        cfg = replace(config, seed=config.seed + i)
-        out.append(simulate_multi_chain(mc, cfg, sequence_id=f"{id_prefix}{i:03d}"))
     return out

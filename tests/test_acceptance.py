@@ -55,11 +55,7 @@ from semimarkov.sequences import (
     encode_runs,
     upsample,
 )
-from semimarkov.simulate import (
-    SimulationConfig,
-    simulate_cohort,
-    simulate_multi_chain_cohort,
-)
+from semimarkov.simulate import SimulationConfig, simulate_cohort
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "synthetic"
 
@@ -280,13 +276,9 @@ def test_criterion_5_bic_selects_exponential():
 # --- 6. multi-chain non-stationarity detection -----------------------------------
 
 
-def _split_fit_cohort(model, seed, n=50, multi=False):
+def _split_fit_cohort(model, seed, n=50):
     cfg = SimulationConfig(duration_s=300.0, seed=seed, output_sampling_rate_hz=2.0)
-    cohort = (
-        simulate_multi_chain_cohort(model, n, cfg)
-        if multi
-        else simulate_cohort(model, n, cfg)
-    )
+    cohort = simulate_cohort(model, n, cfg)
     seqs = [decode_runs(r) for r in cohort]
     return fit_multi_chain(seqs, 2, PATTERNS, candidate_families=(EXPONENTIAL,))
 
@@ -296,7 +288,7 @@ def test_criterion_6_multi_chain_detects_drift():
     drifting = MultiChainModel(segments=(succ, fail), boundaries=(150.0,))
 
     a = _split_fit_cohort(succ, 1000)
-    b = _split_fit_cohort(drifting, 2000, multi=True)
+    b = _split_fit_cohort(drifting, 2000)
     first = compare_transition_matrices(
         a.segments[0].transitions, b.segments[0].transitions
     ).aggregate

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from semimarkov.cli import main
-from semimarkov.io import read_manifest, read_model_json
+from semimarkov.io import (
+    CohortManifest,
+    read_manifest,
+    read_model_json,
+    write_manifest,
+    write_model_json,
+)
 from semimarkov.presets import PATTERNS, success_model
 from semimarkov.sequences import decode_runs
 from semimarkov.simulate import SimulationConfig, simulate_cohort
@@ -146,6 +152,41 @@ def test_malformed_model_file_is_data_error(tmp_path):
     rc = main(["simulate", "--model", str(bad), "--duration-s", "10",
                "--seed", "1", "--out-prefix", str(tmp_path / "s")])
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "state,duration_s\nMVT,2.0\nPAU,inf\n",
+        "state,duration_s\nMVT,2.0\nPAU,1e400\n",
+        "state,duration_s\nMVT,2.0\nPAU,1e300\n",
+        "time_s,state\n0.0,MVT\nnan,PAU\n1.0,MVT\n",
+    ],
+    ids=["duration-inf", "duration-1e400", "duration-1e300", "time-nan"],
+)
+def test_non_finite_csv_value_is_data_error(tmp_path, capsys, text):
+    (tmp_path / "p.csv").write_text(text)
+    write_manifest(
+        CohortManifest("bad", 2.0, PATTERNS, ("p.csv",), base_dir=tmp_path),
+        tmp_path / "m.json",
+    )
+    rc = main(["fit", "--manifest", str(tmp_path / "m.json"),
+               "--model", "semi-markov", "--out", str(tmp_path / "o.json")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "p.csv:3:" in err[0]
+
+
+@pytest.mark.parametrize("duration, rate", [("inf", "2"), ("10", "inf")])
+def test_infinite_simulation_setting_is_data_error(tmp_path, capsys, duration, rate):
+    model_path = tmp_path / "m.json"
+    write_model_json(success_model(), model_path)
+    rc = main(["simulate", "--model", str(model_path), "--seed", "1",
+               "--duration-s", duration, "--rate-hz", rate,
+               "--out-prefix", str(tmp_path / "s")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_help_exits_zero(capsys):

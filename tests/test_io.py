@@ -129,6 +129,14 @@ class TestLabelCsv:
         with pytest.raises(MalformedCsvError):
             parse_label_csv(p, AB)
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_time(self, tmp_path, text):
+        # NaN compares false, so the spacing checks alone would let it through
+        p = tmp_path / "x.csv"
+        p.write_text(f"time_s,state\n0.0,A\n{text},B\n1.0,A\n")
+        with pytest.raises(MalformedCsvError, match=r"x\.csv:3: non-finite time"):
+            parse_label_csv(p, AB)
+
 
 class TestRunlengthCsv:
     def test_spec_example(self, tmp_path):
@@ -148,6 +156,21 @@ class TestRunlengthCsv:
         p = tmp_path / "r.csv"
         p.write_text("state,duration_s\nA,0.0\n")
         with pytest.raises(NonPositiveDurationError):
+            parse_runlength_csv(p, AB, sampling_rate_hz=1.0)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "A,1.0\nB,inf",
+            "A,1.0\nB,1e400",
+            "A,1.0\nB,1e300",  # finite, but its sample count overflows int64
+            "A,5e18\nA,5e18",  # each fits in int64, their merged run does not
+        ],
+    )
+    def test_non_finite_or_oversized_duration(self, tmp_path, rows):
+        p = tmp_path / "r.csv"
+        p.write_text(f"state,duration_s\n{rows}\n")
+        with pytest.raises(MalformedCsvError, match=r"r\.csv:3: duration"):
             parse_runlength_csv(p, AB, sampling_rate_hz=1.0)
 
     def test_quantization_rounds_half_up_with_floor(self, tmp_path):

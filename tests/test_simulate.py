@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,6 @@ from semimarkov.sequences import build_alphabet
 from semimarkov.simulate import (
     SimulationConfig,
     simulate_cohort,
-    simulate_multi_chain,
     simulate_sequence,
 )
 
@@ -37,6 +39,22 @@ def runs_equal(a, b):
         and np.array_equal(a.durations, b.durations)
         and a.sampling_rate_hz == b.sampling_rate_hz
     )
+
+
+@pytest.mark.parametrize(
+    "duration_s, rate_hz",
+    [
+        (math.inf, 1.0),
+        (math.nan, 1.0),
+        (0.0, 1.0),
+        (10.0, math.inf),
+        (10.0, math.nan),
+        (10.0, -2.0),
+    ],
+)
+def test_config_requires_finite_positive_values(duration_s, rate_hz):
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        SimulationConfig(duration_s=duration_s, seed=0, output_sampling_rate_hz=rate_hz)
 
 
 def test_forced_alternation(monkeypatch):
@@ -163,7 +181,7 @@ class TestMultiChain:
         m = success_model()
         mc = MultiChainModel(segments=(m, m), boundaries=(150.0,))
         cfg = SimulationConfig(duration_s=300.0, seed=61, output_sampling_rate_hz=2.0)
-        assert runs_equal(simulate_multi_chain(mc, cfg), simulate_sequence(m, cfg))
+        assert runs_equal(simulate_sequence(mc, cfg), simulate_sequence(m, cfg))
 
     def test_regime_change_visible(self):
         # segment 1 dwells ~1 s, segment 2 dwells ~20 s: mean run length in
@@ -172,11 +190,27 @@ class TestMultiChain:
         slow = two_state_model(20.0, 20.0)
         mc = MultiChainModel(segments=(fast, slow), boundaries=(200.0,))
         cfg = SimulationConfig(duration_s=400.0, seed=17, output_sampling_rate_hz=2.0)
-        out = simulate_multi_chain(mc, cfg)
+        out = simulate_sequence(mc, cfg)
         starts = np.concatenate(([0], np.cumsum(out.durations)[:-1])) / 2.0
         first = out.durations[starts < 200.0]
         second = out.durations[starts >= 200.0]
         assert second.mean() > 4 * first.mean()
+
+    def test_three_segment_cohort_is_pinned(self):
+        # success/failure/success; 211.3 s falls between samples at 2 Hz.
+        # Any change to the draw order, the segment lookup at a run start or
+        # transition, or the quantization changes this digest.
+        succ, fail = success_model(), failure_model()
+        mc = MultiChainModel(segments=(succ, fail, succ), boundaries=(100.0, 211.3))
+        cfg = SimulationConfig(duration_s=300.0, seed=4242, output_sampling_rate_hz=2.0)
+        h = hashlib.sha256()
+        for runs in simulate_cohort(mc, 50, cfg):
+            h.update(runs.id.encode())
+            h.update(np.asarray(runs.states, dtype="<i8").tobytes())
+            h.update(np.asarray(runs.durations, dtype="<i8").tobytes())
+        assert h.hexdigest() == (
+            "c9c2e40493ca159cd2d25b9b515b988f33ea4b1dc9335b8cbdb7e4f7842a0a89"
+        )
 
     def test_boundary_validation(self):
         m = success_model()
