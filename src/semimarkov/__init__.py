@@ -38,7 +38,6 @@ from .fitting import (
     fit_dtmc,
     fit_multi_chain,
     fit_semi_markov,
-    fit_semi_markov_from_runs,
     fit_semi_markov_transitions,
 )
 from .io import (

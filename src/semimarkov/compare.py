@@ -198,9 +198,8 @@ def bootstrap_group_fractions(
     if n_replicates < 1:
         raise ValueError("n_replicates must be at least 1")
     names = alphabet.states
-    per_patient = np.array(
-        [[time_fractions(p, alphabet)[s] for s in names] for p in patients]
-    )
+    # time_fractions keys its map by alphabet.states, in that order
+    per_patient = np.array([list(time_fractions(p, alphabet).values()) for p in patients])
     n_pat = len(patients)
     reps = np.empty((n_replicates, len(names)))
     for r in range(n_replicates):

@@ -15,9 +15,11 @@ Four families are supported.  Parameterizations (all times in seconds):
   f(x) = sqrt(lambda / (2 pi x^3)) exp(-lambda (x-mu)^2 / (2 mu^2 x)), x > 0.
 
 Log densities return -inf outside the support rather than truncating.
-Numerical fits (GEV, GPD) use a derivative-free simplex search and are
-accepted only if the central-finite-difference gradient of the log-likelihood
-at the solution has norm <= 1e-4 * max(1, |LL|).
+Each family's log-density is written once, as a vectorized log-likelihood
+kernel; the same kernel gives ``log_pdf``, the fitted log-likelihoods and the
+stationarity certificate.  Numerical fits (GEV, GPD) use a derivative-free
+simplex search and are accepted only if the central-finite-difference
+gradient of the log-likelihood at the solution has norm <= 1e-4 * max(1, |LL|).
 """
 
 from __future__ import annotations
@@ -119,39 +121,11 @@ def _validate_params(family: str, params: dict[str, float]) -> None:
 def log_pdf(family: str, params: dict[str, float], x: float) -> float:
     """Natural-log density at x (seconds).  Returns -inf outside the support."""
     _validate_params(family, params)
-    if family == EXPONENTIAL:
-        mu = params["mu"]
-        if x < 0:
-            return -math.inf
-        return -math.log(mu) - x / mu
-    if family == GEV:
-        k, sigma, mu = params["k"], params["sigma"], params["mu"]
-        z = (x - mu) / sigma
-        if abs(k) < _SHAPE_EPS:
-            return -math.log(sigma) - z - math.exp(-z)
-        w = 1.0 + k * z
-        if w <= 0.0:
-            return -math.inf
-        lw = math.log(w)
-        return -math.log(sigma) - (1.0 + 1.0 / k) * lw - math.exp(-lw / k)
-    if family == GPD:
-        k, sigma = params["k"], params["sigma"]
-        if x < 0:
-            return -math.inf
-        z = x / sigma
-        if abs(k) < _SHAPE_EPS:
-            return -math.log(sigma) - z
-        w = 1.0 + k * z
-        if w <= 0.0:
-            return -math.inf
-        return -math.log(sigma) - (1.0 + 1.0 / k) * math.log(w)
-    # InverseGaussian
-    mu, lam = params["mu"], params["lambda"]
-    if x <= 0:
+    # the lower end of the support; the kernels check the parameter-dependent ends
+    if x < 0 and family in (EXPONENTIAL, GPD) or x <= 0 and family == INVERSE_GAUSSIAN:
         return -math.inf
-    return 0.5 * (math.log(lam) - math.log(2.0 * math.pi) - 3.0 * math.log(x)) - (
-        lam * (x - mu) ** 2
-    ) / (2.0 * mu * mu * x)
+    theta = [params[name] for name in PARAM_NAMES[family]]
+    return _KERNELS[family](*theta, np.array([x], dtype=float))
 
 
 def cdf(family: str, params: dict[str, float], x: float) -> float:
@@ -233,7 +207,7 @@ def dwell_log_pdf(fit: DwellFit, x: float) -> float:
     return log_pdf(fit.family, fit.params, x - fit.truncation_s)
 
 
-# --- vectorized log-likelihoods (used by the fitters and certificates) ------
+# --- vectorized log-likelihoods (densities, fits and certificates) ---------
 
 
 def _exp_loglik(mu: float, xs: np.ndarray) -> float:
@@ -277,15 +251,13 @@ def _ig_loglik(mu: float, lam: float, xs: np.ndarray) -> float:
     return float(val)
 
 
-def _loglik(family: str, theta: np.ndarray, xs: np.ndarray) -> float:
-    """Log-likelihood in natural parameters, ordered as PARAM_NAMES[family]."""
-    if family == EXPONENTIAL:
-        return _exp_loglik(theta[0], xs)
-    if family == GEV:
-        return _gev_loglik(theta[0], theta[1], theta[2], xs)
-    if family == GPD:
-        return _gpd_loglik(theta[0], theta[1], xs)
-    return _ig_loglik(theta[0], theta[1], xs)
+#: Log-likelihood kernels in natural parameters, ordered as PARAM_NAMES[family].
+_KERNELS = {
+    EXPONENTIAL: _exp_loglik,
+    GEV: _gev_loglik,
+    GPD: _gpd_loglik,
+    INVERSE_GAUSSIAN: _ig_loglik,
+}
 
 
 def bic(log_likelihood: float, n_params: int, n_obs: int) -> float:
@@ -302,6 +274,7 @@ def bic(log_likelihood: float, n_params: int, n_obs: int) -> float:
 
 def _fd_gradient_norm(family: str, theta: np.ndarray, xs: np.ndarray) -> float:
     """Central finite-difference gradient norm of the log-likelihood."""
+    kernel = _KERNELS[family]
     grad = np.zeros(len(theta))
     for i in range(len(theta)):
         h = 1e-5 * max(1.0, abs(theta[i]))
@@ -309,7 +282,7 @@ def _fd_gradient_norm(family: str, theta: np.ndarray, xs: np.ndarray) -> float:
             tp, tm = theta.copy(), theta.copy()
             tp[i] += h
             tm[i] -= h
-            lp, lm = _loglik(family, tp, xs), _loglik(family, tm, xs)
+            lp, lm = kernel(*tp, xs), kernel(*tm, xs)
             if math.isfinite(lp) and math.isfinite(lm):
                 grad[i] = (lp - lm) / (2.0 * h)
                 break
@@ -403,6 +376,36 @@ def _simplex_fit(nll, x0: np.ndarray) -> np.ndarray:
     return np.asarray(res.x, dtype=float)
 
 
+def _certified_simplex_fit(
+    family: str, arr: np.ndarray, x0: np.ndarray, step: np.ndarray, natural
+) -> DwellFit:
+    """Simplex MLE over search coordinates t, with natural(t) the parameters.
+
+    The search runs on log sigma, so sigma stays positive.  It starts from x0
+    and, if the stationarity certificate fails there, once more from
+    x0 + step; the first certified solution is returned.
+    """
+    kernel = _KERNELS[family]
+
+    def nll(t):
+        val = kernel(*natural(t), arr)
+        return -val if math.isfinite(val) else math.inf
+
+    for t0 in (x0, x0 + step):
+        theta = np.array(natural(_simplex_fit(nll, t0)))
+        ll = kernel(*theta, arr)
+        if math.isfinite(ll) and _certify(family, theta, arr, ll):
+            n = len(arr)
+            return DwellFit(
+                family=family,
+                params=dict(zip(PARAM_NAMES[family], theta.tolist())),
+                n_obs=n,
+                log_likelihood=ll,
+                bic=bic(ll, N_PARAMS[family], n),
+            )
+    raise FitDidNotConvergeError(f"{family} fit failed its stationarity certificate")
+
+
 def fit_gev(xs) -> DwellFit:
     """MLE of the generalized extreme value family by simplex search.
 
@@ -421,33 +424,21 @@ def fit_gev(xs) -> DwellFit:
         raise FitDidNotConvergeError("observations carry no spread")
     sigma0 = s * math.sqrt(6.0) / math.pi
     mu0 = float(arr.mean()) - _EULER_GAMMA * sigma0
-    inits = [np.array([0.1, math.log(sigma0), mu0])]
-    inits.append(inits[0] + np.array([0.2, 0.1, 0.05 * s]))
-
-    def nll(t):
-        val = _gev_loglik(t[0], math.exp(t[1]), t[2], arr)
-        return -val if math.isfinite(val) else math.inf
-
-    for x0 in inits:
-        t = _simplex_fit(nll, x0)
-        theta = np.array([t[0], math.exp(t[1]), t[2]])
-        ll = _gev_loglik(*theta, arr)
-        if math.isfinite(ll) and _certify(GEV, theta, arr, ll):
-            return DwellFit(
-                family=GEV,
-                params={"k": float(theta[0]), "sigma": float(theta[1]), "mu": float(theta[2])},
-                n_obs=n,
-                log_likelihood=ll,
-                bic=bic(ll, 3, n),
-            )
-    raise FitDidNotConvergeError("GEV fit failed its stationarity certificate")
+    return _certified_simplex_fit(
+        GEV,
+        arr,
+        np.array([0.1, math.log(sigma0), mu0]),
+        np.array([0.2, 0.1, 0.05 * s]),
+        lambda t: (t[0], math.exp(t[1]), t[2]),
+    )
 
 
 def fit_gpd(xs) -> DwellFit:
     """MLE of the generalized Pareto family (location fixed at 0).
 
-    For k < 0 the support constraint sigma > -k * max(x) is enforced through
-    the likelihood (out-of-support parameters score -inf).
+    Initialized from the method of moments.  For k < 0 the support
+    constraint sigma > -k * max(x) is enforced through the likelihood
+    (out-of-support parameters score -inf).
     """
     arr = _as_duration_array(xs)
     n = len(arr)
@@ -461,26 +452,13 @@ def fit_gpd(xs) -> DwellFit:
         raise FitDidNotConvergeError("observations carry no spread")
     k0 = 0.5 * (1.0 - m * m / v)
     sigma0 = m * (1.0 - k0)
-    inits = [np.array([k0, math.log(sigma0)])]
-    inits.append(inits[0] + np.array([0.2, 0.1]))
-
-    def nll(t):
-        val = _gpd_loglik(t[0], math.exp(t[1]), arr)
-        return -val if math.isfinite(val) else math.inf
-
-    for x0 in inits:
-        t = _simplex_fit(nll, x0)
-        theta = np.array([t[0], math.exp(t[1])])
-        ll = _gpd_loglik(*theta, arr)
-        if math.isfinite(ll) and _certify(GPD, theta, arr, ll):
-            return DwellFit(
-                family=GPD,
-                params={"k": float(theta[0]), "sigma": float(theta[1])},
-                n_obs=n,
-                log_likelihood=ll,
-                bic=bic(ll, 2, n),
-            )
-    raise FitDidNotConvergeError("GPD fit failed its stationarity certificate")
+    return _certified_simplex_fit(
+        GPD,
+        arr,
+        np.array([k0, math.log(sigma0)]),
+        np.array([0.2, 0.1]),
+        lambda t: (t[0], math.exp(t[1])),
+    )
 
 
 _FITTERS = {

@@ -126,41 +126,25 @@ class TransitionMatrix:
         return self.probs[self.alphabet.index(state)]
 
     @classmethod
-    def from_counts(
-        cls, counts: TransitionCounts, kind: str = DTMC
-    ) -> "TransitionMatrix":
-        """Normalize count rows to probabilities; zero rows become absent."""
-        c = counts.counts.astype(float)
-        totals = c.sum(axis=1)
-        fitted = totals > 0
-        probs = np.zeros_like(c)
-        probs[fitted] = c[fitted] / totals[fitted, None]
-        return cls(probs=probs, alphabet=counts.alphabet, row_fitted=fitted, kind=kind)
-
-    @classmethod
     def from_probabilities(
-        cls,
-        rows,
-        alphabet: StateAlphabet,
-        kind: str = SEMI_MARKOV,
-        normalize: bool = True,
+        cls, rows, alphabet: StateAlphabet, kind: str = SEMI_MARKOV
     ) -> "TransitionMatrix":
-        """Build from given probability rows (e.g. published, rounded values).
+        """Build from rows of non-negative weights: transition counts, or
+        probabilities such as published, rounded values.
 
-        With ``normalize`` each non-zero row is rescaled to sum exactly to 1,
-        which absorbs rounding in externally reported matrices.  All-zero
-        rows become absent rows.
+        Each non-zero row is rescaled to sum exactly to 1, which turns counts
+        into maximum-likelihood probabilities and absorbs rounding in
+        externally reported matrices.  All-zero rows become absent rows.
         """
         n = len(alphabet)
         arr = np.array(rows, dtype=float)
         if arr.shape != (n, n):
             raise ValueError(f"rows must be {n}x{n}, got {arr.shape}")
         if np.any(arr < 0):
-            raise ValueError("probabilities must be non-negative")
+            raise ValueError("row weights must be non-negative")
         totals = arr.sum(axis=1)
         fitted = totals > 0
-        if normalize:
-            arr[fitted] = arr[fitted] / totals[fitted, None]
+        arr[fitted] = arr[fitted] / totals[fitted, None]
         return cls(probs=arr, alphabet=alphabet, row_fitted=fitted, kind=kind)
 
 
@@ -259,7 +243,7 @@ def fit_dtmc(
             )
         np.add.at(counts, (seq.labels[:-1], seq.labels[1:]), 1)
     tc = TransitionCounts(counts=counts, alphabet=alphabet)
-    return TransitionMatrix.from_counts(tc, kind=DTMC), tc
+    return TransitionMatrix.from_probabilities(counts, alphabet, kind=DTMC), tc
 
 
 # --- semi-Markov -------------------------------------------------------------
@@ -289,8 +273,7 @@ def fit_semi_markov_transitions(
         raise NoTransitionsError(
             "every sequence is a single run; no run-level transitions observed"
         )
-    tc = TransitionCounts(counts=counts, alphabet=alphabet)
-    return TransitionMatrix.from_counts(tc, kind=SEMI_MARKOV)
+    return TransitionMatrix.from_probabilities(counts, alphabet, kind=SEMI_MARKOV)
 
 
 def _pooled_durations(runs_list: list[RunSequence]) -> dict[int, list[float]]:
@@ -316,23 +299,29 @@ def _fit_dwell_with_fallback(
         return dataclasses.replace(fit_exponential(durations), fallback=True)
 
 
-def fit_semi_markov_from_runs(
-    runs_list: list[RunSequence],
+def fit_semi_markov(
+    seqs: list[LabeledSequence],
     alphabet: StateAlphabet,
     candidate_families=FAMILIES,
     metadata: dict[str, Any] | None = None,
 ) -> SemiMarkovModel:
-    """Fit transitions and per-state dwell distributions from run sequences.
+    """Encode each sequence into runs and fit a pooled semi-Markov model:
+    run-level transitions plus one dwell distribution per observed state.
 
-    Dwell observations include first runs (possibly left-censored) and
-    terminal runs (right-censored): at recording lengths of a few hundred
-    dwells per state the censoring bias is small, and dropping terminal runs
-    would systematically under-sample long dwells.  States whose every
-    candidate family fails are downgraded to an exponential fit with the
-    ``fallback`` flag set.
+    Sequences may use different sampling rates: run-level transitions and
+    dwell times in seconds are invariant to the rate, so mixing is safe here
+    (unlike fit_dtmc).  Dwell observations include first runs (possibly
+    left-censored) and terminal runs (right-censored): at recording lengths
+    of a few hundred dwells per state the censoring bias is small, and
+    dropping terminal runs would systematically under-sample long dwells.
+    States whose every candidate family fails are downgraded to an
+    exponential fit with the ``fallback`` flag set.
     """
+    if not seqs:
+        raise EmptyInputError("no sequences supplied")
     if not candidate_families:
         raise ValueError("candidate_families must be non-empty")
+    runs_list = [encode_runs(s) for s in seqs]
     transitions = fit_semi_markov_transitions(runs_list, alphabet)
     pooled = _pooled_durations(runs_list)
     dwell: dict[str, DwellFit] = {}
@@ -345,26 +334,6 @@ def fit_semi_markov_from_runs(
     if metadata:
         meta.update(metadata)
     return SemiMarkovModel(transitions=transitions, dwell=dwell, metadata=meta)
-
-
-def fit_semi_markov(
-    seqs: list[LabeledSequence],
-    alphabet: StateAlphabet,
-    candidate_families=FAMILIES,
-    metadata: dict[str, Any] | None = None,
-) -> SemiMarkovModel:
-    """Encode each sequence into runs and fit a pooled semi-Markov model.
-
-    Sequences may use different sampling rates: run-level transitions and
-    dwell times in seconds are invariant to the rate, so mixing is safe here
-    (unlike fit_dtmc).
-    """
-    if not seqs:
-        raise EmptyInputError("no sequences supplied")
-    runs_list = [encode_runs(s) for s in seqs]
-    return fit_semi_markov_from_runs(
-        runs_list, alphabet, candidate_families=candidate_families, metadata=metadata
-    )
 
 
 # --- multi-chain -------------------------------------------------------------

@@ -266,6 +266,8 @@ def parse_runlength_csv(
     rows = _read_csv_rows(path, ("state", "duration_s"))
     states: list[int] = []
     seconds: list[float] = []
+    durations: list[int] = []
+    total = 0  # samples in all runs so far
     merged = False
     for i, row in enumerate(rows):
         if len(row) != 2:
@@ -282,25 +284,28 @@ def parse_runlength_csv(
         state = alphabet.index(name)
         if states and states[-1] == state:
             seconds[-1] += dur
+            total -= durations.pop()
             merged = True
         else:
             states.append(state)
             seconds.append(dur)
-        # the sample count must fit in int64; an infinite duration fails too
-        if not seconds[-1] * sampling_rate_hz + 0.5 < _INT64_LIMIT:
+        samples = seconds[-1] * sampling_rate_hz + 0.5
+        run = max(1, math.floor(samples)) if samples < _INT64_LIMIT else math.inf
+        # the run's sample count and the file's total must fit in int64; an
+        # infinite duration fails too
+        if not total + run < _INT64_LIMIT:
             raise MalformedCsvError(
-                f"{path}:{i + 2}: duration {row[1]!r} is non-finite or too long "
-                f"to count in samples at {sampling_rate_hz:g} Hz"
+                f"{path}:{i + 2}: duration {row[1]!r} is non-finite or takes the "
+                f"sample count past int64 at {sampling_rate_hz:g} Hz"
             )
+        durations.append(run)
+        total += run
     if merged:
         warnings.warn(
             f"{path}: merged adjacent runs with equal states",
             DataNormalizationWarning,
             stacklevel=2,
         )
-    durations = [
-        max(1, int(math.floor(d * sampling_rate_hz + 0.5))) for d in seconds
-    ]
     seq_id = sequence_id if sequence_id is not None else Path(path).stem
     return RunSequence(
         states=np.array(states, dtype=np.int64),

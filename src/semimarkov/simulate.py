@@ -47,6 +47,12 @@ class SimulationConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        samples = self.duration_s * self.output_sampling_rate_hz
+        if not samples + 0.5 < 2.0**63:
+            raise ValueError(
+                "duration_s * output_sampling_rate_hz must be finite and positive and "
+                f"count fewer than 2**63 samples, got {samples!r}"
+            )
 
 
 def _round_half_up_samples(seconds: float, rate_hz: float) -> int:

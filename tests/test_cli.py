@@ -160,9 +160,11 @@ def test_malformed_model_file_is_data_error(tmp_path):
         "state,duration_s\nMVT,2.0\nPAU,inf\n",
         "state,duration_s\nMVT,2.0\nPAU,1e400\n",
         "state,duration_s\nMVT,2.0\nPAU,1e300\n",
+        "state,duration_s\nMVT,3e18\nPAU,3e18\n",
         "time_s,state\n0.0,MVT\nnan,PAU\n1.0,MVT\n",
     ],
-    ids=["duration-inf", "duration-1e400", "duration-1e300", "time-nan"],
+    ids=["duration-inf", "duration-1e400", "duration-1e300", "total-6e18",
+         "time-nan"],
 )
 def test_non_finite_csv_value_is_data_error(tmp_path, capsys, text):
     (tmp_path / "p.csv").write_text(text)
@@ -177,7 +179,9 @@ def test_non_finite_csv_value_is_data_error(tmp_path, capsys, text):
     assert len(err) == 1 and err[0].startswith("error: ") and "p.csv:3:" in err[0]
 
 
-@pytest.mark.parametrize("duration, rate", [("inf", "2"), ("10", "inf")])
+@pytest.mark.parametrize(
+    "duration, rate", [("inf", "2"), ("10", "inf"), ("1e300", "1e10")]
+)
 def test_infinite_simulation_setting_is_data_error(tmp_path, capsys, duration, rate):
     model_path = tmp_path / "m.json"
     write_model_json(success_model(), model_path)

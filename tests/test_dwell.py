@@ -100,6 +100,11 @@ def test_cdf_matches_scipy(family, params):
 def test_out_of_support(family, params):
     assert log_pdf(family, params, -1.0) == -math.inf
     assert cdf(family, params, -1.0) == 0.0
+    # x = 0 opens the Exponential and GPD supports; the inverse Gaussian's is x > 0
+    if family == INVERSE_GAUSSIAN:
+        assert log_pdf(family, params, 0.0) == -math.inf
+    elif family in (EXPONENTIAL, GPD):
+        assert math.isfinite(log_pdf(family, params, 0.0))
 
 
 def test_gpd_negative_shape_upper_endpoint():
@@ -204,6 +209,21 @@ def test_positive_duration_guard():
         fit_exponential([1.0, 0.0])
     with pytest.raises(NonPositiveDurationError):
         fit_inverse_gaussian([1.0, -2.0])
+
+
+@pytest.mark.parametrize("family,params", PARAM_SETS[::2])
+def test_log_pdf_sums_to_fitted_log_likelihood(family, params):
+    # the public density and the fitted log-likelihood come from one kernel
+    fitter = {
+        EXPONENTIAL: fit_exponential,
+        GEV: fit_gev,
+        GPD: fit_gpd,
+        INVERSE_GAUSSIAN: fit_inverse_gaussian,
+    }[family]
+    xs = scipy_frozen(family, params).rvs(size=500, random_state=np.random.default_rng(21))
+    fit = fitter(xs)
+    total = math.fsum(log_pdf(family, fit.params, float(x)) for x in xs)
+    assert total == pytest.approx(fit.log_likelihood, rel=1e-9)
 
 
 # --- numerical fits -----------------------------------------------------------

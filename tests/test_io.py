@@ -165,6 +165,7 @@ class TestRunlengthCsv:
             "A,1.0\nB,1e400",
             "A,1.0\nB,1e300",  # finite, but its sample count overflows int64
             "A,5e18\nA,5e18",  # each fits in int64, their merged run does not
+            "A,5e18\nB,5e18",  # each run fits in int64, the file's total does not
         ],
     )
     def test_non_finite_or_oversized_duration(self, tmp_path, rows):

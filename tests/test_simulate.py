@@ -50,6 +50,7 @@ def runs_equal(a, b):
         (10.0, math.inf),
         (10.0, math.nan),
         (10.0, -2.0),
+        (1e300, 1e10),  # each finite, but the sample count overflows int64
     ],
 )
 def test_config_requires_finite_positive_values(duration_s, rate_hz):
