@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedPointError,
 )
 from .fitting import SEMI_MARKOV, TransitionMatrix
-from .sequences import LabeledSequence, StateAlphabet
+from .sequences import LabeledSequence, StateAlphabet, encode_runs
 
 
 @dataclass(frozen=True)
@@ -161,22 +161,20 @@ def compare_transition_matrices(
 def time_fractions(
     seq: LabeledSequence, alphabet: StateAlphabet | None = None
 ) -> dict:
-    """Fraction of samples spent in each state.
+    """Fraction of samples spent in each state, summed over its runs.
 
     Without an alphabet the map is keyed by observed label index; with one
     it is keyed by state name and covers every alphabet state (zeros
     included), which gives cohorts a common support.
     """
-    if len(seq) == 0:
-        raise EmptyInputError("sequence has no samples")
-    n = len(seq)
-    if alphabet is None:
-        values, counts = np.unique(seq.labels, return_counts=True)
-        return {int(v): c / n for v, c in zip(values.tolist(), counts.tolist())}
-    counts = np.bincount(seq.labels, minlength=len(alphabet))
-    if len(counts) > len(alphabet):
+    runs = encode_runs(seq)
+    keys = alphabet.states if alphabet is not None else range(runs.states.max() + 1)
+    if runs.states.max() >= len(keys):
         raise ValueError("sequence uses label indices outside the alphabet")
-    return {name: counts[i] / n for i, name in enumerate(alphabet.states)}
+    counts = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(counts, runs.states, runs.durations)
+    n = len(seq)
+    return {k: c / n for k, c in zip(keys, counts.tolist()) if c or alphabet is not None}
 
 
 def bootstrap_group_fractions(

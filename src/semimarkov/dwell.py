@@ -53,7 +53,6 @@ INVERSE_GAUSSIAN = "InverseGaussian"
 #: Default candidate families, in canonical tag order (used for tie-breaking).
 FAMILIES = (EXPONENTIAL, GEV, GPD, INVERSE_GAUSSIAN)
 
-N_PARAMS = {EXPONENTIAL: 1, GEV: 3, GPD: 2, INVERSE_GAUSSIAN: 2}
 PARAM_NAMES = {
     EXPONENTIAL: ("mu",),
     GEV: ("k", "sigma", "mu"),
@@ -92,14 +91,16 @@ class DwellFit:
 
     def __post_init__(self) -> None:
         _validate_params(self.family, self.params)
+        if not all(math.isfinite(v) for v in self.params.values()):
+            raise ValueError(f"{self.family} parameters must be finite: {self.params}")
 
     @property
     def n_params(self) -> int:
-        return N_PARAMS[self.family]
+        return len(PARAM_NAMES[self.family])
 
 
 def _validate_params(family: str, params: dict[str, float]) -> None:
-    if family not in N_PARAMS:
+    if family not in PARAM_NAMES:
         raise ValueError(f"unknown dwell family {family!r}")
     expected = set(PARAM_NAMES[family])
     if set(params) != expected:
@@ -401,7 +402,7 @@ def _certified_simplex_fit(
                 params=dict(zip(PARAM_NAMES[family], theta.tolist())),
                 n_obs=n,
                 log_likelihood=ll,
-                bic=bic(ll, N_PARAMS[family], n),
+                bic=bic(ll, len(PARAM_NAMES[family]), n),
             )
     raise FitDidNotConvergeError(f"{family} fit failed its stationarity certificate")
 

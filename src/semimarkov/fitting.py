@@ -105,7 +105,7 @@ class TransitionMatrix:
         object.__setattr__(self, "row_fitted", fitted)
         if self.kind not in (DTMC, SEMI_MARKOV):
             raise ValueError(f"kind must be {DTMC!r} or {SEMI_MARKOV!r}")
-        if np.any(probs < 0) or np.any(probs > 1):
+        if not np.all((probs >= 0) & (probs <= 1)):  # NaN fails too
             raise ValueError("probabilities must lie in [0, 1]")
         sums = probs.sum(axis=1)
         for i in range(n):
@@ -213,15 +213,28 @@ class MultiChainModel:
 # --- DTMC --------------------------------------------------------------------
 
 
+def _count_run_pairs(
+    runs_list: list[RunSequence], alphabet: StateAlphabet
+) -> np.ndarray:
+    """Pooled counts of consecutive run pairs (state of run k, state of run k+1)."""
+    n = len(alphabet)
+    counts = np.zeros((n, n), dtype=np.int64)
+    for runs in runs_list:
+        if runs.states.max() >= n:
+            raise ValueError(f"sequence {runs.id!r} uses states outside the alphabet")
+        np.add.at(counts, (runs.states[:-1], runs.states[1:]), 1)
+    return counts
+
+
 def fit_dtmc(
     seqs: list[LabeledSequence], alphabet: StateAlphabet
 ) -> tuple[TransitionMatrix, TransitionCounts]:
     """Per-sample maximum-likelihood Markov chain: T_ij = n_ij / sum_j n_ij.
 
-    Counts pool across sequences; the last sample of one sequence and the
-    first of the next never form a transition.  States with zero outgoing
-    counts are flagged absent.  All sequences must share the sampling rate
-    (per-sample transition probabilities are rate-dependent).
+    Counted on runs (a run of d samples holds d - 1 self-transitions) and
+    pooled across sequences, never across a sequence boundary.  States with
+    zero outgoing counts are flagged absent.  All sequences must share the
+    sampling rate (per-sample transition probabilities are rate-dependent).
     """
     if not seqs:
         raise EmptyInputError("no sequences supplied")
@@ -230,18 +243,15 @@ def fit_dtmc(
         raise MixedSamplingRatesError(
             f"sequences mix sampling rates {sorted(rates)}; resample first"
         )
-    n = len(alphabet)
-    counts = np.zeros((n, n), dtype=np.int64)
     for seq in seqs:
         if len(seq) < 2:
             raise SequenceTooShortError(
                 f"sequence {seq.id!r} has {len(seq)} samples; need at least 2"
             )
-        if seq.labels.max() >= n:
-            raise ValueError(
-                f"sequence {seq.id!r} uses label indices outside the alphabet"
-            )
-        np.add.at(counts, (seq.labels[:-1], seq.labels[1:]), 1)
+    runs_list = [encode_runs(s) for s in seqs]
+    counts = _count_run_pairs(runs_list, alphabet)
+    for runs in runs_list:
+        np.add.at(counts, (runs.states, runs.states), runs.durations - 1)
     tc = TransitionCounts(counts=counts, alphabet=alphabet)
     return TransitionMatrix.from_probabilities(counts, alphabet, kind=DTMC), tc
 
@@ -259,17 +269,8 @@ def fit_semi_markov_transitions(
     """
     if not runs_list:
         raise EmptyInputError("no run sequences supplied")
-    n = len(alphabet)
-    counts = np.zeros((n, n), dtype=np.int64)
-    total = 0
-    for runs in runs_list:
-        if runs.states.max() >= n:
-            raise ValueError(f"run sequence {runs.id!r} uses states outside the alphabet")
-        if len(runs) < 2:
-            continue
-        np.add.at(counts, (runs.states[:-1], runs.states[1:]), 1)
-        total += len(runs) - 1
-    if total == 0:
+    counts = _count_run_pairs(runs_list, alphabet)
+    if not counts.any():
         raise NoTransitionsError(
             "every sequence is a single run; no run-level transitions observed"
         )

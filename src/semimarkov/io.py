@@ -139,18 +139,29 @@ class CohortManifest:
         return [self.base_dir / f for f in self.patient_files]
 
 
+def _strings(value, what: str) -> tuple[str, ...]:
+    """A JSON list of strings as a tuple; raises TypeError for anything else."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"{what} must be a list of strings")
+    return tuple(value)
+
+
 def read_manifest(path) -> CohortManifest:
     doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise MalformedJsonError(f"{path}: manifest must be a JSON object")
     try:
         return CohortManifest(
             group_label=doc["group_label"],
             sampling_rate_hz=float(doc["sampling_rate_hz"]),
-            alphabet=build_alphabet(doc["alphabet"]),
-            patient_files=tuple(doc["patient_files"]),
+            alphabet=build_alphabet(_strings(doc["alphabet"], "alphabet")),
+            patient_files=_strings(doc["patient_files"], "patient_files"),
             base_dir=Path(path).parent,
         )
     except KeyError as exc:
         raise MalformedJsonError(f"{path}: manifest missing key {exc}") from exc
+    except (AttributeError, TypeError, OverflowError) as exc:
+        raise MalformedJsonError(f"{path}: ill-typed manifest field: {exc}") from exc
 
 
 def write_manifest(manifest: CohortManifest, path) -> None:
@@ -172,15 +183,17 @@ def _read_csv_rows(path, expected_header: tuple[str, ...]) -> list[list[str]]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedCsvError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != list(expected_header):
-            raise MalformedCsvError(
-                f"{path}: expected header {','.join(expected_header)!r}, "
-                f"got {','.join(header)!r}"
-            )
-        rows = [row for row in reader if row]
+            header = next(reader, None)
+            rows = [row for row in reader if row]
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise MalformedCsvError(f"{path}:{reader.line_num}: {exc}") from None
+    if header is None:
+        raise MalformedCsvError(f"{path}: empty file")
+    if [h.strip() for h in header] != list(expected_header):
+        raise MalformedCsvError(
+            f"{path}: expected header {','.join(expected_header)!r}, "
+            f"got {','.join(header)!r}"
+        )
     if not rows:
         raise MalformedCsvError(f"{path}: no data rows")
     return rows
@@ -322,10 +335,10 @@ def _sniff_header(path) -> tuple[str, ...]:
 
 
 def load_sequences(manifest: CohortManifest) -> list[LabeledSequence]:
-    """Load every patient file in a manifest as per-sample label sequences.
+    """Load every patient file in a manifest as labeled sequences.
 
     The format of each file is recognized by its header; run-length files
-    are expanded onto the manifest's sampling grid.
+    are quantized onto the manifest's sampling grid.
     """
     out = []
     for p in manifest.resolved_paths():
@@ -452,7 +465,7 @@ def document_from_dict(raw: dict[str, Any], source: str = "<dict>") -> ModelDocu
                 f"{source}: schema_version {version!r} unsupported (expected "
                 f"{SCHEMA_VERSION})"
             )
-        alphabet = build_alphabet(raw["alphabet"])
+        alphabet = build_alphabet(_strings(raw["alphabet"], "alphabet"))
         tm = TransitionMatrix(
             probs=np.array(raw["transitions"], dtype=float),
             alphabet=alphabet,
@@ -460,6 +473,11 @@ def document_from_dict(raw: dict[str, Any], source: str = "<dict>") -> ModelDocu
             kind=raw["kind"],
         )
         dwell = {name: _dwell_from_dict(d) for name, d in raw["dwell"].items()}
+        unknown = sorted(set(dwell) - set(alphabet.states))
+        if unknown:
+            raise MalformedJsonError(f"{source}: dwell states {unknown} not in alphabet")
+        if not isinstance(raw["metadata"], dict):
+            raise TypeError("metadata must be a JSON object")
         return ModelDocument(
             transitions=tm,
             dwell=dwell,
@@ -468,6 +486,8 @@ def document_from_dict(raw: dict[str, Any], source: str = "<dict>") -> ModelDocu
         )
     except KeyError as exc:
         raise MalformedJsonError(f"{source}: model document missing key {exc}") from exc
+    except (AttributeError, TypeError, OverflowError) as exc:
+        raise MalformedJsonError(f"{source}: ill-typed model document field: {exc}") from exc
 
 
 def write_model_json(

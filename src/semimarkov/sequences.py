@@ -1,7 +1,8 @@
 """Labeled state sequences, run-length encoding, segmentation, and resampling.
 
-Sequences store labels as alphabet indices at a uniform sampling rate.  Run
-durations are kept in integer samples throughout; conversion to seconds
+Sequences are stored as runs of alphabet indices at a uniform sampling rate;
+per-sample labels are expanded only when ``LabeledSequence.labels`` is read.
+Run durations are kept in integer samples throughout; conversion to seconds
 happens only at analysis boundaries (``durations_by_state``), so re-encoding
 and upsampling are exact.
 """
@@ -73,35 +74,6 @@ def _as_readonly_int_array(values, what: str) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class LabeledSequence:
-    """Uniformly sampled per-sample state labels.
-
-    labels are alphabet indices, one per sample; validity against a concrete
-    alphabet is checked by the operations that take one.
-    """
-
-    labels: np.ndarray
-    sampling_rate_hz: float
-    id: str = ""
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", _as_readonly_int_array(self.labels, "labels"))
-        if len(self.labels) < 1:
-            raise ValueError("sequence must contain at least one sample")
-        if np.any(self.labels < 0):
-            raise ValueError("labels must be non-negative alphabet indices")
-        if not (self.sampling_rate_hz > 0):
-            raise ValueError("sampling_rate_hz must be positive")
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    @property
-    def duration_s(self) -> float:
-        return len(self.labels) / self.sampling_rate_hz
-
-
-@dataclass(frozen=True, eq=False)
 class RunSequence:
     """Run-length encoding: maximal runs of (state index, duration in samples)."""
 
@@ -141,27 +113,55 @@ class RunSequence:
         return int(self.durations.sum())
 
 
+class LabeledSequence:
+    """Uniformly sampled state labels, stored as their maximal runs.
+
+    labels are alphabet indices, one per sample, rebuilt on each read; validity
+    against a concrete alphabet is checked by the operations that take one.
+    """
+
+    __slots__ = ("_runs",)
+
+    def __init__(self, labels, sampling_rate_hz: float, id: str = "") -> None:
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.ndim != 1 or len(labels) < 1:
+            raise ValueError("labels must be one-dimensional with at least one sample")
+        starts = np.concatenate(([0], np.flatnonzero(labels[1:] != labels[:-1]) + 1))
+        durations = np.diff(starts, append=len(labels))
+        self._runs = RunSequence(labels[starts], durations, sampling_rate_hz, id)
+
+    @property
+    def labels(self) -> np.ndarray:
+        labels = np.repeat(self._runs.states, self._runs.durations)
+        labels.setflags(write=False)
+        return labels
+
+    @property
+    def sampling_rate_hz(self) -> float:
+        return self._runs.sampling_rate_hz
+
+    @property
+    def id(self) -> str:
+        return self._runs.id
+
+    def __len__(self) -> int:
+        return self._runs.total_samples
+
+    @property
+    def duration_s(self) -> float:
+        return len(self) / self.sampling_rate_hz
+
+
 def encode_runs(seq: LabeledSequence) -> RunSequence:
-    """Collapse a labeled sequence into maximal (state, duration) runs."""
-    labels = seq.labels
-    change = np.flatnonzero(labels[1:] != labels[:-1])
-    starts = np.concatenate(([0], change + 1))
-    ends = np.concatenate((change + 1, [len(labels)]))
-    return RunSequence(
-        states=labels[starts],
-        durations=ends - starts,
-        sampling_rate_hz=seq.sampling_rate_hz,
-        id=seq.id,
-    )
+    """The maximal (state, duration) runs of a labeled sequence."""
+    return seq._runs
 
 
 def decode_runs(runs: RunSequence) -> LabeledSequence:
-    """Expand runs back into per-sample labels (exact inverse of encode_runs)."""
-    return LabeledSequence(
-        labels=np.repeat(runs.states, runs.durations),
-        sampling_rate_hz=runs.sampling_rate_hz,
-        id=runs.id,
-    )
+    """The labeled sequence these runs encode; no per-sample array is built."""
+    seq = object.__new__(LabeledSequence)
+    seq._runs = runs
+    return seq
 
 
 def _boundary_to_index(t_s: float, rate_hz: float) -> int:
@@ -193,20 +193,20 @@ def split_at_time(
                 f"boundary {b} s outside (0, {duration}) s"
             )
     indices = [_boundary_to_index(b, seq.sampling_rate_hz) for b in bounds]
-    edges = [0] + indices + [len(seq.labels)]
+    edges = [0] + indices + [len(seq)]
     if any(e1 >= e2 for e1, e2 in zip(edges, edges[1:])):
         raise BoundaryOutOfRangeError(
             f"boundaries {bounds} produce an empty segment at rate "
             f"{seq.sampling_rate_hz} Hz"
         )
-    return [
-        LabeledSequence(
-            labels=seq.labels[e1:e2],
-            sampling_rate_hz=seq.sampling_rate_hz,
-            id=seq.id,
-        )
-        for e1, e2 in zip(edges, edges[1:])
-    ]
+    runs, cuts = encode_runs(seq), np.array(indices, dtype=np.int64)
+    run_ends = np.cumsum(runs.durations)
+    # cut the runs at the boundaries too; each piece keeps the state of its run
+    ends = np.union1d(run_ends, cuts)
+    states = runs.states[np.searchsorted(run_ends, ends)]
+    at = np.searchsorted(ends, cuts, side="right")
+    pieces = zip(np.split(states, at), np.split(np.diff(ends, prepend=0), at))
+    return [decode_runs(RunSequence(s, d, seq.sampling_rate_hz, seq.id)) for s, d in pieces]
 
 
 def upsample(seq: LabeledSequence, factor: int) -> LabeledSequence:
@@ -219,11 +219,11 @@ def upsample(seq: LabeledSequence, factor: int) -> LabeledSequence:
         raise ValueError(f"factor must be a positive integer, got {factor!r}")
     if factor == 1:
         return seq
-    return LabeledSequence(
-        labels=np.repeat(seq.labels, factor),
-        sampling_rate_hz=seq.sampling_rate_hz * factor,
-        id=seq.id,
-    )
+    if len(seq) * int(factor) >= 2**63:
+        raise ValueError(f"{len(seq)} samples times {factor} overflows int64")
+    runs = encode_runs(seq)
+    rate = seq.sampling_rate_hz * factor
+    return decode_runs(RunSequence(runs.states, runs.durations * factor, rate, seq.id))
 
 
 def durations_by_state(runs: RunSequence) -> dict[int, list[float]]:

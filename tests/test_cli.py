@@ -162,9 +162,10 @@ def test_malformed_model_file_is_data_error(tmp_path):
         "state,duration_s\nMVT,2.0\nPAU,1e300\n",
         "state,duration_s\nMVT,3e18\nPAU,3e18\n",
         "time_s,state\n0.0,MVT\nnan,PAU\n1.0,MVT\n",
+        "state,duration_s\nMVT,2.0\nPAU," + "1" * 131073 + "\n",
     ],
     ids=["duration-inf", "duration-1e400", "duration-1e300", "total-6e18",
-         "time-nan"],
+         "time-nan", "field-over-limit"],
 )
 def test_non_finite_csv_value_is_data_error(tmp_path, capsys, text):
     (tmp_path / "p.csv").write_text(text)
@@ -191,6 +192,97 @@ def test_infinite_simulation_setting_is_data_error(tmp_path, capsys, duration, r
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def _set_dwell(state, key=None, value=None):
+    def mutate(doc):
+        if key is None:
+            doc["dwell"][state] = value
+        else:
+            doc["dwell"][state][key] = value
+    return mutate
+
+
+def _set_mu(value):
+    def mutate(doc):
+        doc["dwell"]["PAU"]["params"]["mu"] = value
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: doc.update(dwell=[]),
+        lambda doc: doc.update(metadata=[1]),
+        lambda doc: doc.update(alphabet=5),
+        _set_dwell("PAU", value="x"),
+        _set_dwell("PAU", "params", None),
+        _set_dwell("PAU", "n_obs", None),
+        _set_mu(10**401),
+        lambda doc: doc["dwell"].update(XYZ=doc["dwell"]["PAU"]),
+        _set_mu(float("inf")),
+    ],
+    ids=["dwell-list", "metadata-list", "alphabet-int", "dwell-entry-str",
+         "params-null", "n_obs-null", "mu-401-digits", "dwell-unknown-state",
+         "mu-infinity"],
+)
+@pytest.mark.parametrize("command", ["compare", "simulate"])
+def test_ill_typed_model_file_is_data_error(tmp_path, capsys, mutate, command):
+    good = tmp_path / "good.json"
+    write_model_json(success_model(), good)
+    doc = json.loads(good.read_text())
+    assert doc["dwell"]["PAU"]["family"] == "Exponential"
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    if command == "compare":
+        argv = ["compare", "--a", str(bad), "--b", str(good),
+                "--out", str(tmp_path / "c.json")]
+    else:
+        argv = ["simulate", "--model", str(bad), "--duration-s", "10", "--seed", "1",
+                "--out-prefix", str(tmp_path / "s")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"patient_files": 5},
+        {"sampling_rate_hz": None},
+        {"alphabet": None},
+        {"alphabet": "PAMSU"},
+        {"patient_files": [1, 2]},
+        [1, 2],
+    ],
+    ids=["files-int", "rate-null", "alphabet-null", "alphabet-str", "files-ints",
+         "top-level-list"],
+)
+def test_ill_typed_manifest_is_data_error(tmp_path, capsys, doc):
+    if isinstance(doc, dict):
+        doc = {"group_label": "g", "sampling_rate_hz": 2.0,
+               "alphabet": list(PATTERNS.states), "patient_files": ["p.csv"], **doc}
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    rc = main(["fit", "--manifest", str(tmp_path / "m.json"),
+               "--model", "dtmc", "--out", str(tmp_path / "o.json")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "m.json" in err[0]
+
+
+@pytest.mark.parametrize("model", ["dtmc", "semi-markov"])
+def test_fit_runs_of_10_to_the_12_samples(tmp_path, model):
+    # expanded to per-sample labels this file would take 7.3 TiB
+    (tmp_path / "p.csv").write_text("state,duration_s\nPAU,5e11\nASB,5e11\n")
+    write_manifest(
+        CohortManifest("big", 1.0, PATTERNS, ("p.csv",), base_dir=tmp_path),
+        tmp_path / "m.json",
+    )
+    out = tmp_path / "o.json"
+    assert main(["fit", "--manifest", str(tmp_path / "m.json"),
+                 "--model", model, "--out", str(out)]) == 0
+    assert read_model_json(out).transitions.row_fitted[0]
 
 
 def test_help_exits_zero(capsys):

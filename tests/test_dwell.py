@@ -12,6 +12,7 @@ from semimarkov.dwell import (
     GEV,
     GPD,
     INVERSE_GAUSSIAN,
+    PARAM_NAMES,
     DwellFit,
     bic,
     cdf,
@@ -162,6 +163,27 @@ def test_param_validation():
         log_pdf(GEV, {"k": 0.1, "sigma": 1.0}, 1.0)  # missing mu
     with pytest.raises(ValueError):
         DwellFit(family="Weibull", params={})
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        (EXPONENTIAL, {"mu": math.inf}),
+        (GEV, {"k": math.nan, "sigma": 1.0, "mu": 0.0}),
+        (GPD, {"k": 0.1, "sigma": math.inf}),
+        (INVERSE_GAUSSIAN, {"mu": 1.0, "lambda": math.inf}),
+    ],
+)
+def test_non_finite_params_rejected(family, params):
+    with pytest.raises(ValueError):
+        DwellFit(family=family, params=params)
+
+
+def test_n_params_hand_values():
+    # BIC counts one free parameter per name the family takes
+    n_params = {family: len(PARAM_NAMES[family]) for family in FAMILIES}
+    assert n_params == {EXPONENTIAL: 1, GEV: 3, GPD: 2, INVERSE_GAUSSIAN: 2}
+    assert DwellFit(family=GPD, params={"k": 0.1, "sigma": 1.0}).n_params == 2
 
 
 # --- closed-form fits ---------------------------------------------------------

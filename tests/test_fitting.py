@@ -171,6 +171,16 @@ class TestTransitionMatrixType:
         with pytest.raises(ValueError):
             TransitionCounts(counts=np.array([[1, -1], [0, 0]]), alphabet=AB)
 
+    def test_nan_probability_rejected(self):
+        # NaN fails no comparison, so range and row-sum checks alone let it in
+        with pytest.raises(ValueError):
+            TransitionMatrix(
+                probs=np.array([[0.0, np.nan], [1.0, 0.0]]),
+                alphabet=AB,
+                row_fitted=np.array([True, True]),
+                kind="semi_markov",
+            )
+
 
 class TestSemiMarkovModel:
     def test_fit_produces_named_dwells(self):
