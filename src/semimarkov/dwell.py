@@ -16,10 +16,15 @@ Four families are supported.  Parameterizations (all times in seconds):
 
 Log densities return -inf outside the support rather than truncating.
 Each family's log-density is written once, as a vectorized log-likelihood
-kernel; the same kernel gives ``log_pdf``, the fitted log-likelihoods and the
-stationarity certificate.  Numerical fits (GEV, GPD) use a derivative-free
-simplex search and are accepted only if the central-finite-difference
-gradient of the log-likelihood at the solution has norm <= 1e-4 * max(1, |LL|).
+kernel over distinct values and their counts, ``kernel(*theta, values,
+counts)``; the same kernel gives ``log_pdf`` (one value, count one), the
+fitted log-likelihoods and the stationarity certificate.  Numerical fits
+(GEV, GPD) collapse their sample once to its distinct values with counts --
+durations lie on a sampling grid, so there are far fewer values than
+observations -- and depend only on that multiset, not on observation order.
+They use a derivative-free simplex search and are accepted only if the
+central-finite-difference gradient of the log-likelihood at the solution has
+norm <= 1e-4 * max(1, |LL|).
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ PARAM_NAMES = {
     GPD: ("k", "sigma"),
     INVERSE_GAUSSIAN: ("mu", "lambda"),
 }
+_PARAM_KEYS = {family: frozenset(names) for family, names in PARAM_NAMES.items()}
 
 # Shape magnitudes below this are evaluated with the k -> 0 limit form.
 _SHAPE_EPS = 1e-13
@@ -93,6 +99,10 @@ class DwellFit:
         _validate_params(self.family, self.params)
         if not all(math.isfinite(v) for v in self.params.values()):
             raise ValueError(f"{self.family} parameters must be finite: {self.params}")
+        if not (math.isfinite(self.truncation_s) and self.truncation_s >= 0.0):
+            raise ValueError(
+                f"truncation_s must be finite and non-negative, got {self.truncation_s!r}"
+            )
 
     @property
     def n_params(self) -> int:
@@ -100,10 +110,10 @@ class DwellFit:
 
 
 def _validate_params(family: str, params: dict[str, float]) -> None:
-    if family not in PARAM_NAMES:
+    expected = _PARAM_KEYS.get(family)
+    if expected is None:
         raise ValueError(f"unknown dwell family {family!r}")
-    expected = set(PARAM_NAMES[family])
-    if set(params) != expected:
+    if params.keys() != expected:
         raise ValueError(
             f"{family} expects parameters {sorted(expected)}, got {sorted(params)}"
         )
@@ -126,7 +136,7 @@ def log_pdf(family: str, params: dict[str, float], x: float) -> float:
     if x < 0 and family in (EXPONENTIAL, GPD) or x <= 0 and family == INVERSE_GAUSSIAN:
         return -math.inf
     theta = [params[name] for name in PARAM_NAMES[family]]
-    return _KERNELS[family](*theta, np.array([x], dtype=float))
+    return _KERNELS[family](*theta, np.array([x], dtype=float), np.ones(1))
 
 
 def cdf(family: str, params: dict[str, float], x: float) -> float:
@@ -209,50 +219,57 @@ def dwell_log_pdf(fit: DwellFit, x: float) -> float:
 
 
 # --- vectorized log-likelihoods (densities, fits and certificates) ---------
+# Each kernel sums counts[i] * log f(xs[i]); a per-observation sum passes
+# counts of one.
 
 
-def _exp_loglik(mu: float, xs: np.ndarray) -> float:
-    return float(-len(xs) * math.log(mu) - xs.sum() / mu)
+def _exp_loglik(mu: float, xs: np.ndarray, counts: np.ndarray) -> float:
+    return float(-counts.sum() * math.log(mu) - (counts * xs).sum() / mu)
 
 
-def _gev_loglik(k: float, sigma: float, mu: float, xs: np.ndarray) -> float:
+def _gev_loglik(
+    k: float, sigma: float, mu: float, xs: np.ndarray, counts: np.ndarray
+) -> float:
     if sigma <= 0:
         return -math.inf
     z = (xs - mu) / sigma
-    n = len(xs)
+    n = counts.sum()
     if abs(k) < _SHAPE_EPS:
-        val = -n * math.log(sigma) - z.sum() - np.exp(-z).sum()
+        val = -n * math.log(sigma) - (counts * z).sum() - (counts * np.exp(-z)).sum()
         return float(val) if np.isfinite(val) else -math.inf
     w = 1.0 + k * z
     if w.min() <= 0.0:
         return -math.inf
     lw = np.log(w)
-    val = -n * math.log(sigma) - (1.0 + 1.0 / k) * lw.sum() - np.exp(-lw / k).sum()
+    val = (-n * math.log(sigma) - (1.0 + 1.0 / k) * (counts * lw).sum()
+           - (counts * np.exp(-lw / k)).sum())
     return float(val) if np.isfinite(val) else -math.inf
 
 
-def _gpd_loglik(k: float, sigma: float, xs: np.ndarray) -> float:
+def _gpd_loglik(k: float, sigma: float, xs: np.ndarray, counts: np.ndarray) -> float:
     if sigma <= 0:
         return -math.inf
-    n = len(xs)
+    n = counts.sum()
     z = xs / sigma
     if abs(k) < _SHAPE_EPS:
-        return float(-n * math.log(sigma) - z.sum())
+        return float(-n * math.log(sigma) - (counts * z).sum())
     w = 1.0 + k * z
     if w.min() <= 0.0:
         return -math.inf
-    val = -n * math.log(sigma) - (1.0 + 1.0 / k) * np.log(w).sum()
+    val = -n * math.log(sigma) - (1.0 + 1.0 / k) * (counts * np.log(w)).sum()
     return float(val) if np.isfinite(val) else -math.inf
 
 
-def _ig_loglik(mu: float, lam: float, xs: np.ndarray) -> float:
-    n = len(xs)
-    val = 0.5 * (n * (math.log(lam) - math.log(2.0 * math.pi)) - 3.0 * np.log(xs).sum())
-    val -= (lam * ((xs - mu) ** 2 / xs).sum()) / (2.0 * mu * mu)
+def _ig_loglik(mu: float, lam: float, xs: np.ndarray, counts: np.ndarray) -> float:
+    n = counts.sum()
+    val = 0.5 * (n * (math.log(lam) - math.log(2.0 * math.pi))
+                 - 3.0 * (counts * np.log(xs)).sum())
+    val -= (lam * (counts * ((xs - mu) ** 2 / xs)).sum()) / (2.0 * mu * mu)
     return float(val)
 
 
-#: Log-likelihood kernels in natural parameters, ordered as PARAM_NAMES[family].
+#: Log-likelihood kernels in natural parameters, ordered as PARAM_NAMES[family],
+#: followed by (values, counts).
 _KERNELS = {
     EXPONENTIAL: _exp_loglik,
     GEV: _gev_loglik,
@@ -273,7 +290,9 @@ def bic(log_likelihood: float, n_params: int, n_obs: int) -> float:
 # --- stationarity certificate ------------------------------------------------
 
 
-def _fd_gradient_norm(family: str, theta: np.ndarray, xs: np.ndarray) -> float:
+def _fd_gradient_norm(
+    family: str, theta: np.ndarray, xs: np.ndarray, counts: np.ndarray
+) -> float:
     """Central finite-difference gradient norm of the log-likelihood."""
     kernel = _KERNELS[family]
     grad = np.zeros(len(theta))
@@ -283,7 +302,7 @@ def _fd_gradient_norm(family: str, theta: np.ndarray, xs: np.ndarray) -> float:
             tp, tm = theta.copy(), theta.copy()
             tp[i] += h
             tm[i] -= h
-            lp, lm = kernel(*tp, xs), kernel(*tm, xs)
+            lp, lm = kernel(*tp, xs, counts), kernel(*tm, xs, counts)
             if math.isfinite(lp) and math.isfinite(lm):
                 grad[i] = (lp - lm) / (2.0 * h)
                 break
@@ -293,8 +312,10 @@ def _fd_gradient_norm(family: str, theta: np.ndarray, xs: np.ndarray) -> float:
     return float(np.linalg.norm(grad))
 
 
-def _certify(family: str, theta: np.ndarray, xs: np.ndarray, ll: float) -> bool:
-    return _fd_gradient_norm(family, theta, xs) <= _GRAD_TOL * max(1.0, abs(ll))
+def _certify(
+    family: str, theta: np.ndarray, xs: np.ndarray, counts: np.ndarray, ll: float
+) -> bool:
+    return _fd_gradient_norm(family, theta, xs, counts) <= _GRAD_TOL * max(1.0, abs(ll))
 
 
 # --- closed-form fits --------------------------------------------------------
@@ -324,7 +345,7 @@ def fit_exponential(xs, truncation_s: float = 0.0) -> DwellFit:
     arr = _as_duration_array(xs, minimum=truncation_s)
     shifted = arr - truncation_s
     mu = float(shifted.mean())
-    ll = _exp_loglik(mu, shifted)
+    ll = _exp_loglik(mu, shifted, np.ones(len(arr)))
     return DwellFit(
         family=EXPONENTIAL,
         params={"mu": mu},
@@ -346,7 +367,7 @@ def fit_inverse_gaussian(xs) -> DwellFit:
     if denom <= 0.0 or not math.isfinite(denom):
         raise DegenerateDataError("all observations equal; lambda is undefined")
     lam = n / denom
-    ll = _ig_loglik(mu, lam, arr)
+    ll = _ig_loglik(mu, lam, arr, np.ones(n))
     return DwellFit(
         family=INVERSE_GAUSSIAN,
         params={"mu": mu, "lambda": lam},
@@ -377,26 +398,47 @@ def _simplex_fit(nll, x0: np.ndarray) -> np.ndarray:
     return np.asarray(res.x, dtype=float)
 
 
+def _distinct_sample(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Distinct values, their counts, and the sample mean and variance (ddof=1).
+
+    Everything is computed from the sorted distinct values, so the result does
+    not depend on the order of the observations.
+    """
+    values, counts = np.unique(arr, return_counts=True)
+    if len(values) < 2:
+        raise FitDidNotConvergeError("observations carry no spread")
+    n = len(arr)
+    mean = float((counts * values).sum() / n)
+    var = float((counts * (values - mean) ** 2).sum() / (n - 1))
+    return values, counts, mean, var
+
+
 def _certified_simplex_fit(
-    family: str, arr: np.ndarray, x0: np.ndarray, step: np.ndarray, natural
+    family: str,
+    values: np.ndarray,
+    counts: np.ndarray,
+    x0: np.ndarray,
+    step: np.ndarray,
+    natural,
 ) -> DwellFit:
     """Simplex MLE over search coordinates t, with natural(t) the parameters.
 
-    The search runs on log sigma, so sigma stays positive.  It starts from x0
-    and, if the stationarity certificate fails there, once more from
-    x0 + step; the first certified solution is returned.
+    The log-likelihood is summed over the distinct ``values`` weighted by
+    their ``counts``.  The search runs on log sigma, so sigma stays positive.
+    It starts from x0 and, if the stationarity certificate fails there, once
+    more from x0 + step; the first certified solution is returned.
     """
     kernel = _KERNELS[family]
 
     def nll(t):
-        val = kernel(*natural(t), arr)
+        val = kernel(*natural(t), values, counts)
         return -val if math.isfinite(val) else math.inf
 
     for t0 in (x0, x0 + step):
         theta = np.array(natural(_simplex_fit(nll, t0)))
-        ll = kernel(*theta, arr)
-        if math.isfinite(ll) and _certify(family, theta, arr, ll):
-            n = len(arr)
+        ll = kernel(*theta, values, counts)
+        if math.isfinite(ll) and _certify(family, theta, values, counts, ll):
+            n = int(counts.sum())
             return DwellFit(
                 family=family,
                 params=dict(zip(PARAM_NAMES[family], theta.tolist())),
@@ -420,14 +462,14 @@ def fit_gev(xs) -> DwellFit:
         raise TooFewObservationsError(
             f"GEV fit needs at least {_MIN_NUMERIC_OBS} observations, got {n}"
         )
-    s = float(arr.std(ddof=1))
-    if s == 0.0:
-        raise FitDidNotConvergeError("observations carry no spread")
+    values, counts, m, v = _distinct_sample(arr)
+    s = math.sqrt(v)
     sigma0 = s * math.sqrt(6.0) / math.pi
-    mu0 = float(arr.mean()) - _EULER_GAMMA * sigma0
+    mu0 = m - _EULER_GAMMA * sigma0
     return _certified_simplex_fit(
         GEV,
-        arr,
+        values,
+        counts,
         np.array([0.1, math.log(sigma0), mu0]),
         np.array([0.2, 0.1, 0.05 * s]),
         lambda t: (t[0], math.exp(t[1]), t[2]),
@@ -447,15 +489,13 @@ def fit_gpd(xs) -> DwellFit:
         raise TooFewObservationsError(
             f"GPD fit needs at least {_MIN_NUMERIC_OBS} observations, got {n}"
         )
-    m = float(arr.mean())
-    v = float(arr.var(ddof=1))
-    if v == 0.0:
-        raise FitDidNotConvergeError("observations carry no spread")
+    values, counts, m, v = _distinct_sample(arr)
     k0 = 0.5 * (1.0 - m * m / v)
     sigma0 = m * (1.0 - k0)
     return _certified_simplex_fit(
         GPD,
-        arr,
+        values,
+        counts,
         np.array([k0, math.log(sigma0)]),
         np.array([0.2, 0.1]),
         lambda t: (t[0], math.exp(t[1])),

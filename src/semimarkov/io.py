@@ -102,11 +102,28 @@ def write_json(obj, path) -> None:
     Path(path).write_text(canonical_json(obj), encoding="ascii")
 
 
+def _not_utf8(path, exc: UnicodeDecodeError) -> str:
+    """Message naming the file, and the line of its first byte that is not UTF-8.
+
+    A text stream reports ``exc`` relative to the chunk it was decoding, so
+    the file is decoded again in full to find the line.
+    """
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as first:
+        line = data.count(b"\n", 0, first.start) + 1
+        return f"{path}:{line}: not valid UTF-8: {first.reason} (byte {first.start})"
+    return f"{path}: not valid UTF-8: {exc.reason}"  # changed after the failed read
+
+
 def read_json(path):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise MalformedJsonError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedJsonError(_not_utf8(path, exc)) from None
 
 
 # --- cohort manifests --------------------------------------------------------
@@ -187,6 +204,8 @@ def _read_csv_rows(path, expected_header: tuple[str, ...]) -> list[list[str]]:
             rows = [row for row in reader if row]
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise MalformedCsvError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise MalformedCsvError(_not_utf8(path, exc)) from None
     if header is None:
         raise MalformedCsvError(f"{path}: empty file")
     if [h.strip() for h in header] != list(expected_header):
@@ -329,8 +348,11 @@ def parse_runlength_csv(
 
 
 def _sniff_header(path) -> tuple[str, ...]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        first = fh.readline()
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            first = fh.readline()
+    except UnicodeDecodeError as exc:
+        raise MalformedCsvError(_not_utf8(path, exc)) from None
     return tuple(h.strip() for h in first.strip().split(","))
 
 

@@ -6,13 +6,16 @@ a one-segment chain, so both kinds share one generator loop.
 
 The generator alternates dwell draws and categorical next-state draws,
 quantizing each dwell onto the output sampling grid (round half-up, one
-sample minimum) so the result is a valid RunSequence.  All randomness comes
-from one numpy Generator seeded from the config, so identical inputs give
+sample minimum) so the result is a valid RunSequence.  Each segment's
+cumulative transition rows are built once per sequence, as Python lists, so a
+next-state draw is one uniform and one ``bisect``.  All randomness comes from
+one numpy Generator seeded from the config, so identical inputs give
 bit-identical output; cohorts derive per-patient seeds as base_seed + i.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import deque
 from dataclasses import dataclass, replace
@@ -100,10 +103,10 @@ def _check_reachability(
                 queue.append(t)
 
 
-def _draw_categorical(row: np.ndarray, rng: np.random.Generator) -> int:
-    c = np.cumsum(row)
-    i = int(np.searchsorted(c, rng.random() * c[-1], side="right"))
-    return min(i, len(row) - 1)
+def _draw_categorical(cum: list[float], rng: np.random.Generator) -> int:
+    """Index drawn from one cumulative transition row (first entry above u * total)."""
+    i = bisect.bisect_right(cum, rng.random() * cum[-1])
+    return min(i, len(cum) - 1)
 
 
 def _resolve_initial(
@@ -149,13 +152,14 @@ def _simulate_runs(
         _check_reachability(segments, _startable_states(segments[0]))
     else:
         _check_reachability(segments, [state])
+    cum_rows = [np.cumsum(seg.transitions.probs, axis=1).tolist() for seg in segments]
     states: list[int] = []
     durations: list[int] = []
     elapsed = 0  # samples emitted so far
     min_dwell = 1.0 / rate
     while elapsed < n_total:
         model = segments[chain.segment_at(elapsed / rate)]
-        name = model.alphabet.name(state)
+        name = model.alphabet.states[state]
         dwell_s = sample_dwell(model.dwell[name], rng, min_seconds=min_dwell)
         n = max(1, _round_half_up_samples(dwell_s, rate))
         n = min(n, n_total - elapsed)  # truncate the final run
@@ -164,8 +168,7 @@ def _simulate_runs(
         elapsed += n
         if elapsed >= n_total:
             break
-        model = segments[chain.segment_at(elapsed / rate)]
-        state = _draw_categorical(model.transitions.probs[state], rng)
+        state = _draw_categorical(cum_rows[chain.segment_at(elapsed / rate)][state], rng)
     return states, durations
 
 

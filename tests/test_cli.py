@@ -180,6 +180,32 @@ def test_non_finite_csv_value_is_data_error(tmp_path, capsys, text):
     assert len(err) == 1 and err[0].startswith("error: ") and "p.csv:3:" in err[0]
 
 
+def test_csv_that_is_not_utf8_is_data_error(tmp_path, capsys):
+    (tmp_path / "good.csv").write_text("state,duration_s\nMVT,2.0\nPAU,1.5\n")
+    (tmp_path / "p.csv").write_bytes(b"state,duration_s\nMVT,2.0\nPAU\xff,1.5\n")
+    write_manifest(
+        CohortManifest("bad", 2.0, PATTERNS, ("good.csv", "p.csv"), base_dir=tmp_path),
+        tmp_path / "m.json",
+    )
+    rc = main(["fit", "--manifest", str(tmp_path / "m.json"),
+               "--model", "semi-markov", "--out", str(tmp_path / "o.json")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "p.csv:3:" in err[0]
+
+
+def test_model_file_that_is_not_utf8_is_data_error(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    write_model_json(success_model(), good)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(good.read_bytes().replace(b'"PAU"', b'"PA\xff"', 1))
+    rc = main(["compare", "--a", str(bad), "--b", str(good),
+               "--out", str(tmp_path / "c.json")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "bad.json" in err[0]
+
+
 @pytest.mark.parametrize(
     "duration, rate", [("inf", "2"), ("10", "inf"), ("1e300", "1e10")]
 )
@@ -221,10 +247,12 @@ def _set_mu(value):
         _set_mu(10**401),
         lambda doc: doc["dwell"].update(XYZ=doc["dwell"]["PAU"]),
         _set_mu(float("inf")),
+        _set_dwell("PAU", "truncation_s", float("inf")),
+        _set_dwell("PAU", "truncation_s", -5.0),
     ],
     ids=["dwell-list", "metadata-list", "alphabet-int", "dwell-entry-str",
          "params-null", "n_obs-null", "mu-401-digits", "dwell-unknown-state",
-         "mu-infinity"],
+         "mu-infinity", "truncation-infinity", "truncation-negative"],
 )
 @pytest.mark.parametrize("command", ["compare", "simulate"])
 def test_ill_typed_model_file_is_data_error(tmp_path, capsys, mutate, command):

@@ -26,6 +26,7 @@ from semimarkov.dwell import (
     sample_dwell,
     select_family,
 )
+from semimarkov.dwell import _KERNELS
 from semimarkov.errors import (
     AllFitsFailedError,
     DegenerateDataError,
@@ -292,6 +293,51 @@ def test_gpd_roundtrip_and_certificate():
 
     theta = np.array([fit.params["k"], fit.params["sigma"]])
     assert np.linalg.norm(_fd_grad(ll, theta)) <= 1e-4 * max(1.0, abs(fit.log_likelihood))
+
+
+# Durations on a 50 Hz grid: 3000 observations, at most 499 distinct values.
+GRID_XS = np.random.default_rng(31).integers(1, 500, size=3000) / 50.0
+
+
+@pytest.mark.parametrize(
+    "family,theta",
+    [
+        (GEV, (0.4, 1.3, 1.8)),
+        (GEV, (0.4, 1.3, 5.0)),  # lower end 1.75: some observations below
+        (GEV, (-0.1, 1.5, 3.0)),
+        (GEV, (-0.3, 1.3, 1.8)),  # upper end 6.13: some observations above
+        (GEV, (1e-14, 1.5, 3.0)),  # |k| < 1e-13: the Gumbel limit
+        (GPD, (0.3, 2.0)),
+        (GPD, (-0.2, 3.6)),
+        (GPD, (-0.5, 3.0)),  # upper end 6: some observations above
+    ],
+)
+def test_weighted_kernel_equals_per_observation_sum(family, theta):
+    values, counts = np.unique(GRID_XS, return_counts=True)
+    assert len(values) < len(GRID_XS) / 5
+    weighted = _KERNELS[family](*theta, values, counts)
+    params = dict(zip(PARAM_NAMES[family], theta))
+    per_obs = math.fsum(log_pdf(family, params, float(x)) for x in GRID_XS)
+    if math.isinf(per_obs):
+        assert weighted == per_obs == -math.inf
+    else:
+        assert weighted == pytest.approx(per_obs, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "fitter,family,params",
+    [
+        (fit_gev, GEV, {"k": 0.63, "sigma": 1.30, "mu": 1.85}),
+        (fit_gpd, GPD, {"k": -0.22, "sigma": 3.62}),
+    ],
+)
+def test_numeric_fit_does_not_depend_on_observation_order(fitter, family, params):
+    rng = np.random.default_rng(13)
+    xs = np.ceil(scipy_frozen(family, params).rvs(size=2000, random_state=rng) * 50.0) / 50.0
+    fit = fitter(xs)
+    assert fitter(xs[::-1]) == fit
+    assert fitter(rng.permutation(xs)) == fit
+    assert fitter(np.sort(xs).tolist()) == fit
 
 
 def test_min_observations():

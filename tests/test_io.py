@@ -138,6 +138,24 @@ class TestLabelCsv:
             parse_label_csv(p, AB)
 
 
+@pytest.mark.parametrize("bad_line", [3, 1003])  # 1003 lies past the first read chunk
+@pytest.mark.parametrize(
+    "header,row,parse",
+    [
+        ("time_s,state", "{t}.0,A", lambda p: parse_label_csv(p, AB)),
+        ("state,duration_s", "{ab},1.0", lambda p: parse_runlength_csv(p, AB, 1.0)),
+    ],
+    ids=["label", "runlength"],
+)
+def test_csv_that_is_not_utf8_names_file_and_line(tmp_path, header, row, parse, bad_line):
+    lines = [header] + [row.format(t=i, ab="AB"[i % 2]) for i in range(1500)]
+    lines[bad_line - 1] += "\xff"
+    p = tmp_path / "x.csv"
+    p.write_bytes("\n".join(lines).encode("latin-1") + b"\n")
+    with pytest.raises(MalformedCsvError, match=rf"x\.csv:{bad_line}: not valid UTF-8"):
+        parse(p)
+
+
 class TestRunlengthCsv:
     def test_spec_example(self, tmp_path):
         p = tmp_path / "r.csv"

@@ -33,6 +33,16 @@ def two_state_model(mu_a=1.0, mu_b=1.0):
     )
 
 
+def cohort_digest(cohort):
+    """SHA-256 over each sequence's id, states and durations, in order."""
+    h = hashlib.sha256()
+    for runs in cohort:
+        h.update(runs.id.encode())
+        h.update(np.asarray(runs.states, dtype="<i8").tobytes())
+        h.update(np.asarray(runs.durations, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
 def runs_equal(a, b):
     return (
         np.array_equal(a.states, b.states)
@@ -177,6 +187,27 @@ class TestCohort:
         assert a.id == "sim000" and b.id == "sim001"
 
 
+class TestPinnedCohorts:
+    # Any change to the draw order, the categorical draw, the dwell sampler
+    # or the quantization changes these digests.
+
+    def test_success_cohort_is_pinned(self):
+        # all four dwell families, including the inverse-Gaussian draw
+        cfg = SimulationConfig(duration_s=3600.0, seed=20180823, output_sampling_rate_hz=50.0)
+        assert cohort_digest(simulate_cohort(success_model(), 10, cfg)) == (
+            "d42169df20128c639a17e6db821e0caf82b36c42107159a2801d4c1050810031"
+        )
+
+    def test_failure_cohort_from_pinned_state_is_pinned(self):
+        cfg = SimulationConfig(
+            duration_s=3600.0, seed=20180824, output_sampling_rate_hz=50.0,
+            initial_state="PAU",
+        )
+        assert cohort_digest(simulate_cohort(failure_model(), 10, cfg)) == (
+            "b41f77d3d5c9d1542b5ccaa29a8a0fb3d570dfd01f356a9c72890a1b852f96e7"
+        )
+
+
 class TestMultiChain:
     def test_degenerate_equals_single(self):
         m = success_model()
@@ -204,12 +235,7 @@ class TestMultiChain:
         succ, fail = success_model(), failure_model()
         mc = MultiChainModel(segments=(succ, fail, succ), boundaries=(100.0, 211.3))
         cfg = SimulationConfig(duration_s=300.0, seed=4242, output_sampling_rate_hz=2.0)
-        h = hashlib.sha256()
-        for runs in simulate_cohort(mc, 50, cfg):
-            h.update(runs.id.encode())
-            h.update(np.asarray(runs.states, dtype="<i8").tobytes())
-            h.update(np.asarray(runs.durations, dtype="<i8").tobytes())
-        assert h.hexdigest() == (
+        assert cohort_digest(simulate_cohort(mc, 50, cfg)) == (
             "c9c2e40493ca159cd2d25b9b515b988f33ea4b1dc9335b8cbdb7e4f7842a0a89"
         )
 
