@@ -136,27 +136,25 @@ def _cmd_report(args) -> int:
     fractions = bootstrap_group_fractions(
         seqs, args.replicates, args.seed, manifest.alphabet
     )
-    pooled: dict[str, list[float]] = {}
-    for seq in seqs:
-        for state, durs in durations_by_state(encode_runs(seq)).items():
-            pooled.setdefault(manifest.alphabet.name(state), []).extend(durs)
+    table = durations_by_state([encode_runs(seq) for seq in seqs])
     tail_fits = {}
     prefix = Path(args.out_prefix)
-    for name in manifest.alphabet.states:
-        durs = pooled.get(name)
-        if not durs:
-            continue
-        tail = [d for d in durs if d > args.truncation]
+    for state, (values, counts) in table.items():
+        name = manifest.alphabet.name(state)
+        tail = values > args.truncation
         overlay = None
-        if tail:
-            overlay = fit_exponential(tail, truncation_s=args.truncation)
+        if tail.any():
+            overlay = fit_exponential(values[tail], counts[tail], truncation_s=args.truncation)
             tail_fits[name] = {
                 "mu": overlay.params["mu"],
                 "truncation_s": overlay.truncation_s,
                 "n_obs": overlay.n_obs,
             }
         hist_path = prefix.parent / f"{prefix.name}_hist_{name}.csv"
-        emit_histogram_csv(durs, args.bin_width, hist_path, overlay=overlay)
+        try:
+            emit_histogram_csv(values, args.bin_width, hist_path, overlay, counts)
+        except ValueError as exc:
+            raise ValueError(f"state {name}: {exc}; choose a larger --bin-width") from exc
         print(f"wrote {hist_path}")
     doc = {
         "group_label": manifest.group_label,

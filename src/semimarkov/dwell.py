@@ -18,11 +18,13 @@ Log densities return -inf outside the support rather than truncating.
 Each family's log-density is written once, as a vectorized log-likelihood
 kernel over distinct values and their counts, ``kernel(*theta, values,
 counts)``; the same kernel gives ``log_pdf`` (one value, count one), the
-fitted log-likelihoods and the stationarity certificate.  Numerical fits
-(GEV, GPD) collapse their sample once to its distinct values with counts --
+fitted log-likelihoods and the stationarity certificate.  Every fitter takes
+values with optional counts, ``fit(xs, counts=None)`` (None: each value once),
+such as a cohort's dwell table from ``sequences.durations_by_state`` --
 durations lie on a sampling grid, so there are far fewer values than
-observations -- and depend only on that multiset, not on observation order.
-They use a derivative-free simplex search and are accepted only if the
+observations.  The closed forms (Exponential, InverseGaussian) are weighted
+sums.  The numerical fits (GEV, GPD) merge repeated values, depend only on the
+multiset, use a derivative-free simplex search and are accepted only if the
 central-finite-difference gradient of the log-likelihood at the solution has
 norm <= 1e-4 * max(1, |LL|).
 """
@@ -321,53 +323,54 @@ def _certify(
 # --- closed-form fits --------------------------------------------------------
 
 
-def _as_duration_array(xs, minimum: float = 0.0) -> np.ndarray:
-    arr = np.asarray(xs, dtype=float)
-    if arr.ndim != 1:
-        arr = arr.ravel()
+def _as_sample(xs, counts, minimum: float = 0.0) -> tuple[np.ndarray, np.ndarray, int]:
+    """Float values above minimum, their int64 counts (default 1) and total."""
+    arr = np.asarray(xs, dtype=float).ravel()
     if arr.size == 0:
         raise EmptyInputError("no durations supplied")
     if np.any(arr <= minimum):
         raise NonPositiveDurationError(
             f"durations must exceed {minimum}; min was {arr.min()}"
         )
-    return arr
+    weights = np.ones(arr.size, dtype=np.int64) if counts is None else np.asarray(counts)
+    if weights.shape != arr.shape or weights.dtype.kind not in "iu" or np.any(weights < 1):
+        raise ValueError("counts must be positive integers, one per duration value")
+    return arr, weights.astype(np.int64), int(weights.sum())
 
 
-def fit_exponential(xs, truncation_s: float = 0.0) -> DwellFit:
+def fit_exponential(xs, counts=None, truncation_s: float = 0.0) -> DwellFit:
     """Closed-form exponential MLE, optionally left-truncated at truncation_s.
 
     With truncation c, fits the shifted model c + Exponential(mu) to the
-    observations above c: mu-hat = mean(x - c).
+    observations above c: mu-hat = mean(x - c), weighted by the counts.
     """
     if truncation_s < 0:
         raise ValueError("truncation_s must be non-negative")
-    arr = _as_duration_array(xs, minimum=truncation_s)
+    arr, counts, n = _as_sample(xs, counts, minimum=truncation_s)
     shifted = arr - truncation_s
-    mu = float(shifted.mean())
-    ll = _exp_loglik(mu, shifted, np.ones(len(arr)))
+    mu = float((counts * shifted).sum() / n)
+    ll = _exp_loglik(mu, shifted, counts)
     return DwellFit(
         family=EXPONENTIAL,
         params={"mu": mu},
-        n_obs=len(arr),
+        n_obs=n,
         log_likelihood=ll,
-        bic=bic(ll, 1, len(arr)),
+        bic=bic(ll, 1, n),
         truncation_s=truncation_s,
     )
 
 
-def fit_inverse_gaussian(xs) -> DwellFit:
+def fit_inverse_gaussian(xs, counts=None) -> DwellFit:
     """Closed-form inverse-Gaussian MLE: mu = mean, lambda = n / sum(1/x - 1/mu)."""
-    arr = _as_duration_array(xs)
-    n = len(arr)
+    arr, counts, n = _as_sample(xs, counts)
     if n < 2:
         raise TooFewObservationsError("inverse-Gaussian fit needs at least 2 observations")
-    mu = float(arr.mean())
-    denom = float((1.0 / arr).sum() - n / mu)
+    mu = float((counts * arr).sum() / n)
+    denom = float((counts / arr).sum() - n / mu)
     if denom <= 0.0 or not math.isfinite(denom):
         raise DegenerateDataError("all observations equal; lambda is undefined")
     lam = n / denom
-    ll = _ig_loglik(mu, lam, arr, np.ones(n))
+    ll = _ig_loglik(mu, lam, arr, counts)
     return DwellFit(
         family=INVERSE_GAUSSIAN,
         params={"mu": mu, "lambda": lam},
@@ -398,16 +401,24 @@ def _simplex_fit(nll, x0: np.ndarray) -> np.ndarray:
     return np.asarray(res.x, dtype=float)
 
 
-def _distinct_sample(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Distinct values, their counts, and the sample mean and variance (ddof=1).
+def _distinct_sample(
+    label: str, xs, counts, minimum: float = 0.0
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Distinct values with their merged counts, and the sample mean and
+    variance (ddof=1), of a sample for a numerical fit.
 
     Everything is computed from the sorted distinct values, so the result does
     not depend on the order of the observations.
     """
-    values, counts = np.unique(arr, return_counts=True)
+    arr, counts, n = _as_sample(xs, counts, minimum)
+    if n < _MIN_NUMERIC_OBS:
+        raise TooFewObservationsError(
+            f"{label} fit needs at least {_MIN_NUMERIC_OBS} observations, got {n}"
+        )
+    values, which = np.unique(arr, return_inverse=True)
     if len(values) < 2:
         raise FitDidNotConvergeError("observations carry no spread")
-    n = len(arr)
+    counts = np.bincount(which, weights=counts).astype(np.int64)
     mean = float((counts * values).sum() / n)
     var = float((counts * (values - mean) ** 2).sum() / (n - 1))
     return values, counts, mean, var
@@ -449,20 +460,14 @@ def _certified_simplex_fit(
     raise FitDidNotConvergeError(f"{family} fit failed its stationarity certificate")
 
 
-def fit_gev(xs) -> DwellFit:
+def fit_gev(xs, counts=None) -> DwellFit:
     """MLE of the generalized extreme value family by simplex search.
 
     Initialized from Gumbel method-of-moments; the result is accepted only
     if the finite-difference stationarity certificate holds (one restart
     from a perturbed initialization before giving up).
     """
-    arr = _as_duration_array(xs, minimum=-math.inf)
-    n = len(arr)
-    if n < _MIN_NUMERIC_OBS:
-        raise TooFewObservationsError(
-            f"GEV fit needs at least {_MIN_NUMERIC_OBS} observations, got {n}"
-        )
-    values, counts, m, v = _distinct_sample(arr)
+    values, counts, m, v = _distinct_sample("GEV", xs, counts, minimum=-math.inf)
     s = math.sqrt(v)
     sigma0 = s * math.sqrt(6.0) / math.pi
     mu0 = m - _EULER_GAMMA * sigma0
@@ -476,20 +481,14 @@ def fit_gev(xs) -> DwellFit:
     )
 
 
-def fit_gpd(xs) -> DwellFit:
+def fit_gpd(xs, counts=None) -> DwellFit:
     """MLE of the generalized Pareto family (location fixed at 0).
 
     Initialized from the method of moments.  For k < 0 the support
     constraint sigma > -k * max(x) is enforced through the likelihood
     (out-of-support parameters score -inf).
     """
-    arr = _as_duration_array(xs)
-    n = len(arr)
-    if n < _MIN_NUMERIC_OBS:
-        raise TooFewObservationsError(
-            f"GPD fit needs at least {_MIN_NUMERIC_OBS} observations, got {n}"
-        )
-    values, counts, m, v = _distinct_sample(arr)
+    values, counts, m, v = _distinct_sample("GPD", xs, counts)
     k0 = 0.5 * (1.0 - m * m / v)
     sigma0 = m * (1.0 - k0)
     return _certified_simplex_fit(
@@ -519,7 +518,7 @@ _SKIPPABLE = (
 
 
 def fit_all_families(
-    xs, candidates=FAMILIES
+    xs, counts=None, candidates=FAMILIES
 ) -> tuple[dict[str, DwellFit], dict[str, str]]:
     """Fit every candidate family, returning (fits, skip reasons)."""
     fits: dict[str, DwellFit] = {}
@@ -528,14 +527,14 @@ def fit_all_families(
         if family not in _FITTERS:
             raise ValueError(f"unknown dwell family {family!r}")
         try:
-            fits[family] = _FITTERS[family](xs)
+            fits[family] = _FITTERS[family](xs, counts)
         except _SKIPPABLE as exc:
             skipped[family] = f"{type(exc).__name__}: {exc}"
             logger.debug("skipping %s: %s", family, skipped[family])
     return fits, skipped
 
 
-def select_family(xs, candidates=FAMILIES) -> DwellFit:
+def select_family(xs, counts=None, candidates=FAMILIES) -> DwellFit:
     """Fit the candidates and return the fit with minimal BIC.
 
     Candidates whose preconditions fail (or whose fit does not converge) are
@@ -543,7 +542,7 @@ def select_family(xs, candidates=FAMILIES) -> DwellFit:
     """
     if not candidates:
         raise ValueError("candidates must be non-empty")
-    fits, skipped = fit_all_families(xs, candidates)
+    fits, skipped = fit_all_families(xs, counts, candidates)
     if not fits:
         raise AllFitsFailedError(f"no candidate family could be fitted: {skipped}")
     return min(

@@ -277,19 +277,11 @@ def fit_semi_markov_transitions(
     return TransitionMatrix.from_probabilities(counts, alphabet, kind=SEMI_MARKOV)
 
 
-def _pooled_durations(runs_list: list[RunSequence]) -> dict[int, list[float]]:
-    pooled: dict[int, list[float]] = {}
-    for runs in runs_list:
-        for state, durs in durations_by_state(runs).items():
-            pooled.setdefault(state, []).extend(durs)
-    return pooled
-
-
 def _fit_dwell_with_fallback(
-    state_name: str, durations: list[float], candidate_families
+    state_name: str, values: np.ndarray, counts: np.ndarray, candidate_families
 ) -> DwellFit:
     try:
-        return select_family(durations, candidate_families)
+        return select_family(values, counts, candidate_families)
     except AllFitsFailedError as exc:
         warnings.warn(
             f"every candidate dwell family failed for state {state_name!r} "
@@ -297,7 +289,7 @@ def _fit_dwell_with_fallback(
             UserWarning,
             stacklevel=3,
         )
-        return dataclasses.replace(fit_exponential(durations), fallback=True)
+        return dataclasses.replace(fit_exponential(values, counts), fallback=True)
 
 
 def fit_semi_markov(
@@ -309,6 +301,8 @@ def fit_semi_markov(
     """Encode each sequence into runs and fit a pooled semi-Markov model:
     run-level transitions plus one dwell distribution per observed state.
 
+    Dwell families are fitted to the cohort's dwell table: each state's
+    distinct durations with their counts (``durations_by_state``).
     Sequences may use different sampling rates: run-level transitions and
     dwell times in seconds are invariant to the rate, so mixing is safe here
     (unlike fit_dtmc).  Dwell observations include first runs (possibly
@@ -324,13 +318,12 @@ def fit_semi_markov(
         raise ValueError("candidate_families must be non-empty")
     runs_list = [encode_runs(s) for s in seqs]
     transitions = fit_semi_markov_transitions(runs_list, alphabet)
-    pooled = _pooled_durations(runs_list)
     dwell: dict[str, DwellFit] = {}
     sample_counts: dict[str, int] = {}
-    for state in sorted(pooled):
+    for state, (values, counts) in durations_by_state(runs_list).items():
         name = alphabet.name(state)
-        dwell[name] = _fit_dwell_with_fallback(name, pooled[state], candidate_families)
-        sample_counts[name] = len(pooled[state])
+        dwell[name] = _fit_dwell_with_fallback(name, values, counts, candidate_families)
+        sample_counts[name] = int(counts.sum())
     meta: dict[str, Any] = {"sample_counts": sample_counts}
     if metadata:
         meta.update(metadata)
@@ -357,22 +350,22 @@ def fit_multi_chain(
         raise ValueError("n_segments must be at least 2; fit_semi_markov handles 1")
     if not seqs:
         raise EmptyInputError("no sequences supplied")
-    per_segment: list[list[LabeledSequence]] = [[] for _ in range(n_segments)]
+    parts_by_seq = []
     for seq in seqs:
-        cuts = [seq.duration_s * j / n_segments for j in range(1, n_segments)]
         try:
-            parts = split_at_time(seq, cuts)
+            if n_segments > len(seq):  # before a cut list of n_segments floats
+                raise BoundaryOutOfRangeError(f"only {len(seq)} samples")
+            cuts = [seq.duration_s * j / n_segments for j in range(1, n_segments)]
+            parts_by_seq.append(split_at_time(seq, cuts))
         except BoundaryOutOfRangeError as exc:
             raise SegmentTooShortError(
                 f"sequence {seq.id!r} ({seq.duration_s:g} s) cannot be cut into "
                 f"{n_segments} non-empty segments"
             ) from exc
-        for k, part in enumerate(parts):
-            per_segment[k].append(part)
     mean_dur = float(np.mean([s.duration_s for s in seqs]))
     boundaries = tuple(mean_dur * j / n_segments for j in range(1, n_segments))
     segment_models = []
-    for k, group in enumerate(per_segment):
+    for k, group in enumerate(map(list, zip(*parts_by_seq))):
         meta = dict(metadata or {})
         meta["segment_index"] = k + 1
         segment_models.append(

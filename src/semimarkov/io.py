@@ -528,28 +528,37 @@ def read_model_json(path) -> ModelDocument:
 
 # --- histograms --------------------------------------------------------------
 
+MAX_HISTOGRAM_BINS = 10**6  # rows of one histogram CSV
+
 
 def emit_histogram_csv(
     durations,
     bin_width_s: float,
     path,
     overlay: DwellFit | None = None,
+    counts=None,
 ) -> None:
     """Write a normalized histogram of durations as plot-ready CSV.
 
-    Columns ``bin_left_s,bin_right_s,density`` with sum(density)*bin_width
-    equal to 1; with an overlay fit, a fourth column ``overlay_pdf`` holds
-    the fitted density at each bin midpoint.
+    ``counts``, if given, holds each duration's multiplicity.  Columns
+    ``bin_left_s,bin_right_s,density`` with sum(density)*bin_width equal to 1;
+    with an overlay fit, a fourth column ``overlay_pdf`` holds the fitted
+    density at each bin midpoint.  At most MAX_HISTOGRAM_BINS bins are written.
     """
     if not bin_width_s > 0:
         raise ValueError("bin_width_s must be positive")
     arr = np.asarray(list(durations), dtype=float)
     if arr.size == 0:
         raise EmptyInputError("no durations to bin")
-    n_bins = max(1, int(math.ceil(arr.max() / bin_width_s)))
+    weights = np.ones(arr.size, dtype=np.int64) if counts is None else np.asarray(counts)
+    span = float(arr.max()) / bin_width_s
+    if not span <= MAX_HISTOGRAM_BINS:
+        raise ValueError(f"binning up to {arr.max():g} s takes {span:.4g} bins of "
+                         f"{bin_width_s:g} s, more than {MAX_HISTOGRAM_BINS}")
+    n_bins = max(1, int(math.ceil(span)))
     edges = np.arange(n_bins + 1) * bin_width_s
-    counts, _ = np.histogram(arr, bins=edges)
-    density = counts / (arr.size * bin_width_s)
+    hist, _ = np.histogram(arr, bins=edges, weights=weights)
+    density = hist / (int(weights.sum()) * bin_width_s)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if overlay is None:
             fh.write("bin_left_s,bin_right_s,density\n")

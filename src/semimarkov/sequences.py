@@ -2,9 +2,9 @@
 
 Sequences are stored as runs of alphabet indices at a uniform sampling rate;
 per-sample labels are expanded only when ``LabeledSequence.labels`` is read.
-Run durations are kept in integer samples throughout; conversion to seconds
-happens only at analysis boundaries (``durations_by_state``), so re-encoding
-and upsampling are exact.
+Run durations are kept in integer samples, so re-encoding and upsampling are
+exact; ``durations_by_state`` turns a cohort's runs into the per-state table of
+distinct durations in seconds with counts that every dwell fit reads.
 """
 
 from __future__ import annotations
@@ -226,13 +226,12 @@ def upsample(seq: LabeledSequence, factor: int) -> LabeledSequence:
     return decode_runs(RunSequence(runs.states, runs.durations * factor, rate, seq.id))
 
 
-def durations_by_state(runs: RunSequence) -> dict[int, list[float]]:
-    """Per-state run durations in seconds, in temporal order.
-
-    States never observed are absent from the map.
+def durations_by_state(runs_list: Sequence[RunSequence]) -> dict[int, tuple]:
+    """Per-state dwell table of runs_list, keyed in state order: the sorted
+    distinct run durations in seconds, each exactly ``samples / rate`` (equal
+    durations at different rates merge), and their int64 counts.
     """
-    out: dict[int, list[float]] = {}
-    rate = runs.sampling_rate_hz
-    for state, dur in zip(runs.states.tolist(), runs.durations.tolist()):
-        out.setdefault(state, []).append(dur / rate)
-    return out
+    states = np.concatenate([r.states for r in runs_list])
+    seconds = np.concatenate([r.durations / r.sampling_rate_hz for r in runs_list])
+    return {s: np.unique(seconds[states == s], return_counts=True)
+            for s in np.unique(states).tolist()}

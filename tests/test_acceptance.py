@@ -74,10 +74,8 @@ def test_criterion_1_fit_simulate_refit_closure():
     max_err = float(np.abs(refit.probs - model.transitions.probs).max())
     assert max_err <= 0.02
 
-    pause_s = []
-    for runs in cohort:
-        pause_s.extend(durations_by_state(runs).get(PATTERNS.index("PAU"), []))
-    mu = fit_exponential(pause_s).params["mu"]
+    pause_s, pause_counts = durations_by_state(cohort)[PATTERNS.index("PAU")]
+    mu = fit_exponential(pause_s, pause_counts).params["mu"]
     rel = abs(mu / 2.51 - 1.0)
     assert rel <= 0.05
 
@@ -99,7 +97,7 @@ def test_criterion_2_sampling_rate_invariance():
     base_runs = [encode_runs(s) for s in seqs]
     base_sm = fit_semi_markov_transitions(base_runs, PATTERNS)
     base_dtmc, _ = fit_dtmc(seqs, PATTERNS)
-    base_dwell = [durations_by_state(r) for r in base_runs]
+    base_dwell = [durations_by_state([r]) for r in base_runs]
     assert np.all(np.diag(base_dtmc.probs) < 1.0)
 
     for k in (2, 5):
@@ -109,7 +107,12 @@ def test_criterion_2_sampling_rate_invariance():
         assert np.array_equal(up_sm.probs, base_sm.probs)
         assert np.array_equal(up_sm.row_fitted, base_sm.row_fitted)
         # dwell times in seconds survive the rate change bit-for-bit
-        assert [durations_by_state(r) for r in up_runs] == base_dwell
+        for r, base in zip(up_runs, base_dwell, strict=True):
+            up = durations_by_state([r])
+            assert up.keys() == base.keys()
+            for state, (values, counts) in base.items():
+                assert np.array_equal(up[state][0], values)
+                assert np.array_equal(up[state][1], counts)
 
         up_dtmc, _ = fit_dtmc(ups, PATTERNS)
         for i in range(len(PATTERNS)):

@@ -299,18 +299,45 @@ def test_ill_typed_manifest_is_data_error(tmp_path, capsys, doc):
     assert len(err) == 1 and err[0].startswith("error: ") and "m.json" in err[0]
 
 
-@pytest.mark.parametrize("model", ["dtmc", "semi-markov"])
-def test_fit_runs_of_10_to_the_12_samples(tmp_path, model):
+def write_huge_runs_manifest(tmp_path) -> str:
     # expanded to per-sample labels this file would take 7.3 TiB
     (tmp_path / "p.csv").write_text("state,duration_s\nPAU,5e11\nASB,5e11\n")
     write_manifest(
         CohortManifest("big", 1.0, PATTERNS, ("p.csv",), base_dir=tmp_path),
         tmp_path / "m.json",
     )
+    return str(tmp_path / "m.json")
+
+
+@pytest.mark.parametrize("model", ["dtmc", "semi-markov"])
+def test_fit_runs_of_10_to_the_12_samples(tmp_path, model):
+    manifest = write_huge_runs_manifest(tmp_path)
     out = tmp_path / "o.json"
-    assert main(["fit", "--manifest", str(tmp_path / "m.json"),
+    assert main(["fit", "--manifest", manifest,
                  "--model", model, "--out", str(out)]) == 0
     assert read_model_json(out).transitions.row_fitted[0]
+
+
+def test_report_histogram_of_10_to_the_12_samples_is_data_error(tmp_path, capsys):
+    # 5e11 one-second bins would take 3.6 TiB; the bin count is checked first
+    manifest = write_huge_runs_manifest(tmp_path)
+    rc = main(["report", "--manifest", manifest, "--seed", "1", "--replicates", "10",
+               "--out-prefix", str(tmp_path / "rep")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: state PAU: ")
+    assert "5e+11 bins of 1 s" in err[0] and "--bin-width" in err[0]
+
+
+def test_split_fit_into_more_segments_than_samples_is_data_error(tmp_path, capsys):
+    # a cut list of 10^12 boundaries would not fit in memory; no sequence of
+    # 600 samples has that many non-empty segments
+    rc = main(["split-fit", "--manifest", SUCCESS, "--segments", "1000000000000",
+               "--out-prefix", str(tmp_path / "half")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "cannot be cut into 1000000000000 non-empty segments" in err[0]
 
 
 def test_help_exits_zero(capsys):

@@ -338,6 +338,54 @@ def test_numeric_fit_does_not_depend_on_observation_order(fitter, family, params
     assert fitter(xs[::-1]) == fit
     assert fitter(rng.permutation(xs)) == fit
     assert fitter(np.sort(xs).tolist()) == fit
+    # the same multiset as a table, in any row order, repeated values merged
+    values, counts = np.unique(xs, return_counts=True)
+    assert fitter(values[::-1], counts[::-1]) == fit
+    assert fitter(np.append(values, values[0]), np.append(counts, 3)) == fitter(
+        np.append(xs, [values[0]] * 3)
+    )
+
+
+@pytest.mark.parametrize(
+    "fitter,family,params",
+    [
+        (fit_exponential, EXPONENTIAL, {"mu": 2.51}),
+        (fit_gev, GEV, {"k": 0.63, "sigma": 1.30, "mu": 1.85}),
+        (fit_gpd, GPD, {"k": -0.22, "sigma": 3.62}),
+        (fit_inverse_gaussian, INVERSE_GAUSSIAN, {"mu": 8.61, "lambda": 3.61}),
+    ],
+)
+def test_fit_of_table_equals_fit_of_expanded_sample(fitter, family, params):
+    # durations on a 50 Hz grid, passed as distinct values with counts
+    draws = scipy_frozen(family, params).rvs(size=2000, random_state=np.random.default_rng(14))
+    values, counts = np.unique(np.ceil(draws * 50.0) / 50.0, return_counts=True)
+    assert len(values) < 1000
+    table, expanded = fitter(values, counts), fitter(np.repeat(values, counts))
+    assert table.n_obs == expanded.n_obs == 2000
+    if family in (GEV, GPD):
+        assert table == expanded
+    else:
+        for name in PARAM_NAMES[family]:
+            assert table.params[name] == pytest.approx(expanded.params[name], rel=1e-12)
+        assert table.log_likelihood == pytest.approx(expanded.log_likelihood, rel=1e-12)
+        assert table.bic == pytest.approx(expanded.bic, rel=1e-12)
+
+
+def test_counts_of_one_reproduce_the_plain_sample_exactly():
+    xs = np.random.default_rng(15).lognormal(0.5, 0.6, size=300)
+    ones = np.ones(len(xs), dtype=np.int64)
+    assert fit_exponential(xs, ones) == fit_exponential(xs)
+    assert fit_exponential(xs, ones).params["mu"] == np.mean(xs)
+    assert fit_inverse_gaussian(xs, ones) == fit_inverse_gaussian(xs)
+
+
+@pytest.mark.parametrize(
+    "counts", [[1, 2], [1, 2, 0], [1, -2, 1], [1.0, 2.0, 1.0], [[1, 2, 1]]]
+)
+def test_bad_counts_rejected(counts):
+    for fitter in (fit_exponential, fit_gev, fit_gpd, fit_inverse_gaussian):
+        with pytest.raises(ValueError):
+            fitter([1.0, 2.0, 3.0], counts)
 
 
 def test_min_observations():

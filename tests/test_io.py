@@ -335,6 +335,23 @@ class TestHistogram:
         assert rows[0][3] == pytest.approx(math.exp(-1.0 / 2.2) / 2.2, abs=1e-12)
         assert rows[0][3] == pytest.approx(0.2885, abs=1e-4)
 
+    @pytest.mark.parametrize("overlay", [None, DwellFit(EXPONENTIAL, {"mu": 2.2})])
+    def test_counts_match_expanded_durations(self, tmp_path, overlay):
+        xs = np.ceil(np.random.default_rng(1).exponential(2.2, size=500) * 4.0) / 4.0
+        values, counts = np.unique(xs, return_counts=True)
+        table, flat = tmp_path / "table.csv", tmp_path / "flat.csv"
+        emit_histogram_csv(values, 0.5, table, overlay=overlay, counts=counts)
+        emit_histogram_csv(np.repeat(values, counts), 0.5, flat, overlay=overlay)
+        assert table.read_bytes() == flat.read_bytes()
+
+    def test_bin_count_limit(self, tmp_path):
+        p = tmp_path / "h.csv"
+        with pytest.raises(ValueError, match="5e\\+11 bins of 1 s"):
+            emit_histogram_csv([5e11], 1.0, p)
+        with pytest.raises(ValueError, match="bins"):
+            emit_histogram_csv([1.0], 1e-320, p)
+        assert not p.exists()
+
     def test_empty_guard(self, tmp_path):
         with pytest.raises(Exception):
             emit_histogram_csv([], 1.0, tmp_path / "h.csv")

@@ -108,7 +108,53 @@ class TestRunEncoding:
 
     def test_durations_by_state(self):
         r = encode_runs(seq([0, 0, 1, 0], rate=2.0))
-        assert durations_by_state(r) == {0: [1.0, 0.5], 1: [0.5]}
+        table = durations_by_state([r])
+        assert list(table) == [0, 1]
+        assert table[0][0].tolist() == [0.5, 1.0] and table[0][1].tolist() == [1, 1]
+        assert table[1][0].tolist() == [0.5] and table[1][1].tolist() == [1]
+        assert table[0][1].dtype == np.int64
+
+
+def assert_tables_equal(a, b):
+    assert list(a) == list(b)
+    for state, (values, counts) in a.items():
+        assert np.array_equal(b[state][0], values)
+        assert np.array_equal(b[state][1], counts)
+
+
+class TestDwellTable:
+    def oracle(self, runs_list):
+        """np.unique of every run's duration in seconds, state by state."""
+        states = np.concatenate([r.states for r in runs_list])
+        seconds = np.array(
+            [d / r.sampling_rate_hz for r in runs_list for d in r.durations.tolist()]
+        )
+        return {
+            int(s): np.unique(seconds[states == s], return_counts=True)
+            for s in np.unique(states)
+        }
+
+    def test_mixed_rates_merge_equal_seconds(self):
+        # one sample at 1 Hz and two samples at 2 Hz both last 1 s
+        runs_list = [
+            encode_runs(seq([0, 1, 1], rate=1.0)),
+            encode_runs(seq([0, 0, 2, 1], rate=2.0)),
+        ]
+        table = durations_by_state(runs_list)
+        assert table[0][0].tolist() == [1.0] and table[0][1].tolist() == [2]
+        assert table[1][0].tolist() == [0.5, 2.0] and table[1][1].tolist() == [1, 1]
+        assert_tables_equal(table, self.oracle(runs_list))
+
+    @given(
+        st.lists(
+            st.tuples(label_arrays, st.sampled_from([1.0, 2.0, 3.0, 50.0, 0.1])),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_matches_oracle(self, recordings):
+        runs_list = [encode_runs(seq(labels, rate)) for labels, rate in recordings]
+        assert_tables_equal(durations_by_state(runs_list), self.oracle(runs_list))
 
 
 class TestSplit:
@@ -170,9 +216,9 @@ class TestUpsample:
     @given(label_arrays, st.sampled_from([2, 3, 5]))
     def test_run_seconds_unchanged(self, labels, k):
         s = seq(labels, rate=2.0)
-        a = durations_by_state(encode_runs(s))
-        b = durations_by_state(encode_runs(upsample(s, k)))
-        assert a == b  # exact float equality: k*d / (k*rate) must cancel
+        a = durations_by_state([encode_runs(s)])
+        b = durations_by_state([encode_runs(upsample(s, k))])
+        assert_tables_equal(a, b)  # exact float equality: k*d / (k*rate) must cancel
 
     def test_bad_factor(self):
         with pytest.raises(ValueError):
