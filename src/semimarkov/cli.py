@@ -26,6 +26,7 @@ from .io import (
     CohortManifest,
     comparison_to_dict,
     emit_histogram_csv,
+    histogram_bin_count,
     load_sequences,
     model_to_document,
     read_manifest,
@@ -133,10 +134,17 @@ def _cmd_simulate(args) -> int:
 def _cmd_report(args) -> int:
     manifest = read_manifest(args.manifest)
     seqs = load_sequences(manifest)
+    table = durations_by_state([encode_runs(seq) for seq in seqs])
+    # every state's histogram must fit before the bootstrap runs or a file is written
+    for state, (values, _) in table.items():
+        try:
+            histogram_bin_count(values.max(), args.bin_width)
+        except ValueError as exc:
+            name = manifest.alphabet.name(state)
+            raise ValueError(f"state {name}: {exc}; choose a larger --bin-width") from exc
     fractions = bootstrap_group_fractions(
         seqs, args.replicates, args.seed, manifest.alphabet
     )
-    table = durations_by_state([encode_runs(seq) for seq in seqs])
     tail_fits = {}
     prefix = Path(args.out_prefix)
     for state, (values, counts) in table.items():
@@ -151,10 +159,7 @@ def _cmd_report(args) -> int:
                 "n_obs": overlay.n_obs,
             }
         hist_path = prefix.parent / f"{prefix.name}_hist_{name}.csv"
-        try:
-            emit_histogram_csv(values, args.bin_width, hist_path, overlay, counts)
-        except ValueError as exc:
-            raise ValueError(f"state {name}: {exc}; choose a larger --bin-width") from exc
+        emit_histogram_csv(values, args.bin_width, hist_path, overlay, counts)
         print(f"wrote {hist_path}")
     doc = {
         "group_label": manifest.group_label,

@@ -23,10 +23,11 @@ values with optional counts, ``fit(xs, counts=None)`` (None: each value once),
 such as a cohort's dwell table from ``sequences.durations_by_state`` --
 durations lie on a sampling grid, so there are far fewer values than
 observations.  The closed forms (Exponential, InverseGaussian) are weighted
-sums.  The numerical fits (GEV, GPD) merge repeated values, depend only on the
-multiset, use a derivative-free simplex search and are accepted only if the
-central-finite-difference gradient of the log-likelihood at the solution has
-norm <= 1e-4 * max(1, |LL|).
+sums.  The numerical fits (GEV, GPD) merge repeated values and depend only on
+the multiset.  GEV uses Newton-Raphson with the analytic score and observed
+information; GPD maximizes its 1-D profile likelihood in theta = k / sigma.
+Both are accepted only if the central-finite-difference gradient of the
+log-likelihood at the solution has norm <= 1e-4 * max(1, |LL|).
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq
+from scipy.optimize import minimize  # noqa: F401  (perfbench/tracing.py wraps dwell.minimize)
 from scipy.special import log_ndtr, ndtr
 
 from .errors import (
@@ -72,10 +74,19 @@ _PARAM_KEYS = {family: frozenset(names) for family, names in PARAM_NAMES.items()
 _SHAPE_EPS = 1e-13
 # Minimum observations for the numerically fitted families (GEV, GPD).
 _MIN_NUMERIC_OBS = 8
-# Simplex search budget and the stationarity certificate tolerance.
-_MAX_ITER = 2000
-_PARAM_TOL = 1e-8
+# Stationarity certificate tolerance.
 _GRAD_TOL = 1e-4
+# Newton, step-halving and root-bracketing iteration cap; relative Newton
+# decrement after which Newton stops, and relative width at which a root
+# bracket stops.
+_NEWTON_ITER = 100
+_DECREMENT_TOL = 1e-12
+_BRACKET_TOL = 1e-12
+# GPD profile grid in u = log1p(theta * max(x)), log-spaced on both sides of 0.
+# Within |u| < 1e-2 the profile's slope is theta^2 times a near-linear function
+# of theta, so it changes sign at most once there and one cell spans it.
+_GPD_GRID = np.geomspace(1e-2, 20.0, 24)
+_GPD_GRID = np.concatenate([-_GPD_GRID[::-1], _GPD_GRID])
 _EULER_GAMMA = 0.5772156649015329
 
 
@@ -383,24 +394,6 @@ def fit_inverse_gaussian(xs, counts=None) -> DwellFit:
 # --- numerical fits ----------------------------------------------------------
 
 
-def _simplex_fit(nll, x0: np.ndarray) -> np.ndarray:
-    # nll returns inf outside the support; silence the resulting inf-inf
-    # chatter inside the simplex bookkeeping
-    with np.errstate(invalid="ignore"):
-        res = minimize(
-            nll,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": _MAX_ITER,
-                "xatol": _PARAM_TOL,
-                "fatol": 1e-9,
-                "adaptive": True,
-            },
-        )
-    return np.asarray(res.x, dtype=float)
-
-
 def _distinct_sample(
     label: str, xs, counts, minimum: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -424,81 +417,228 @@ def _distinct_sample(
     return values, counts, mean, var
 
 
-def _certified_simplex_fit(
-    family: str,
-    values: np.ndarray,
-    counts: np.ndarray,
-    x0: np.ndarray,
-    step: np.ndarray,
-    natural,
-) -> DwellFit:
-    """Simplex MLE over search coordinates t, with natural(t) the parameters.
+def _accepted(
+    family: str, theta: np.ndarray, ll: float, values: np.ndarray, counts: np.ndarray
+) -> DwellFit | None:
+    """The fit at theta if its log-likelihood ll is finite and passes the
+    stationarity certificate, else None."""
+    if not (math.isfinite(ll) and _certify(family, theta, values, counts, ll)):
+        return None
+    n = int(counts.sum())
+    return DwellFit(
+        family=family,
+        params=dict(zip(PARAM_NAMES[family], theta.tolist())),
+        n_obs=n,
+        log_likelihood=ll,
+        bic=bic(ll, len(PARAM_NAMES[family]), n),
+    )
 
-    The log-likelihood is summed over the distinct ``values`` weighted by
-    their ``counts``.  The search runs on log sigma, so sigma stays positive.
-    It starts from x0 and, if the stationarity certificate fails there, once
-    more from x0 + step; the first certified solution is returned.
+
+def _gev_derivatives(
+    k: float, sigma: float, mu: float, xs: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score and Hessian of the GEV log-likelihood in (k, sigma, mu).
+
+    Per observation the log-likelihood is -log sigma + phi(k, z) with
+    z = (x - mu) / sigma, phi = -(1 + 1/k) log w - s, w = 1 + k z and
+    s = w^(-1/k); the chain rule through z gives the sigma and mu terms.
     """
-    kernel = _KERNELS[family]
+    z = (xs - mu) / sigma
+    w = 1.0 + k * z
+    log_w = np.log(w)
+    s = np.exp(-log_w / k)
+    a = z / (k * w)
+    r = log_w / (k * k) - a  # d(log s)/dk
+    phi_z = (s - 1.0 - k) / w
+    phi_zz = (1.0 + k) * (k - s) / (w * w)
+    phi_kz = (s * r - 1.0 - z * phi_z) / w
+    t = np.stack([
+        (1.0 - s) * r - k * a,  # phi_k
+        -1.0 - z * phi_z,
+        -phi_z,
+        -2.0 * r * (1.0 - s) / k + k * a * a * (1.0 + k - s) - s * r * r,  # phi_kk
+        -z * phi_kz,
+        -phi_kz,
+        1.0 + z * (z * phi_zz + 2.0 * phi_z),
+        z * phi_zz + phi_z,
+        phi_zz,
+    ]) @ counts
+    score = np.array([t[0], t[1] / sigma, t[2] / sigma])
+    s1, s2 = sigma, sigma * sigma
+    hess = np.array([
+        [t[3], t[4] / s1, t[5] / s1],
+        [t[4] / s1, t[6] / s2, t[7] / s2],
+        [t[5] / s1, t[7] / s2, t[8] / s2],
+    ])
+    return score, hess
 
-    def nll(t):
-        val = kernel(*natural(t), values, counts)
-        return -val if math.isfinite(val) else math.inf
 
-    for t0 in (x0, x0 + step):
-        theta = np.array(natural(_simplex_fit(nll, t0)))
-        ll = kernel(*theta, values, counts)
-        if math.isfinite(ll) and _certify(family, theta, values, counts, ll):
-            n = int(counts.sum())
-            return DwellFit(
-                family=family,
-                params=dict(zip(PARAM_NAMES[family], theta.tolist())),
-                n_obs=n,
-                log_likelihood=ll,
-                bic=bic(ll, len(PARAM_NAMES[family]), n),
-            )
-    raise FitDidNotConvergeError(f"{family} fit failed its stationarity certificate")
+def _newton_step(info: np.ndarray, score: np.ndarray) -> np.ndarray | None:
+    """Solve (info + lam D) step = score, with D = diag(|info|).
+
+    lam is 0 when the observed information is positive definite and is
+    otherwise raised tenfold from 1e-3 until the shifted matrix is
+    (Levenberg-Marquardt).  None if info is not finite, has a zero diagonal,
+    or no shift makes it positive definite.
+    """
+    d = np.sqrt(np.abs(np.diag(info)))
+    if not (np.all(np.isfinite(info)) and np.all(d > 0.0)):
+        return None
+    scaled = info / np.outer(d, d)
+    lam = 0.0
+    for _ in range(_NEWTON_ITER):
+        shifted = scaled + lam * np.eye(len(d))
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            lam = max(1e-3, 10.0 * lam)
+            continue
+        return np.linalg.solve(shifted, score / d) / d
+    return None
+
+
+def _gev_newton(
+    values: np.ndarray, counts: np.ndarray, theta: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Newton-Raphson ascent of the GEV log-likelihood from theta = (k, sigma, mu).
+
+    A step that leaves the support or lowers the log-likelihood is halved.
+    Stops after a step whose Newton decrement (score . step, twice the
+    predicted gain) was at most _DECREMENT_TOL relative to the log-likelihood,
+    so the step itself lands at the maximum to rounding, or when no halving
+    keeps the log-likelihood from falling; returns (theta, log-likelihood).
+    """
+    ll = _gev_loglik(*theta, values, counts)
+    if not math.isfinite(ll):
+        return theta, ll
+    for _ in range(_NEWTON_ITER):
+        score, hess = _gev_derivatives(*theta, values, counts)
+        step = _newton_step(-hess, score)
+        if step is None:
+            break
+        decrement = float(score @ step)
+        for _ in range(_NEWTON_ITER):
+            trial = theta + step
+            # a trial point past the support can overflow exp; it scores -inf
+            with np.errstate(over="ignore"):
+                ll_trial = _gev_loglik(*trial, values, counts)
+            if ll_trial >= ll:
+                break
+            step = 0.5 * step
+        else:
+            break
+        theta, ll = trial, ll_trial
+        if decrement <= _DECREMENT_TOL * max(1.0, abs(ll)):
+            break
+    return theta, ll
 
 
 def fit_gev(xs, counts=None) -> DwellFit:
-    """MLE of the generalized extreme value family by simplex search.
+    """MLE of the generalized extreme value family.
 
-    Initialized from Gumbel method-of-moments; the result is accepted only
-    if the finite-difference stationarity certificate holds (one restart
-    from a perturbed initialization before giving up).
+    Newton-Raphson with the analytic score and observed information (Hosking
+    1985, AS 215) from the Gumbel method-of-moments start with k = 0.1.  A
+    solution that fails the finite-difference stationarity certificate raises
+    FitDidNotConvergeError.
     """
     values, counts, m, v = _distinct_sample("GEV", xs, counts, minimum=-math.inf)
     s = math.sqrt(v)
     sigma0 = s * math.sqrt(6.0) / math.pi
     mu0 = m - _EULER_GAMMA * sigma0
-    return _certified_simplex_fit(
-        GEV,
-        values,
-        counts,
-        np.array([0.1, math.log(sigma0), mu0]),
-        np.array([0.2, 0.1, 0.05 * s]),
-        lambda t: (t[0], math.exp(t[1]), t[2]),
-    )
+    fit = _accepted(GEV, *_gev_newton(values, counts, np.array([0.1, sigma0, mu0])),
+                    values, counts)
+    if fit is None:
+        raise FitDidNotConvergeError(f"{GEV} fit failed its stationarity certificate")
+    return fit
+
+
+def _gpd_profile_slope(theta: float, values: np.ndarray, weights: np.ndarray) -> float:
+    """A function with the sign of the GPD profile log-likelihood's slope.
+
+    For weights summing to one, k(theta) = sum w log1p(theta x) is the shape
+    that maximizes the likelihood at fixed theta = k / sigma, and
+    h(theta) = (1 + k) sum w / (1 + theta x) - 1 (Grimshaw 1993) has the
+    sign of the profile's slope.  h is evaluated as k - (1 + k) B with
+    B = sum w theta x / (1 + theta x), which keeps its relative precision
+    down to |theta x| of about 1e-10, where h ~ theta^2.
+    """
+    y = theta * values
+    k = float(np.log1p(y) @ weights)
+    return k - (1.0 + k) * float((y / (1.0 + y)) @ weights)
+
+
+def _bracketed_root(f, a: float, b: float, fa: float, fb: float) -> float:
+    """A root of f between a and b, where fa = f(a) and fb = f(b) differ in sign.
+
+    Regula falsi with the Illinois rule: when the same end is kept twice its
+    value is halved, so the bracket closes from both sides superlinearly.
+    """
+    side = 0
+    for _ in range(_NEWTON_ITER):
+        c = (a * fb - b * fa) / (fb - fa)
+        if abs(b - a) <= _BRACKET_TOL * abs(c):
+            break
+        fc = f(c)
+        if fc == 0.0:
+            break
+        if (fc > 0.0) == (fb > 0.0):
+            b, fb = c, fc
+            if side == -1:
+                fa *= 0.5
+            side = -1
+        else:
+            a, fa = c, fc
+            if side == 1:
+                fb *= 0.5
+            side = 1
+    return c
 
 
 def fit_gpd(xs, counts=None) -> DwellFit:
     """MLE of the generalized Pareto family (location fixed at 0).
 
-    Initialized from the method of moments.  For k < 0 the support
-    constraint sigma > -k * max(x) is enforced through the likelihood
-    (out-of-support parameters score -inf).
+    Maximizes the 1-D profile log-likelihood in theta = k / sigma (Grimshaw
+    1993), with k = k(theta) and sigma = k / theta.  The sign of its slope is
+    scanned on a fixed log-spaced theta grid on both sides of 0, from just
+    above the support bound -1/max(x); each change from rising to falling
+    brackets a local maximum, which regula falsi refines; of those with
+    k > -1 the highest is kept.  The likelihood is unbounded for k < -1, and
+    its supremum over k > -1 may lie at the edge k -> -1 (the uniform on
+    [0, max x], with log-likelihood -n log max x).  Such a sample has no interior MLE and
+    raises FitDidNotConvergeError, as does a solution that fails the
+    stationarity certificate.
     """
-    values, counts, m, v = _distinct_sample("GPD", xs, counts)
-    k0 = 0.5 * (1.0 - m * m / v)
-    sigma0 = m * (1.0 - k0)
-    return _certified_simplex_fit(
-        GPD,
-        values,
-        counts,
-        np.array([k0, math.log(sigma0)]),
-        np.array([0.2, 0.1]),
-        lambda t: (t[0], math.exp(t[1])),
-    )
+    values, counts, _, _ = _distinct_sample("GPD", xs, counts)
+    n = int(counts.sum())
+    weights = counts / n
+    grid = np.expm1(_GPD_GRID) / values[-1]
+    h = np.array([_gpd_profile_slope(t, values, weights) for t in grid])
+    if h[-1] > 0.0:
+        raise FitDidNotConvergeError("GPD profile likelihood still rises at the top of its grid")
+    best = None
+    # wherever k(theta) <= -1, 1 + k <= 0 and theta < 0 make h <= k < 0, so a
+    # bracket never starts there and its root has k = B / (1 - B) > -1; the
+    # check on the refined shape only guards rounding
+    for i in np.flatnonzero((h[:-1] > 0.0) & (h[1:] <= 0.0)):
+        theta = _bracketed_root(
+            lambda t: _gpd_profile_slope(t, values, weights), grid[i], grid[i + 1], h[i], h[i + 1]
+        )
+        shape = float(np.log1p(theta * values) @ weights)
+        if not shape > -1.0:
+            continue
+        params = np.array([shape, shape / theta])
+        ll = _gpd_loglik(*params, values, counts)
+        if best is None or ll > best[1]:
+            best = (params, ll)
+    if best is None or not best[1] > -n * math.log(values[-1]):
+        raise FitDidNotConvergeError(
+            "GPD likelihood has no interior maximum: its supremum over k > -1 lies "
+            "at the k > -1 edge (k -> -1, the uniform on [0, max x])"
+        )
+    fit = _accepted(GPD, *best, values, counts)
+    if fit is None:
+        raise FitDidNotConvergeError(f"{GPD} fit failed its stationarity certificate")
+    return fit
 
 
 _FITTERS = {

@@ -531,6 +531,21 @@ def read_model_json(path) -> ModelDocument:
 MAX_HISTOGRAM_BINS = 10**6  # rows of one histogram CSV
 
 
+def histogram_bin_count(max_duration_s: float, bin_width_s: float) -> int:
+    """Number of bins of width bin_width_s from 0 up to max_duration_s.
+
+    Raises ValueError for a non-positive width or more than
+    MAX_HISTOGRAM_BINS bins.
+    """
+    if not bin_width_s > 0:
+        raise ValueError("bin_width_s must be positive")
+    span = float(max_duration_s) / bin_width_s
+    if not span <= MAX_HISTOGRAM_BINS:
+        raise ValueError(f"binning up to {max_duration_s:g} s takes {span:.4g} bins of "
+                         f"{bin_width_s:g} s, more than {MAX_HISTOGRAM_BINS}")
+    return max(1, int(math.ceil(span)))
+
+
 def emit_histogram_csv(
     durations,
     bin_width_s: float,
@@ -545,17 +560,11 @@ def emit_histogram_csv(
     with an overlay fit, a fourth column ``overlay_pdf`` holds the fitted
     density at each bin midpoint.  At most MAX_HISTOGRAM_BINS bins are written.
     """
-    if not bin_width_s > 0:
-        raise ValueError("bin_width_s must be positive")
     arr = np.asarray(list(durations), dtype=float)
     if arr.size == 0:
         raise EmptyInputError("no durations to bin")
     weights = np.ones(arr.size, dtype=np.int64) if counts is None else np.asarray(counts)
-    span = float(arr.max()) / bin_width_s
-    if not span <= MAX_HISTOGRAM_BINS:
-        raise ValueError(f"binning up to {arr.max():g} s takes {span:.4g} bins of "
-                         f"{bin_width_s:g} s, more than {MAX_HISTOGRAM_BINS}")
-    n_bins = max(1, int(math.ceil(span)))
+    n_bins = histogram_bin_count(arr.max(), bin_width_s)
     edges = np.arange(n_bins + 1) * bin_width_s
     hist, _ = np.histogram(arr, bins=edges, weights=weights)
     density = hist / (int(weights.sum()) * bin_width_s)

@@ -299,9 +299,9 @@ def test_ill_typed_manifest_is_data_error(tmp_path, capsys, doc):
     assert len(err) == 1 and err[0].startswith("error: ") and "m.json" in err[0]
 
 
-def write_huge_runs_manifest(tmp_path) -> str:
+def write_huge_runs_manifest(tmp_path, rows="PAU,5e11\nASB,5e11\n") -> str:
     # expanded to per-sample labels this file would take 7.3 TiB
-    (tmp_path / "p.csv").write_text("state,duration_s\nPAU,5e11\nASB,5e11\n")
+    (tmp_path / "p.csv").write_text("state,duration_s\n" + rows)
     write_manifest(
         CohortManifest("big", 1.0, PATTERNS, ("p.csv",), base_dir=tmp_path),
         tmp_path / "m.json",
@@ -327,6 +327,21 @@ def test_report_histogram_of_10_to_the_12_samples_is_data_error(tmp_path, capsys
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: state PAU: ")
     assert "5e+11 bins of 1 s" in err[0] and "--bin-width" in err[0]
+
+
+def test_report_checks_every_histogram_before_writing_any(tmp_path, capsys):
+    # PAU's histogram fits but ASB's does not: nothing is written for either
+    manifest = write_huge_runs_manifest(tmp_path, rows="PAU,1\nASB,5e11\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["report", "--manifest", manifest, "--seed", "1", "--replicates", "1000",
+               "--out-prefix", str(out / "rep")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: state ASB: ")
+    assert "wrote" not in captured.out
+    assert list(out.iterdir()) == []
 
 
 def test_split_fit_into_more_segments_than_samples_is_data_error(tmp_path, capsys):

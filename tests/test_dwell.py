@@ -1,11 +1,13 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, optimize, stats
 
+from semimarkov import dwell
 from semimarkov.dwell import (
     EXPONENTIAL,
     FAMILIES,
@@ -26,7 +28,7 @@ from semimarkov.dwell import (
     sample_dwell,
     select_family,
 )
-from semimarkov.dwell import _KERNELS
+from semimarkov.dwell import _KERNELS, _gev_derivatives, _gpd_profile_slope
 from semimarkov.errors import (
     AllFitsFailedError,
     DegenerateDataError,
@@ -35,6 +37,10 @@ from semimarkov.errors import (
     NonPositiveDurationError,
     TooFewObservationsError,
 )
+from semimarkov.fitting import fit_multi_chain, fit_semi_markov
+from semimarkov.io import load_sequences, read_manifest
+
+DATA = Path(__file__).resolve().parent.parent / "data" / "synthetic"
 
 # Parameter sets used as evaluation points throughout (values of the bundled
 # reference models, which exercise both shape signs and all four families).
@@ -386,6 +392,121 @@ def test_bad_counts_rejected(counts):
     for fitter in (fit_exponential, fit_gev, fit_gpd, fit_inverse_gaussian):
         with pytest.raises(ValueError):
             fitter([1.0, 2.0, 3.0], counts)
+
+
+# Seeded samples for the solver checks: both GEV shape signs, and GPD shapes
+# that include the k ~ -0.2 and k ~ -0.3 samples on which a simplex from the
+# method-of-moments start used to stall.
+SOLVER_SAMPLES = [
+    (GEV, {"k": 0.63, "sigma": 1.30, "mu": 1.85}, 300),
+    (GEV, {"k": -0.25, "sigma": 1.5, "mu": 3.0}, 300),
+    (GPD, {"k": 0.35, "sigma": 2.0}, 300),
+    (GPD, {"k": -0.2, "sigma": 2.4}, 200),
+    (GPD, {"k": -0.3, "sigma": 5.3}, 60),
+]
+FITTERS = {GEV: fit_gev, GPD: fit_gpd}
+
+
+def _solver_sample(family, params, n, seed):
+    draws = scipy_frozen(family, params).rvs(size=n, random_state=np.random.default_rng(seed))
+    return np.round(draws, 2)  # durations on a grid repeat values, as dwell tables do
+
+
+@pytest.mark.parametrize("i", range(len(SOLVER_SAMPLES)))
+def test_numeric_fit_at_least_matches_scipy_fit(i):
+    family, params, n = SOLVER_SAMPLES[i]
+    xs = _solver_sample(family, params, n, seed=40 + i)
+    fit = FITTERS[family](xs)
+    if family == GEV:
+        c, loc, scale = stats.genextreme.fit(xs)
+        ref = stats.genextreme(c, loc=loc, scale=scale).logpdf(xs).sum()
+    else:
+        c, loc, scale = stats.genpareto.fit(xs, floc=0)
+        ref = stats.genpareto(c, loc=loc, scale=scale).logpdf(xs).sum()
+    assert fit.log_likelihood >= ref - 1e-9 * abs(ref)
+
+
+@pytest.mark.parametrize("i", range(len(SOLVER_SAMPLES)))
+def test_nelder_mead_polish_does_not_raise_the_fit(i):
+    family, params, n = SOLVER_SAMPLES[i]
+    xs = _solver_sample(family, params, n, seed=40 + i)
+    fit = FITTERS[family](xs)
+    values, counts = np.unique(xs, return_counts=True)
+
+    def nll(theta):
+        ll = _KERNELS[family](*theta, values, counts)
+        return -ll if math.isfinite(ll) else math.inf
+
+    start = [fit.params[name] for name in PARAM_NAMES[family]]
+    with np.errstate(invalid="ignore"):
+        res = optimize.minimize(nll, start, method="Nelder-Mead",
+                                options={"xatol": 1e-13, "fatol": 1e-13, "maxiter": 3000})
+    assert -res.fun - fit.log_likelihood <= 1e-9 * abs(fit.log_likelihood)
+
+
+@pytest.mark.parametrize("theta", [(0.63, 1.3, 1.85), (-0.1, 1.5, 3.0), (0.02, 2.0, 2.5)])
+def test_gev_score_and_hessian_match_finite_differences(theta):
+    values, counts = np.unique(GRID_XS, return_counts=True)
+    score, hess = _gev_derivatives(*theta, values, counts)
+
+    def grad(t):
+        return _fd_grad(lambda u: _KERNELS[GEV](*u, values, counts), np.array(t), h=1e-5)
+
+    np.testing.assert_allclose(score, grad(theta), rtol=1e-6, atol=1e-6)
+    fd_hess = np.array([(grad(np.add(theta, e)) - grad(np.subtract(theta, e))) / 2e-4
+                        for e in 1e-4 * np.eye(3)])
+    np.testing.assert_allclose(hess, fd_hess, rtol=1e-4, atol=1e-3)
+
+
+def test_gev_solution_failing_the_certificate_is_reported(monkeypatch):
+    xs = _solver_sample(*SOLVER_SAMPLES[0], seed=40)
+    # a Newton solver that stops at its start fails the certificate there
+    def stop_at_start(values, counts, theta):
+        return theta, _KERNELS[GEV](*theta, values, counts)
+
+    monkeypatch.setattr(dwell, "_gev_newton", stop_at_start)
+    with pytest.raises(FitDidNotConvergeError, match="stationarity certificate"):
+        fit_gev(xs)
+
+
+def test_gpd_supremum_at_the_shape_edge_is_reported():
+    # first-half PAU dwell table of the bundled success cohort (n = 27): the
+    # profile likelihood rises monotonically toward k -> -1, so the sample has
+    # no interior MLE
+    values = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 6.5, 7.0,
+              7.5, 8.5, 9.0]
+    counts = [1, 1, 3, 5, 1, 1, 2, 1, 2, 2, 1, 1, 1, 1, 1, 1, 2]
+    assert sum(counts) == 27
+    with pytest.raises(FitDidNotConvergeError, match="k > -1 edge"):
+        fit_gpd(values, counts)
+
+
+@given(
+    st.lists(st.floats(0.01, 100.0), min_size=2, max_size=30, unique=True),
+    st.lists(st.integers(1, 20), min_size=30, max_size=30),
+    st.floats(-20.0, -1e-3),
+)
+def test_gpd_profile_falls_wherever_the_shape_is_at_most_minus_one(values, counts, u):
+    # 1 + k <= 0 and theta < 0 make the slope function at most k, so the GPD
+    # profile grid never brackets a maximum from a point with k <= -1
+    values = np.sort(values)
+    weights = np.array(counts[: len(values)]) / sum(counts[: len(values)])
+    theta = math.expm1(u) / values[-1]
+    if float(np.log1p(theta * values) @ weights) <= -1.0:
+        assert _gpd_profile_slope(theta, values, weights) < 0.0
+
+
+@pytest.mark.parametrize("label", ["success", "failure"])
+def test_bundled_cohorts_fit_without_the_simplex(monkeypatch, label):
+    def no_simplex(*args, **kwargs):
+        raise AssertionError("simplex search called")
+
+    monkeypatch.setattr(dwell, "minimize", no_simplex)
+    manifest = read_manifest(DATA / f"{label}_manifest.json")
+    seqs = load_sequences(manifest)
+    model = fit_semi_markov(seqs, manifest.alphabet)
+    assert {f.family for f in model.dwell.values()} & {GEV, GPD}
+    assert len(fit_multi_chain(seqs, 2, manifest.alphabet).segments) == 2
 
 
 def test_min_observations():
