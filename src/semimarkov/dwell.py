@@ -15,10 +15,11 @@ Four families are supported.  Parameterizations (all times in seconds):
   f(x) = sqrt(lambda / (2 pi x^3)) exp(-lambda (x-mu)^2 / (2 mu^2 x)), x > 0.
 
 Log densities return -inf outside the support rather than truncating.
-Each family's log-density is written once, as a vectorized log-likelihood
-kernel over distinct values and their counts, ``kernel(*theta, values,
-counts)``; the same kernel gives ``log_pdf`` (one value, count one), the
-fitted log-likelihoods and the stationarity certificate.  Every fitter takes
+Each family's log-density is written once, as a vectorized per-value kernel
+``kernel(*theta, values)`` that covers the whole support; ``log_pdf`` and
+``dwell_log_pdf`` evaluate it, and the fitted log-likelihoods and the
+stationarity certificate sum it over distinct values with their counts in one
+place, ``_loglik``.  Every fitter takes
 values with optional counts, ``fit(xs, counts=None)`` (None: each value once),
 such as a cohort's dwell table from ``sequences.durations_by_state`` --
 durations lie on a sampling grid, so there are far fewer values than
@@ -76,6 +77,9 @@ _SHAPE_EPS = 1e-13
 _MIN_NUMERIC_OBS = 8
 # Stationarity certificate tolerance.
 _GRAD_TOL = 1e-4
+# A GEV solution that fails the certificate with its finite support end this
+# close (relative) to the extreme observation on that side ended at an edge.
+_EDGE_TOL = 1e-4
 # Newton, step-halving and root-bracketing iteration cap; relative Newton
 # decrement after which Newton stops, and relative width at which a root
 # bracket stops.
@@ -145,11 +149,8 @@ def _validate_params(family: str, params: dict[str, float]) -> None:
 def log_pdf(family: str, params: dict[str, float], x: float) -> float:
     """Natural-log density at x (seconds).  Returns -inf outside the support."""
     _validate_params(family, params)
-    # the lower end of the support; the kernels check the parameter-dependent ends
-    if x < 0 and family in (EXPONENTIAL, GPD) or x <= 0 and family == INVERSE_GAUSSIAN:
-        return -math.inf
     theta = [params[name] for name in PARAM_NAMES[family]]
-    return _KERNELS[family](*theta, np.array([x], dtype=float), np.ones(1))
+    return float(_KERNELS[family](*theta, np.array([x], dtype=float))[0])
 
 
 def cdf(family: str, params: dict[str, float], x: float) -> float:
@@ -226,69 +227,69 @@ def quantile(family: str, params: dict[str, float], u: float) -> float:
     )
 
 
-def dwell_log_pdf(fit: DwellFit, x: float) -> float:
-    """Log density of a DwellFit at x, honoring any left truncation shift."""
-    return log_pdf(fit.family, fit.params, x - fit.truncation_s)
+def dwell_log_pdf(fit: DwellFit, xs) -> np.ndarray:
+    """Log density of a DwellFit at each of xs, honoring any left truncation
+    shift."""
+    theta = [fit.params[name] for name in PARAM_NAMES[fit.family]]
+    return _KERNELS[fit.family](*theta, np.asarray(xs, dtype=float) - fit.truncation_s)
 
 
-# --- vectorized log-likelihoods (densities, fits and certificates) ---------
-# Each kernel sums counts[i] * log f(xs[i]); a per-observation sum passes
-# counts of one.
+# --- per-value log-densities (densities, fits and certificates) -------------
+# Each kernel returns log f at every value, -inf outside the family's support;
+# _loglik alone sums it over a dwell table.
 
 
-def _exp_loglik(mu: float, xs: np.ndarray, counts: np.ndarray) -> float:
-    return float(-counts.sum() * math.log(mu) - (counts * xs).sum() / mu)
+def _exp_logpdf(mu: float, xs: np.ndarray) -> np.ndarray:
+    return np.where(xs >= 0.0, -math.log(mu) - xs / mu, -np.inf)
 
 
-def _gev_loglik(
-    k: float, sigma: float, mu: float, xs: np.ndarray, counts: np.ndarray
-) -> float:
-    if sigma <= 0:
-        return -math.inf
+def _gev_logpdf(k: float, sigma: float, mu: float, xs: np.ndarray) -> np.ndarray:
     z = (xs - mu) / sigma
-    n = counts.sum()
     if abs(k) < _SHAPE_EPS:
-        val = -n * math.log(sigma) - (counts * z).sum() - (counts * np.exp(-z)).sum()
-        return float(val) if np.isfinite(val) else -math.inf
+        return -math.log(sigma) - z - np.exp(-z)
     w = 1.0 + k * z
-    if w.min() <= 0.0:
-        return -math.inf
-    lw = np.log(w)
-    val = (-n * math.log(sigma) - (1.0 + 1.0 / k) * (counts * lw).sum()
-           - (counts * np.exp(-lw / k)).sum())
-    return float(val) if np.isfinite(val) else -math.inf
+    inside = w > 0.0
+    lw = np.log(np.where(inside, w, 1.0))
+    return np.where(inside, -math.log(sigma) - (1.0 + 1.0 / k) * lw - np.exp(-lw / k), -np.inf)
 
 
-def _gpd_loglik(k: float, sigma: float, xs: np.ndarray, counts: np.ndarray) -> float:
-    if sigma <= 0:
-        return -math.inf
-    n = counts.sum()
+def _gpd_logpdf(k: float, sigma: float, xs: np.ndarray) -> np.ndarray:
     z = xs / sigma
     if abs(k) < _SHAPE_EPS:
-        return float(-n * math.log(sigma) - (counts * z).sum())
+        return np.where(xs >= 0.0, -math.log(sigma) - z, -np.inf)
     w = 1.0 + k * z
-    if w.min() <= 0.0:
-        return -math.inf
-    val = -n * math.log(sigma) - (1.0 + 1.0 / k) * (counts * np.log(w)).sum()
-    return float(val) if np.isfinite(val) else -math.inf
+    inside = (xs >= 0.0) & (w > 0.0)
+    lw = np.log(np.where(inside, w, 1.0))
+    return np.where(inside, -math.log(sigma) - (1.0 + 1.0 / k) * lw, -np.inf)
 
 
-def _ig_loglik(mu: float, lam: float, xs: np.ndarray, counts: np.ndarray) -> float:
-    n = counts.sum()
-    val = 0.5 * (n * (math.log(lam) - math.log(2.0 * math.pi))
-                 - 3.0 * (counts * np.log(xs)).sum())
-    val -= (lam * (counts * ((xs - mu) ** 2 / xs)).sum()) / (2.0 * mu * mu)
-    return float(val)
+def _ig_logpdf(mu: float, lam: float, xs: np.ndarray) -> np.ndarray:
+    inside = xs > 0.0
+    x = np.where(inside, xs, 1.0)
+    val = (0.5 * (math.log(lam) - math.log(2.0 * math.pi) - 3.0 * np.log(x))
+           - lam * ((x - mu) ** 2 / x) / (2.0 * mu * mu))
+    return np.where(inside, val, -np.inf)
 
 
-#: Log-likelihood kernels in natural parameters, ordered as PARAM_NAMES[family],
-#: followed by (values, counts).
+#: Per-value log-densities in natural parameters, ordered as PARAM_NAMES[family],
+#: followed by the values.
 _KERNELS = {
-    EXPONENTIAL: _exp_loglik,
-    GEV: _gev_loglik,
-    GPD: _gpd_loglik,
-    INVERSE_GAUSSIAN: _ig_loglik,
+    EXPONENTIAL: _exp_logpdf,
+    GEV: _gev_logpdf,
+    GPD: _gpd_logpdf,
+    INVERSE_GAUSSIAN: _ig_logpdf,
 }
+
+
+def _loglik(family: str, theta, xs: np.ndarray, counts: np.ndarray) -> float:
+    """Log-likelihood of distinct values xs seen counts times, at parameters
+    theta; -inf for a non-positive scale or a non-finite sum."""
+    if family in (GEV, GPD) and not theta[1] > 0:  # sigma
+        return -math.inf
+    # exp overflows where the density underflows; log f is -inf there
+    with np.errstate(over="ignore"):
+        val = float(counts @ _KERNELS[family](*theta, xs))
+    return val if math.isfinite(val) else -math.inf
 
 
 def bic(log_likelihood: float, n_params: int, n_obs: int) -> float:
@@ -307,7 +308,6 @@ def _fd_gradient_norm(
     family: str, theta: np.ndarray, xs: np.ndarray, counts: np.ndarray
 ) -> float:
     """Central finite-difference gradient norm of the log-likelihood."""
-    kernel = _KERNELS[family]
     grad = np.zeros(len(theta))
     for i in range(len(theta)):
         h = 1e-5 * max(1.0, abs(theta[i]))
@@ -315,7 +315,7 @@ def _fd_gradient_norm(
             tp, tm = theta.copy(), theta.copy()
             tp[i] += h
             tm[i] -= h
-            lp, lm = kernel(*tp, xs, counts), kernel(*tm, xs, counts)
+            lp, lm = _loglik(family, tp, xs, counts), _loglik(family, tm, xs, counts)
             if math.isfinite(lp) and math.isfinite(lm):
                 grad[i] = (lp - lm) / (2.0 * h)
                 break
@@ -360,7 +360,7 @@ def fit_exponential(xs, counts=None, truncation_s: float = 0.0) -> DwellFit:
     arr, counts, n = _as_sample(xs, counts, minimum=truncation_s)
     shifted = arr - truncation_s
     mu = float((counts * shifted).sum() / n)
-    ll = _exp_loglik(mu, shifted, counts)
+    ll = _loglik(EXPONENTIAL, (mu,), shifted, counts)
     return DwellFit(
         family=EXPONENTIAL,
         params={"mu": mu},
@@ -381,7 +381,7 @@ def fit_inverse_gaussian(xs, counts=None) -> DwellFit:
     if denom <= 0.0 or not math.isfinite(denom):
         raise DegenerateDataError("all observations equal; lambda is undefined")
     lam = n / denom
-    ll = _ig_loglik(mu, lam, arr, counts)
+    ll = _loglik(INVERSE_GAUSSIAN, (mu, lam), arr, counts)
     return DwellFit(
         family=INVERSE_GAUSSIAN,
         params={"mu": mu, "lambda": lam},
@@ -508,7 +508,7 @@ def _gev_newton(
     so the step itself lands at the maximum to rounding, or when no halving
     keeps the log-likelihood from falling; returns (theta, log-likelihood).
     """
-    ll = _gev_loglik(*theta, values, counts)
+    ll = _loglik(GEV, theta, values, counts)
     if not math.isfinite(ll):
         return theta, ll
     for _ in range(_NEWTON_ITER):
@@ -519,9 +519,7 @@ def _gev_newton(
         decrement = float(score @ step)
         for _ in range(_NEWTON_ITER):
             trial = theta + step
-            # a trial point past the support can overflow exp; it scores -inf
-            with np.errstate(over="ignore"):
-                ll_trial = _gev_loglik(*trial, values, counts)
+            ll_trial = _loglik(GEV, trial, values, counts)
             if ll_trial >= ll:
                 break
             step = 0.5 * step
@@ -539,17 +537,29 @@ def fit_gev(xs, counts=None) -> DwellFit:
     Newton-Raphson with the analytic score and observed information (Hosking
     1985, AS 215) from the Gumbel method-of-moments start with k = 0.1.  A
     solution that fails the finite-difference stationarity certificate raises
-    FitDidNotConvergeError.
+    FitDidNotConvergeError.  Its message names the edge when the support's
+    finite end mu - sigma/k meets the extreme observation on that side: for
+    k < -1 the likelihood is unbounded as the upper end closes on max x, and
+    Newton stops there rather than at an interior maximum.
     """
     values, counts, m, v = _distinct_sample("GEV", xs, counts, minimum=-math.inf)
     s = math.sqrt(v)
     sigma0 = s * math.sqrt(6.0) / math.pi
     mu0 = m - _EULER_GAMMA * sigma0
-    fit = _accepted(GEV, *_gev_newton(values, counts, np.array([0.1, sigma0, mu0])),
-                    values, counts)
-    if fit is None:
-        raise FitDidNotConvergeError(f"{GEV} fit failed its stationarity certificate")
-    return fit
+    theta, ll = _gev_newton(values, counts, np.array([0.1, sigma0, mu0]))
+    fit = _accepted(GEV, theta, ll, values, counts)
+    if fit is not None:
+        return fit
+    k, sigma, mu = theta.tolist()
+    end = mu - sigma / k if abs(k) >= _SHAPE_EPS else math.nan  # the finite support end
+    side, extreme, x = ("upper", "largest", values[-1]) if k < 0 else (
+        "lower", "smallest", values[0])
+    if abs(end - x) <= _EDGE_TOL * max(1.0, abs(x)):
+        raise FitDidNotConvergeError(
+            f"{GEV} fit ended at an edge of the likelihood: the support's {side} end "
+            f"mu - sigma/k = {end:.6g} meets the {extreme} observation (k = {k:.6g})"
+        )
+    raise FitDidNotConvergeError(f"{GEV} fit failed its stationarity certificate")
 
 
 def _gpd_profile_slope(theta: float, values: np.ndarray, weights: np.ndarray) -> float:
@@ -627,7 +637,7 @@ def fit_gpd(xs, counts=None) -> DwellFit:
         if not shape > -1.0:
             continue
         params = np.array([shape, shape / theta])
-        ll = _gpd_loglik(*params, values, counts)
+        ll = _loglik(GPD, params, values, counts)
         if best is None or ll > best[1]:
             best = (params, ll)
     if best is None or not best[1] > -n * math.log(values[-1]):

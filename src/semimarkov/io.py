@@ -43,6 +43,7 @@ from .sequences import (
     LabeledSequence,
     RunSequence,
     StateAlphabet,
+    _run_samples,
     build_alphabet,
     decode_runs,
 )
@@ -322,7 +323,7 @@ def parse_runlength_csv(
             states.append(state)
             seconds.append(dur)
         samples = seconds[-1] * sampling_rate_hz + 0.5
-        run = max(1, math.floor(samples)) if samples < _INT64_LIMIT else math.inf
+        run = _run_samples(seconds[-1], sampling_rate_hz) if samples < _INT64_LIMIT else math.inf
         # the run's sample count and the file's total must fit in int64; an
         # infinite duration fails too
         if not total + run < _INT64_LIMIT:
@@ -558,7 +559,8 @@ def emit_histogram_csv(
     ``counts``, if given, holds each duration's multiplicity.  Columns
     ``bin_left_s,bin_right_s,density`` with sum(density)*bin_width equal to 1;
     with an overlay fit, a fourth column ``overlay_pdf`` holds the fitted
-    density at each bin midpoint.  At most MAX_HISTOGRAM_BINS bins are written.
+    density at each bin midpoint, from one evaluation of the fit's log-density
+    over all midpoints.  At most MAX_HISTOGRAM_BINS bins are written.
     """
     arr = np.asarray(list(durations), dtype=float)
     if arr.size == 0:
@@ -568,19 +570,16 @@ def emit_histogram_csv(
     edges = np.arange(n_bins + 1) * bin_width_s
     hist, _ = np.histogram(arr, bins=edges, weights=weights)
     density = hist / (int(weights.sum()) * bin_width_s)
+    header = "bin_left_s,bin_right_s,density"
+    columns = [edges[:-1].tolist(), edges[1:].tolist(), density.tolist()]
+    if overlay is not None:
+        header += ",overlay_pdf"
+        log_pdf = dwell_log_pdf(overlay, 0.5 * (edges[:-1] + edges[1:]))
+        columns.append([math.exp(v) for v in log_pdf.tolist()])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        if overlay is None:
-            fh.write("bin_left_s,bin_right_s,density\n")
-        else:
-            fh.write("bin_left_s,bin_right_s,density,overlay_pdf\n")
-        for b in range(n_bins):
-            left, right = edges[b], edges[b + 1]
-            row = f"{float_text(float(left))},{float_text(float(right))},{float_text(float(density[b]))}"
-            if overlay is not None:
-                mid = 0.5 * (left + right)
-                pdf = math.exp(dwell_log_pdf(overlay, float(mid)))
-                row += f",{float_text(pdf)}"
-            fh.write(row + "\n")
+        fh.write(header + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(map(float_text, row)) + "\n")
 
 
 # --- comparison reports ------------------------------------------------------

@@ -164,6 +164,12 @@ def decode_runs(runs: RunSequence) -> LabeledSequence:
     return seq
 
 
+def _run_samples(seconds: float, rate_hz: float) -> int:
+    """Samples in a run lasting `seconds` at `rate_hz`: rounded half-up, at
+    least one."""
+    return max(1, math.floor(seconds * rate_hz + 0.5))
+
+
 def _boundary_to_index(t_s: float, rate_hz: float) -> int:
     """Sample index of the first sample at or after time t (half-open split)."""
     x = t_s * rate_hz

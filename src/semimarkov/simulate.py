@@ -28,7 +28,7 @@ from .errors import (
     UnreachableAbsentRowError,
 )
 from .fitting import MultiChainModel, SemiMarkovModel
-from .sequences import RunSequence
+from .sequences import RunSequence, _run_samples
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,6 @@ class SimulationConfig:
                 "duration_s * output_sampling_rate_hz must be finite and positive and "
                 f"count fewer than 2**63 samples, got {samples!r}"
             )
-
-
-def _round_half_up_samples(seconds: float, rate_hz: float) -> int:
-    return int(math.floor(seconds * rate_hz + 0.5))
 
 
 def _startable_states(model: SemiMarkovModel) -> list[int]:
@@ -141,9 +137,9 @@ def _simulate_runs(
     chain: MultiChainModel, config: SimulationConfig
 ) -> tuple[list[int], list[int]]:
     rate = config.output_sampling_rate_hz
-    n_total = _round_half_up_samples(config.duration_s, rate)
-    if n_total < 1:
+    if config.duration_s * rate + 0.5 < 1.0:
         raise ValueError("duration_s is shorter than half a sample period")
+    n_total = _run_samples(config.duration_s, rate)
     segments = chain.segments
     rng = np.random.default_rng(config.seed)
     state = _resolve_initial(segments[0], config, rng)
@@ -161,7 +157,7 @@ def _simulate_runs(
         model = segments[chain.segment_at(elapsed / rate)]
         name = model.alphabet.states[state]
         dwell_s = sample_dwell(model.dwell[name], rng, min_seconds=min_dwell)
-        n = max(1, _round_half_up_samples(dwell_s, rate))
+        n = _run_samples(dwell_s, rate)
         n = min(n, n_total - elapsed)  # truncate the final run
         states.append(state)
         durations.append(n)

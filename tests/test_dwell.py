@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from semimarkov.dwell import (
     sample_dwell,
     select_family,
 )
-from semimarkov.dwell import _KERNELS, _gev_derivatives, _gpd_profile_slope
+from semimarkov.dwell import _KERNELS, _gev_derivatives, _gpd_profile_slope, _loglik
 from semimarkov.errors import (
     AllFitsFailedError,
     DegenerateDataError,
@@ -113,6 +114,35 @@ def test_out_of_support(family, params):
         assert log_pdf(family, params, 0.0) == -math.inf
     elif family in (EXPONENTIAL, GPD):
         assert math.isfinite(log_pdf(family, params, 0.0))
+
+
+# (family, theta, points inside the support, points outside it)
+KERNEL_SUPPORT_CASES = [
+    (EXPONENTIAL, (2.51,), [0.0, 1e-300, 0.5, 3.0, 40.0], [-1.0, -1e-300]),
+    # lower end mu - sigma/k = 1.75
+    (GEV, (0.4, 1.3, 5.0), [1.75 + 1e-6, 2.0, 5.0, 30.0], [-1.0, 0.0, 1.75 - 1e-6]),
+    # upper end mu - sigma/k = 6.1333...
+    (GEV, (-0.3, 1.3, 1.8), [-1.0, 0.0, 3.0, 1.8 + 1.3 / 0.3 - 1e-6],
+     [1.8 + 1.3 / 0.3 + 1e-6, 10.0]),
+    (GEV, (1e-14, 1.5, 3.0), [-1.0, 0.0, 2.0, 6.0], []),
+    (GPD, (0.3, 2.0), [0.0, 1.0, 50.0], [-1.0, -1e-300]),
+    (GPD, (-0.5, 3.0), [0.0, 3.0, 6.0 - 1e-6], [-1.0, 6.0 + 1e-6, 8.0]),  # upper end 6
+    (GPD, (1e-14, 2.0), [0.0, 1.0, 20.0], [-1.0]),
+    (INVERSE_GAUSSIAN, (8.61, 3.61), [1e-3, 1.0, 20.0], [-1.0, 0.0]),
+]
+
+
+@pytest.mark.parametrize("family,theta,inside,outside", KERNEL_SUPPORT_CASES)
+def test_kernel_covers_the_whole_support(family, theta, inside, outside):
+    xs = np.array(inside + outside)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _KERNELS[family](*theta, xs)
+    assert got.shape == xs.shape
+    assert np.all(got[len(inside):] == -np.inf)
+    ref = scipy_frozen(family, dict(zip(PARAM_NAMES[family], theta))).logpdf(inside)
+    assert np.all(np.isfinite(ref))
+    np.testing.assert_allclose(got[:len(inside)], ref, rtol=1e-12, atol=0)
 
 
 def test_gpd_negative_shape_upper_endpoint():
@@ -321,7 +351,7 @@ GRID_XS = np.random.default_rng(31).integers(1, 500, size=3000) / 50.0
 def test_weighted_kernel_equals_per_observation_sum(family, theta):
     values, counts = np.unique(GRID_XS, return_counts=True)
     assert len(values) < len(GRID_XS) / 5
-    weighted = _KERNELS[family](*theta, values, counts)
+    weighted = _loglik(family, theta, values, counts)
     params = dict(zip(PARAM_NAMES[family], theta))
     per_obs = math.fsum(log_pdf(family, params, float(x)) for x in GRID_XS)
     if math.isinf(per_obs):
@@ -434,7 +464,7 @@ def test_nelder_mead_polish_does_not_raise_the_fit(i):
     values, counts = np.unique(xs, return_counts=True)
 
     def nll(theta):
-        ll = _KERNELS[family](*theta, values, counts)
+        ll = _loglik(family, theta, values, counts)
         return -ll if math.isfinite(ll) else math.inf
 
     start = [fit.params[name] for name in PARAM_NAMES[family]]
@@ -450,7 +480,7 @@ def test_gev_score_and_hessian_match_finite_differences(theta):
     score, hess = _gev_derivatives(*theta, values, counts)
 
     def grad(t):
-        return _fd_grad(lambda u: _KERNELS[GEV](*u, values, counts), np.array(t), h=1e-5)
+        return _fd_grad(lambda u: _loglik(GEV, u, values, counts), np.array(t), h=1e-5)
 
     np.testing.assert_allclose(score, grad(theta), rtol=1e-6, atol=1e-6)
     fd_hess = np.array([(grad(np.add(theta, e)) - grad(np.subtract(theta, e))) / 2e-4
@@ -462,11 +492,22 @@ def test_gev_solution_failing_the_certificate_is_reported(monkeypatch):
     xs = _solver_sample(*SOLVER_SAMPLES[0], seed=40)
     # a Newton solver that stops at its start fails the certificate there
     def stop_at_start(values, counts, theta):
-        return theta, _KERNELS[GEV](*theta, values, counts)
+        return theta, _loglik(GEV, theta, values, counts)
 
     monkeypatch.setattr(dwell, "_gev_newton", stop_at_start)
     with pytest.raises(FitDidNotConvergeError, match="stationarity certificate"):
         fit_gev(xs)
+
+
+def test_gev_edge_of_an_unbounded_likelihood_is_reported():
+    # for k < -1 the GEV likelihood is unbounded as the upper end mu - sigma/k
+    # closes on max x; Newton ends at k = -1 with that end at 5.5, where the
+    # certificate's finite differences leave the support
+    values = [0.5, 1.0, 3.0, 4.0, 4.5, 5.0, 5.5]
+    counts = [1, 1, 1, 2, 2, 1, 2]
+    with pytest.raises(FitDidNotConvergeError,
+                       match="edge.*upper end mu - sigma/k = 5.5 meets the largest observation"):
+        fit_gev(values, counts)
 
 
 def test_gpd_supremum_at_the_shape_edge_is_reported():

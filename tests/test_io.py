@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from semimarkov.dwell import EXPONENTIAL, DwellFit
+from semimarkov.dwell import EXPONENTIAL, GEV, GPD, INVERSE_GAUSSIAN, DwellFit, log_pdf
 from semimarkov.errors import (
     DataNormalizationWarning,
     MalformedCsvError,
@@ -334,6 +334,24 @@ class TestHistogram:
         assert header[-1] == "overlay_pdf"
         assert rows[0][3] == pytest.approx(math.exp(-1.0 / 2.2) / 2.2, abs=1e-12)
         assert rows[0][3] == pytest.approx(0.2885, abs=1e-4)
+
+    @pytest.mark.parametrize("overlay,zero_rows", [
+        (DwellFit(EXPONENTIAL, {"mu": 2.2}), 0),
+        (DwellFit(EXPONENTIAL, {"mu": 2.2}, truncation_s=1.2), 2),
+        (DwellFit(GEV, {"k": 0.4, "sigma": 1.3, "mu": 5.0}), 4),  # lower end 1.75
+        (DwellFit(GPD, {"k": -0.5, "sigma": 3.0}), 12),  # upper end 6
+        (DwellFit(INVERSE_GAUSSIAN, {"mu": 8.61, "lambda": 3.61}), 0),
+    ])
+    def test_overlay_is_the_density_at_each_midpoint(self, tmp_path, overlay, zero_rows):
+        p = tmp_path / "h.csv"
+        emit_histogram_csv([0.3, 1.0, 2.5, 7.9, 12.0], 0.5, p, overlay=overlay)
+        _, rows = self.read_rows(p)
+        assert len(rows) == 24
+        for left, right, _, pdf in rows:
+            x = 0.5 * (left + right) - overlay.truncation_s
+            assert pdf == pytest.approx(math.exp(log_pdf(overlay.family, overlay.params, x)),
+                                        rel=1e-15, abs=0.0)
+        assert sum(row[3] == 0.0 for row in rows) == zero_rows
 
     @pytest.mark.parametrize("overlay", [None, DwellFit(EXPONENTIAL, {"mu": 2.2})])
     def test_counts_match_expanded_durations(self, tmp_path, overlay):
