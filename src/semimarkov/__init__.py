@@ -3,7 +3,6 @@ categorical state sequences (with plain DTMC and multi-chain variants)."""
 
 from . import errors, presets
 from .compare import (
-    CategoricalDistribution,
     ComparisonReport,
     bootstrap_group_fractions,
     compare_transition_matrices,

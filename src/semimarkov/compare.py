@@ -29,31 +29,6 @@ from .fitting import SEMI_MARKOV, TransitionMatrix
 from .sequences import LabeledSequence, StateAlphabet, encode_runs
 
 
-@dataclass(frozen=True)
-class CategoricalDistribution:
-    """A validated probability vector over a shared index set."""
-
-    probs: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
-        if not self.probs:
-            raise EmptyInputError("distribution must have at least one outcome")
-        if any(p < 0 for p in self.probs):
-            raise ValueError("probabilities must be non-negative")
-        if abs(sum(self.probs) - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {sum(self.probs)!r}, not 1")
-
-    def __len__(self) -> int:
-        return len(self.probs)
-
-
-def _as_prob_array(p) -> np.ndarray:
-    if isinstance(p, CategoricalDistribution):
-        return np.asarray(p.probs, dtype=float)
-    return np.asarray(p, dtype=float)
-
-
 def kl_divergence(p, q) -> float:
     """D_KL(p || q) = sum p_i ln(p_i / q_i) in nats, with 0 ln(0/q) = 0.
 
@@ -61,7 +36,7 @@ def kl_divergence(p, q) -> float:
     want smoothing must smooth before calling (compare_transition_matrices
     does).
     """
-    pa, qa = _as_prob_array(p), _as_prob_array(q)
+    pa, qa = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     if pa.shape != qa.shape or pa.ndim != 1:
         raise LengthMismatchError(f"shape mismatch: {pa.shape} vs {qa.shape}")
     total = 0.0
@@ -158,23 +133,19 @@ def compare_transition_matrices(
 # --- occupancy statistics ----------------------------------------------------
 
 
-def time_fractions(
-    seq: LabeledSequence, alphabet: StateAlphabet | None = None
-) -> dict:
+def time_fractions(seq: LabeledSequence, alphabet: StateAlphabet) -> dict[str, float]:
     """Fraction of samples spent in each state, summed over its runs.
 
-    Without an alphabet the map is keyed by observed label index; with one
-    it is keyed by state name and covers every alphabet state (zeros
+    The map is keyed by state name and covers every alphabet state (zeros
     included), which gives cohorts a common support.
     """
     runs = encode_runs(seq)
-    keys = alphabet.states if alphabet is not None else range(runs.states.max() + 1)
-    if runs.states.max() >= len(keys):
+    if runs.states.max() >= len(alphabet):
         raise ValueError("sequence uses label indices outside the alphabet")
-    counts = np.zeros(len(keys), dtype=np.int64)
+    counts = np.zeros(len(alphabet), dtype=np.int64)
     np.add.at(counts, runs.states, runs.durations)
     n = len(seq)
-    return {k: c / n for k, c in zip(keys, counts.tolist()) if c or alphabet is not None}
+    return {k: c / n for k, c in zip(alphabet.states, counts.tolist())}
 
 
 def bootstrap_group_fractions(

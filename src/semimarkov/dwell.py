@@ -16,10 +16,10 @@ Four families are supported.  Parameterizations (all times in seconds):
 
 Log densities return -inf outside the support rather than truncating.
 Each family's log-density is written once, as a vectorized per-value kernel
-``kernel(*theta, values)`` that covers the whole support; ``log_pdf`` and
-``dwell_log_pdf`` evaluate it, and the fitted log-likelihoods and the
-stationarity certificate sum it over distinct values with their counts in one
-place, ``_loglik``.  Every fitter takes
+``kernel(*theta, values)`` that covers the whole support and is evaluated in
+one place, ``_log_density``; ``log_pdf`` and ``dwell_log_pdf`` return it, and
+the fitted log-likelihoods and the stationarity certificate sum it over
+distinct values with their counts in one place, ``_loglik``.  Every fitter takes
 values with optional counts, ``fit(xs, counts=None)`` (None: each value once),
 such as a cohort's dwell table from ``sequences.durations_by_state`` --
 durations lie on a sampling grid, so there are far fewer values than
@@ -60,7 +60,7 @@ GEV = "GeneralizedExtremeValue"
 GPD = "GeneralizedPareto"
 INVERSE_GAUSSIAN = "InverseGaussian"
 
-#: Default candidate families, in canonical tag order (used for tie-breaking).
+#: The families select_family tries, in canonical tag order (used for tie-breaking).
 FAMILIES = (EXPONENTIAL, GEV, GPD, INVERSE_GAUSSIAN)
 
 PARAM_NAMES = {
@@ -100,8 +100,8 @@ class DwellFit:
 
     ``truncation_s`` shifts the support: the fit models ``truncation_s + X``
     where X follows the stated family.  It is nonzero only for left-truncated
-    exponential tail fits.  ``fallback`` marks fits produced by the
-    exponential-only downgrade path after every candidate family failed.
+    exponential tail fits.  ``fallback`` is read from model files, where
+    schema-v1 documents carry it; fits made by this version never set it.
     """
 
     family: str
@@ -110,6 +110,8 @@ class DwellFit:
     log_likelihood: float | None = None
     bic: float | None = None
     truncation_s: float = 0.0
+    # kept: schema-v1 model files carry it, io reads it back, and
+    # perfbench/tracing.py counts it
     fallback: bool = False
 
     def __post_init__(self) -> None:
@@ -150,7 +152,7 @@ def log_pdf(family: str, params: dict[str, float], x: float) -> float:
     """Natural-log density at x (seconds).  Returns -inf outside the support."""
     _validate_params(family, params)
     theta = [params[name] for name in PARAM_NAMES[family]]
-    return float(_KERNELS[family](*theta, np.array([x], dtype=float))[0])
+    return float(_log_density(family, theta, np.array([x], dtype=float))[0])
 
 
 def cdf(family: str, params: dict[str, float], x: float) -> float:
@@ -231,12 +233,12 @@ def dwell_log_pdf(fit: DwellFit, xs) -> np.ndarray:
     """Log density of a DwellFit at each of xs, honoring any left truncation
     shift."""
     theta = [fit.params[name] for name in PARAM_NAMES[fit.family]]
-    return _KERNELS[fit.family](*theta, np.asarray(xs, dtype=float) - fit.truncation_s)
+    return _log_density(fit.family, theta, np.asarray(xs, dtype=float) - fit.truncation_s)
 
 
 # --- per-value log-densities (densities, fits and certificates) -------------
 # Each kernel returns log f at every value, -inf outside the family's support;
-# _loglik alone sums it over a dwell table.
+# _log_density alone evaluates it and _loglik alone sums it over a dwell table.
 
 
 def _exp_logpdf(mu: float, xs: np.ndarray) -> np.ndarray:
@@ -281,14 +283,19 @@ _KERNELS = {
 }
 
 
+def _log_density(family: str, theta, xs: np.ndarray) -> np.ndarray:
+    """The family's log-density at parameters theta at each of xs."""
+    # exp overflows where the density underflows; log f is -inf there
+    with np.errstate(over="ignore"):
+        return _KERNELS[family](*theta, xs)
+
+
 def _loglik(family: str, theta, xs: np.ndarray, counts: np.ndarray) -> float:
     """Log-likelihood of distinct values xs seen counts times, at parameters
     theta; -inf for a non-positive scale or a non-finite sum."""
     if family in (GEV, GPD) and not theta[1] > 0:  # sigma
         return -math.inf
-    # exp overflows where the density underflows; log f is -inf there
-    with np.errstate(over="ignore"):
-        val = float(counts @ _KERNELS[family](*theta, xs))
+    val = float(counts @ _log_density(family, theta, xs))
     return val if math.isfinite(val) else -math.inf
 
 
@@ -667,15 +674,11 @@ _SKIPPABLE = (
 )
 
 
-def fit_all_families(
-    xs, counts=None, candidates=FAMILIES
-) -> tuple[dict[str, DwellFit], dict[str, str]]:
-    """Fit every candidate family, returning (fits, skip reasons)."""
+def fit_all_families(xs, counts=None) -> tuple[dict[str, DwellFit], dict[str, str]]:
+    """Fit every family in FAMILIES, returning (fits, skip reasons)."""
     fits: dict[str, DwellFit] = {}
     skipped: dict[str, str] = {}
-    for family in candidates:
-        if family not in _FITTERS:
-            raise ValueError(f"unknown dwell family {family!r}")
+    for family in FAMILIES:
         try:
             fits[family] = _FITTERS[family](xs, counts)
         except _SKIPPABLE as exc:
@@ -684,15 +687,14 @@ def fit_all_families(
     return fits, skipped
 
 
-def select_family(xs, counts=None, candidates=FAMILIES) -> DwellFit:
-    """Fit the candidates and return the fit with minimal BIC.
+def select_family(xs, counts=None) -> DwellFit:
+    """Fit every family in FAMILIES and return the fit with minimal BIC.
 
-    Candidates whose preconditions fail (or whose fit does not converge) are
-    skipped.  Ties break toward fewer parameters, then canonical tag order.
+    Families whose preconditions fail (or whose fit does not converge) are
+    skipped; AllFitsFailedError if every one is.  Ties break toward fewer
+    parameters, then canonical tag order.
     """
-    if not candidates:
-        raise ValueError("candidates must be non-empty")
-    fits, skipped = fit_all_families(xs, counts, candidates)
+    fits, skipped = fit_all_families(xs, counts)
     if not fits:
         raise AllFitsFailedError(f"no candidate family could be fitted: {skipped}")
     return min(

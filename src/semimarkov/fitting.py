@@ -15,17 +15,15 @@ sequence boundaries (sequences are independent recordings).
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import logging
-import warnings
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
-from .dwell import FAMILIES, DwellFit, fit_exponential, select_family
+from .dwell import DwellFit, select_family
+from .dwell import fit_exponential  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .errors import (
-    AllFitsFailedError,
     BoundaryOutOfRangeError,
     EmptyInputError,
     MixedSamplingRatesError,
@@ -277,25 +275,9 @@ def fit_semi_markov_transitions(
     return TransitionMatrix.from_probabilities(counts, alphabet, kind=SEMI_MARKOV)
 
 
-def _fit_dwell_with_fallback(
-    state_name: str, values: np.ndarray, counts: np.ndarray, candidate_families
-) -> DwellFit:
-    try:
-        return select_family(values, counts, candidate_families)
-    except AllFitsFailedError as exc:
-        warnings.warn(
-            f"every candidate dwell family failed for state {state_name!r} "
-            f"({exc}); falling back to an exponential fit",
-            UserWarning,
-            stacklevel=3,
-        )
-        return dataclasses.replace(fit_exponential(values, counts), fallback=True)
-
-
 def fit_semi_markov(
     seqs: list[LabeledSequence],
     alphabet: StateAlphabet,
-    candidate_families=FAMILIES,
     metadata: dict[str, Any] | None = None,
 ) -> SemiMarkovModel:
     """Encode each sequence into runs and fit a pooled semi-Markov model:
@@ -309,20 +291,19 @@ def fit_semi_markov(
     left-censored) and terminal runs (right-censored): at recording lengths
     of a few hundred dwells per state the censoring bias is small, and
     dropping terminal runs would systematically under-sample long dwells.
-    States whose every candidate family fails are downgraded to an
-    exponential fit with the ``fallback`` flag set.
+    Each state's family is chosen by BIC over all four (``select_family``);
+    the exponential always fits, since every duration is a positive number of
+    samples at a finite rate.
     """
     if not seqs:
         raise EmptyInputError("no sequences supplied")
-    if not candidate_families:
-        raise ValueError("candidate_families must be non-empty")
     runs_list = [encode_runs(s) for s in seqs]
     transitions = fit_semi_markov_transitions(runs_list, alphabet)
     dwell: dict[str, DwellFit] = {}
     sample_counts: dict[str, int] = {}
     for state, (values, counts) in durations_by_state(runs_list).items():
         name = alphabet.name(state)
-        dwell[name] = _fit_dwell_with_fallback(name, values, counts, candidate_families)
+        dwell[name] = select_family(values, counts)
         sample_counts[name] = int(counts.sum())
     meta: dict[str, Any] = {"sample_counts": sample_counts}
     if metadata:
@@ -337,7 +318,6 @@ def fit_multi_chain(
     seqs: list[LabeledSequence],
     n_segments: int,
     alphabet: StateAlphabet,
-    candidate_families=FAMILIES,
     metadata: dict[str, Any] | None = None,
 ) -> MultiChainModel:
     """Split each sequence into equal-time segments and fit one model each.
@@ -368,9 +348,5 @@ def fit_multi_chain(
     for k, group in enumerate(map(list, zip(*parts_by_seq))):
         meta = dict(metadata or {})
         meta["segment_index"] = k + 1
-        segment_models.append(
-            fit_semi_markov(
-                group, alphabet, candidate_families=candidate_families, metadata=meta
-            )
-        )
+        segment_models.append(fit_semi_markov(group, alphabet, metadata=meta))
     return MultiChainModel(segments=tuple(segment_models), boundaries=boundaries)

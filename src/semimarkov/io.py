@@ -16,6 +16,7 @@ streams matters for DTMC fitting but not for semi-Markov fitting:
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import warnings
@@ -43,6 +44,7 @@ from .sequences import (
     LabeledSequence,
     RunSequence,
     StateAlphabet,
+    _check_rate,
     _run_samples,
     build_alphabet,
     decode_runs,
@@ -150,8 +152,7 @@ class CohortManifest:
         object.__setattr__(self, "base_dir", Path(self.base_dir))
         if not self.patient_files:
             raise EmptyInputError("manifest lists no patient files")
-        if not self.sampling_rate_hz > 0:
-            raise ValueError("sampling_rate_hz must be positive")
+        _check_rate(self.sampling_rate_hz)
 
     def resolved_paths(self) -> list[Path]:
         return [self.base_dir / f for f in self.patient_files]
@@ -180,6 +181,8 @@ def read_manifest(path) -> CohortManifest:
         raise MalformedJsonError(f"{path}: manifest missing key {exc}") from exc
     except (AttributeError, TypeError, OverflowError) as exc:
         raise MalformedJsonError(f"{path}: ill-typed manifest field: {exc}") from exc
+    except ValueError as exc:  # e.g. a rate that is not a finite number > 0
+        raise MalformedJsonError(f"{path}: {exc}") from exc
 
 
 def write_manifest(manifest: CohortManifest, path) -> None:
@@ -198,6 +201,7 @@ def write_manifest(manifest: CohortManifest, path) -> None:
 
 
 def _read_csv_rows(path, expected_header: tuple[str, ...]) -> list[list[str]]:
+    """The data rows of a CSV file; blank rows are skipped (see _row_at)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -219,13 +223,25 @@ def _read_csv_rows(path, expected_header: tuple[str, ...]) -> list[list[str]]:
     return rows
 
 
+def _row_at(path, i: int) -> str:
+    """``path:line`` of data row i as _read_csv_rows counts them.
+
+    Blank rows and quoted line breaks make the line differ from i + 2, so the
+    file is read again, which only an error message needs.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        lines = (reader.line_num for row in reader if row)
+        line = next(itertools.islice(lines, i, None), "?")  # "?": changed since
+    return f"{path}:{line}"
+
+
 def parse_label_csv(
-    path,
-    alphabet: StateAlphabet,
-    expected_rate_hz: float | None = None,
-    sequence_id: str | None = None,
+    path, alphabet: StateAlphabet, expected_rate_hz: float | None = None
 ) -> LabeledSequence:
-    """Read a per-sample label CSV (header ``time_s,state``).
+    """Read a per-sample label CSV (header ``time_s,state``), whose id is the
+    file's stem.
 
     Timestamps must ascend with uniform spacing (tolerance 1e-6 s).  The
     sampling rate is inferred from the spacing; when ``expected_rate_hz`` is
@@ -238,20 +254,20 @@ def parse_label_csv(
     labels = np.empty(len(rows), dtype=np.int64)
     for i, row in enumerate(rows):
         if len(row) != 2:
-            raise MalformedCsvError(f"{path}:{i + 2}: expected 2 fields, got {len(row)}")
+            raise MalformedCsvError(f"{_row_at(path, i)}: expected 2 fields, got {len(row)}")
         try:
             times[i] = float(row[0])
         except ValueError:
-            raise MalformedCsvError(f"{path}:{i + 2}: bad time {row[0]!r}") from None
+            raise MalformedCsvError(f"{_row_at(path, i)}: bad time {row[0]!r}") from None
         name = row[1].strip()
         if name not in alphabet:
-            raise UnknownStateError(f"{path}:{i + 2}: state {name!r} not in alphabet")
+            raise UnknownStateError(f"{_row_at(path, i)}: state {name!r} not in alphabet")
         labels[i] = alphabet.index(name)
     # NaN compares false, so the spacing checks below would not catch it
     bad = np.flatnonzero(~np.isfinite(times))
     if bad.size:
         i = int(bad[0])
-        raise MalformedCsvError(f"{path}:{i + 2}: non-finite time {rows[i][0]!r}")
+        raise MalformedCsvError(f"{_row_at(path, i)}: non-finite time {rows[i][0]!r}")
     if len(times) >= 2:
         spacing = np.diff(times)
         if spacing.min() <= 0:
@@ -278,24 +294,18 @@ def parse_label_csv(
             f"{path}: cannot infer a sampling rate from a single row; "
             f"supply one via a manifest"
         )
-    seq_id = sequence_id if sequence_id is not None else Path(path).stem
-    return LabeledSequence(labels=labels, sampling_rate_hz=rate, id=seq_id)
+    return LabeledSequence(labels=labels, sampling_rate_hz=rate, id=Path(path).stem)
 
 
-def parse_runlength_csv(
-    path,
-    alphabet: StateAlphabet,
-    sampling_rate_hz: float,
-    sequence_id: str | None = None,
-) -> RunSequence:
-    """Read a run-length CSV (header ``state,duration_s``).
+def parse_runlength_csv(path, alphabet: StateAlphabet, sampling_rate_hz: float) -> RunSequence:
+    """Read a run-length CSV (header ``state,duration_s``), whose id is the
+    file's stem.
 
     Durations are quantized to samples by rounding half-up with a one-sample
     floor.  Adjacent rows with equal states are merged (in seconds, before
     quantization) with a normalization warning.
     """
-    if not sampling_rate_hz > 0:
-        raise ValueError("sampling_rate_hz must be positive")
+    _check_rate(sampling_rate_hz)
     rows = _read_csv_rows(path, ("state", "duration_s"))
     states: list[int] = []
     seconds: list[float] = []
@@ -304,16 +314,16 @@ def parse_runlength_csv(
     merged = False
     for i, row in enumerate(rows):
         if len(row) != 2:
-            raise MalformedCsvError(f"{path}:{i + 2}: expected 2 fields, got {len(row)}")
+            raise MalformedCsvError(f"{_row_at(path, i)}: expected 2 fields, got {len(row)}")
         name = row[0].strip()
         if name not in alphabet:
-            raise UnknownStateError(f"{path}:{i + 2}: state {name!r} not in alphabet")
+            raise UnknownStateError(f"{_row_at(path, i)}: state {name!r} not in alphabet")
         try:
             dur = float(row[1])
         except ValueError:
-            raise MalformedCsvError(f"{path}:{i + 2}: bad duration {row[1]!r}") from None
+            raise MalformedCsvError(f"{_row_at(path, i)}: bad duration {row[1]!r}") from None
         if not dur > 0:
-            raise NonPositiveDurationError(f"{path}:{i + 2}: duration {dur!r} not > 0")
+            raise NonPositiveDurationError(f"{_row_at(path, i)}: duration {dur!r} not > 0")
         state = alphabet.index(name)
         if states and states[-1] == state:
             seconds[-1] += dur
@@ -328,7 +338,7 @@ def parse_runlength_csv(
         # infinite duration fails too
         if not total + run < _INT64_LIMIT:
             raise MalformedCsvError(
-                f"{path}:{i + 2}: duration {row[1]!r} is non-finite or takes the "
+                f"{_row_at(path, i)}: duration {row[1]!r} is non-finite or takes the "
                 f"sample count past int64 at {sampling_rate_hz:g} Hz"
             )
         durations.append(run)
@@ -339,12 +349,11 @@ def parse_runlength_csv(
             DataNormalizationWarning,
             stacklevel=2,
         )
-    seq_id = sequence_id if sequence_id is not None else Path(path).stem
     return RunSequence(
         states=np.array(states, dtype=np.int64),
         durations=np.array(durations, dtype=np.int64),
         sampling_rate_hz=sampling_rate_hz,
-        id=seq_id,
+        id=Path(path).stem,
     )
 
 

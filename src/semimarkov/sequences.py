@@ -64,6 +64,12 @@ def build_alphabet(names: Sequence[str]) -> StateAlphabet:
     return StateAlphabet(tuple(names))
 
 
+def _check_rate(rate_hz: float) -> None:
+    """ValueError unless rate_hz is a finite sampling rate above 0."""
+    if not (math.isfinite(rate_hz) and rate_hz > 0):
+        raise ValueError(f"sampling_rate_hz must be finite and positive, got {rate_hz!r}")
+
+
 def _as_readonly_int_array(values, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.int64)
     if arr.ndim != 1:
@@ -97,8 +103,7 @@ class RunSequence:
             raise ValueError("run durations must be at least one sample")
         if np.any(self.states[1:] == self.states[:-1]):
             raise ValueError("adjacent runs must have different states")
-        if not (self.sampling_rate_hz > 0):
-            raise ValueError("sampling_rate_hz must be positive")
+        _check_rate(self.sampling_rate_hz)
 
     def __len__(self) -> int:
         return len(self.states)

@@ -283,7 +283,7 @@ def _split_fit_cohort(model, seed, n=50):
     cfg = SimulationConfig(duration_s=300.0, seed=seed, output_sampling_rate_hz=2.0)
     cohort = simulate_cohort(model, n, cfg)
     seqs = [decode_runs(r) for r in cohort]
-    return fit_multi_chain(seqs, 2, PATTERNS, candidate_families=(EXPONENTIAL,))
+    return fit_multi_chain(seqs, 2, PATTERNS)
 
 
 def test_criterion_6_multi_chain_detects_drift():

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -283,9 +284,11 @@ def test_ill_typed_model_file_is_data_error(tmp_path, capsys, mutate, command):
         {"alphabet": "PAMSU"},
         {"patient_files": [1, 2]},
         [1, 2],
+        {"sampling_rate_hz": math.inf},
+        {"sampling_rate_hz": 0.0},
     ],
     ids=["files-int", "rate-null", "alphabet-null", "alphabet-str", "files-ints",
-         "top-level-list"],
+         "top-level-list", "rate-inf", "rate-zero"],
 )
 def test_ill_typed_manifest_is_data_error(tmp_path, capsys, doc):
     if isinstance(doc, dict):
@@ -297,6 +300,22 @@ def test_ill_typed_manifest_is_data_error(tmp_path, capsys, doc):
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "m.json" in err[0]
+
+
+def test_report_on_an_infinite_rate_is_data_error(tmp_path, capsys):
+    # 1e400 parses to inf; at that rate every dwell would last 0 s
+    (tmp_path / "p.csv").write_text("state,duration_s\nPAU,1.0\nASB,2.0\n")
+    (tmp_path / "m.json").write_text(
+        '{"group_label": "g", "sampling_rate_hz": 1e400, "patient_files": ["p.csv"], '
+        f'"alphabet": {json.dumps(list(PATTERNS.states))}}}')
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["report", "--manifest", str(tmp_path / "m.json"), "--seed", "1",
+               "--out-prefix", str(out / "rep")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "m.json" in err[0] and "finite and positive" in err[0]
+    assert list(out.iterdir()) == []
 
 
 def write_huge_runs_manifest(tmp_path, rows="PAU,5e11\nASB,5e11\n") -> str:

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from semimarkov.compare import (
-    CategoricalDistribution,
     bootstrap_group_fractions,
     compare_transition_matrices,
     kl_divergence,
@@ -55,16 +54,6 @@ class TestKl:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             kl_divergence((0.5, 0.5), (0.2, 0.3, 0.5))
-
-    def test_accepts_distribution_type(self):
-        p = CategoricalDistribution((0.25, 0.75))
-        assert kl_divergence(p, p) == 0.0
-
-    def test_distribution_validation(self):
-        with pytest.raises(ValueError):
-            CategoricalDistribution((0.5, 0.6))
-        with pytest.raises(ValueError):
-            CategoricalDistribution((1.2, -0.2))
 
 
 class TestSymmetricKl:
@@ -174,10 +163,10 @@ class TestCompareMatrices:
 
 class TestOccupancy:
     def test_hand_fractions(self):
-        assert time_fractions(seq([0, 0, 1, 1])) == {0: 0.5, 1: 0.5}
+        assert time_fractions(seq([0, 0, 1, 1]), AB) == {"A": 0.5, "B": 0.5}
 
     def test_singleton(self):
-        assert time_fractions(seq([0])) == {0: 1.0}
+        assert time_fractions(seq([0]), AB) == {"A": 1.0, "B": 0.0}
 
     def test_named_fractions_cover_alphabet(self):
         fr = time_fractions(seq([0, 0, 1]), AB)
@@ -189,7 +178,8 @@ class TestOccupancy:
     def test_fractions_sum_to_one(self):
         rng = np.random.default_rng(3)
         s = seq(rng.integers(0, 5, size=997))
-        assert sum(time_fractions(s).values()) == pytest.approx(1.0, abs=1e-12)
+        alpha5 = build_alphabet(("A", "B", "C", "D", "E"))
+        assert sum(time_fractions(s, alpha5).values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_guard(self):
         with pytest.raises(ValueError):

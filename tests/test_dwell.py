@@ -595,16 +595,10 @@ def test_select_family_skips_small_samples():
     assert select_family(xs).family in fits
 
 
-def test_select_family_single_candidate():
-    rng = np.random.default_rng(101)
-    xs = rng.gamma(4.0, 1.0, size=200)  # decidedly non-exponential
-    fit = select_family(xs, candidates=(EXPONENTIAL,))
-    assert fit.family == EXPONENTIAL
-
-
 def test_select_family_all_fail():
+    # a zero duration rules out the three positive families; GEV needs 8 values
     with pytest.raises(AllFitsFailedError):
-        select_family([1.0, 2.0, 3.0], candidates=(GEV, GPD))
+        select_family([0.0, 1.0, 2.0])
 
 
 def test_select_family_prefers_fewer_params_on_tie():

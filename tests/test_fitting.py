@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semimarkov.dwell import EXPONENTIAL, GEV
 from semimarkov.errors import (
     EmptyInputError,
     MixedSamplingRatesError,
@@ -201,15 +200,6 @@ class TestSemiMarkovModel:
     def test_single_run_sequences_degenerate(self):
         with pytest.raises(NoTransitionsError):
             fit_semi_markov([seq([0, 0, 0])], AB)
-
-    def test_dwell_fallback_downgrades_to_exponential(self):
-        # GEV alone cannot fit 3 observations per state; the model falls
-        # back to an exponential fit and flags it
-        labels = [0, 1, 0, 1, 0, 1]
-        with pytest.warns(UserWarning, match="falling back"):
-            model = fit_semi_markov([seq(labels)], AB, candidate_families=(GEV,))
-        assert model.dwell["A"].family == EXPONENTIAL
-        assert model.dwell["A"].fallback
 
     def test_requires_semi_markov_kind(self):
         tm, _ = fit_dtmc([seq([0, 1, 0])], AB)

@@ -138,6 +138,24 @@ class TestLabelCsv:
             parse_label_csv(p, AB)
 
 
+@pytest.mark.parametrize(
+    "text,parse",
+    [
+        ("time_s,state\n0.0,A\n\n\n0.5,A\n1.0,XXX\n", lambda p: parse_label_csv(p, AB)),
+        ("state,duration_s\nA,1.0\n\nB,1.0\nXXX,1.0\n",
+         lambda p: parse_runlength_csv(p, AB, 1.0)),
+    ],
+    ids=["label", "runlength"],
+)
+def test_error_after_blank_lines_names_the_file_line(tmp_path, text, parse):
+    # blank lines are skipped, but still counted: the bad row is the last line
+    p = tmp_path / "x.csv"
+    p.write_text(text)
+    bad_line = len(text.splitlines())
+    with pytest.raises(UnknownStateError, match=rf"x\.csv:{bad_line}: state 'XXX'"):
+        parse(p)
+
+
 @pytest.mark.parametrize("bad_line", [3, 1003])  # 1003 lies past the first read chunk
 @pytest.mark.parametrize(
     "header,row,parse",
@@ -341,6 +359,10 @@ class TestHistogram:
         (DwellFit(GEV, {"k": 0.4, "sigma": 1.3, "mu": 5.0}), 4),  # lower end 1.75
         (DwellFit(GPD, {"k": -0.5, "sigma": 3.0}), 12),  # upper end 6
         (DwellFit(INVERSE_GAUSSIAN, {"mu": 8.61, "lambda": 3.61}), 0),
+        # below mu, exp(-z) (Gumbel limit) or w^(-1/k) overflows where the
+        # density underflows to 0; the error::RuntimeWarning filter would raise
+        (DwellFit(GEV, {"k": 1e-14, "sigma": 0.01, "mu": 10.0}), 20),
+        (DwellFit(GEV, {"k": 1e-3, "sigma": 0.01, "mu": 10.0}), 20),  # lower end 0
     ])
     def test_overlay_is_the_density_at_each_midpoint(self, tmp_path, overlay, zero_rows):
         p = tmp_path / "h.csv"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -66,8 +68,9 @@ class TestLabeledSequence:
             seq([0, -1])
 
     def test_bad_rate(self):
-        with pytest.raises(ValueError):
-            seq([0, 1], rate=0.0)
+        for rate in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite and positive"):
+                seq([0, 1], rate=rate)
 
 
 class TestRunEncoding:
