@@ -11,11 +11,18 @@ streams matters for DTMC fitting but not for semi-Markov fitting:
 
 * label CSV, header ``time_s,state``: one row per sample on a uniform grid;
 * run-length CSV, header ``state,duration_s``: one row per run.
+
+Both are plain comma-separated text in UTF-8 with LF, CRLF or CR line ends;
+blank lines are skipped, and every other line holds exactly one comma.
+There is no quoting: a field that starts with ``"`` is read as it stands, so
+it fails as a bad time or duration, an unknown state or a wrong field count,
+and the error names its ``path:line`` instead of the field being misparsed.
+For the same reason no field length limit applies, and a NUL character fails
+the time or state check like any other stray character.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -115,7 +122,8 @@ def _not_utf8(path, exc: UnicodeDecodeError) -> str:
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as first:
-        line = data.count(b"\n", 0, first.start) + 1
+        head = data[: first.start]  # lines end in LF, CRLF or CR
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         return f"{path}:{line}: not valid UTF-8: {first.reason} (byte {first.start})"
     return f"{path}: not valid UTF-8: {exc.reason}"  # changed after the failed read
 
@@ -165,14 +173,23 @@ def _strings(value, what: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _number(value, what: str) -> float:
+    """A JSON number as a float; raises TypeError for anything else, bools too."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} must be a number")
+    return float(value)
+
+
 def read_manifest(path) -> CohortManifest:
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise MalformedJsonError(f"{path}: manifest must be a JSON object")
     try:
+        if not isinstance(doc["group_label"], str):
+            raise TypeError("group_label must be a string")
         return CohortManifest(
             group_label=doc["group_label"],
-            sampling_rate_hz=float(doc["sampling_rate_hz"]),
+            sampling_rate_hz=_number(doc["sampling_rate_hz"], "sampling_rate_hz"),
             alphabet=build_alphabet(_strings(doc["alphabet"], "alphabet")),
             patient_files=_strings(doc["patient_files"], "patient_files"),
             base_dir=Path(path).parent,
@@ -200,41 +217,75 @@ def write_manifest(manifest: CohortManifest, path) -> None:
 # --- sequence CSVs -----------------------------------------------------------
 
 
-def _read_csv_rows(path, expected_header: tuple[str, ...]) -> list[list[str]]:
-    """The data rows of a CSV file; blank rows are skipped (see _row_at)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            rows = [row for row in reader if row]
-        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-            raise MalformedCsvError(f"{path}:{reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise MalformedCsvError(_not_utf8(path, exc)) from None
-    if header is None:
-        raise MalformedCsvError(f"{path}: empty file")
-    if [h.strip() for h in header] != list(expected_header):
-        raise MalformedCsvError(
-            f"{path}: expected header {','.join(expected_header)!r}, "
-            f"got {','.join(header)!r}"
-        )
-    if not rows:
-        raise MalformedCsvError(f"{path}: no data rows")
-    return rows
+_LABEL_HEADER = ("time_s", "state")
+_RUNLENGTH_HEADER = ("state", "duration_s")
 
 
-def _row_at(path, i: int) -> str:
-    """``path:line`` of data row i as _read_csv_rows counts them.
+def _header(line: str) -> tuple[str, ...]:
+    return tuple(h.strip() for h in line.split(","))
 
-    Blank rows and quoted line breaks make the line differ from i + 2, so the
-    file is read again, which only an error message needs.
+
+def _read_columns(path, header: tuple[str, str]):
+    """The two columns of a sequence CSV, read once and split column-wise.
+
+    Returns ``(first, second, at, fault)``: the columns as lists of strings,
+    ``at(i)``, the ``path:line`` of data row i (blank lines are skipped but
+    counted), and ``fault``, the error for the first row that does not hold
+    exactly two fields, or None.  The columns stop before that row, so the
+    caller checks the rows ahead of it first and raises ``fault`` only if
+    they pass, as a row-by-row reader would.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        lines = (reader.line_num for row in reader if row)
-        line = next(itertools.islice(lines, i, None), "?")  # "?": changed since
-    return f"{path}:{line}"
+    try:
+        with open(path, encoding="utf-8") as fh:  # universal newlines
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedCsvError(_not_utf8(path, exc)) from None
+    if not text:
+        raise MalformedCsvError(f"{path}: empty file")
+    first, _, body = text.partition("\n")
+    del text
+    if _header(first) != header:
+        raise MalformedCsvError(
+            f"{path}: expected header {','.join(header)!r}, got {first!r}"
+        )
+    body = body.removesuffix("\n")  # ends the last row; opens no blank line
+    # Line ends and commas by byte offset ("\n" and "," are one byte each in
+    # UTF-8), so no per-line string is built.
+    buf = np.frombuffer(body.encode(), np.uint8)
+    ends = np.append(np.flatnonzero(buf == 10), buf.size)
+    commas = np.diff(np.searchsorted(np.flatnonzero(buf == 44), ends), prepend=0)
+    kept = np.diff(ends, prepend=-1) > 1  # the line is not blank
+    del buf
+    line_of = np.flatnonzero(kept) + 2
+    commas = commas[kept]
+    n = line_of.size
+    if not n:
+        raise MalformedCsvError(f"{path}: no data rows")
+
+    def at(i: int) -> str:
+        return f"{path}:{line_of[i]}"
+
+    fault = None
+    bad = np.flatnonzero(commas != 1)
+    if bad.size:
+        n = int(bad[0])
+        fault = MalformedCsvError(f"{at(n)}: expected 2 fields, got {commas[n] + 1}")
+    if n < kept.size:  # blank lines or a faulty row: keep the rows ahead of it
+        body = "\n".join(itertools.islice(filter(None, body.split("\n")), n))
+    joined = body.replace("\n", ",")
+    del body
+    fields = joined.split(",") if joined else []
+    del joined
+    return fields[0::2], fields[1::2], at, fault
+
+
+def _first_float_failure(texts: list[str]) -> int:
+    for i, text in enumerate(texts):
+        try:
+            float(text)
+        except ValueError:
+            return i
+    return len(texts)
 
 
 def parse_label_csv(
@@ -249,25 +300,32 @@ def parse_label_csv(
     and the manifest rate is used, since it is exact where the text
     timestamps are rounded.
     """
-    rows = _read_csv_rows(path, ("time_s", "state"))
-    times = np.empty(len(rows))
-    labels = np.empty(len(rows), dtype=np.int64)
-    for i, row in enumerate(rows):
-        if len(row) != 2:
-            raise MalformedCsvError(f"{_row_at(path, i)}: expected 2 fields, got {len(row)}")
-        try:
-            times[i] = float(row[0])
-        except ValueError:
-            raise MalformedCsvError(f"{_row_at(path, i)}: bad time {row[0]!r}") from None
-        name = row[1].strip()
-        if name not in alphabet:
-            raise UnknownStateError(f"{_row_at(path, i)}: state {name!r} not in alphabet")
-        labels[i] = alphabet.index(name)
+    texts, names, at, fault = _read_columns(path, _LABEL_HEADER)
+    n = len(texts)
+    try:
+        times = np.fromiter(map(float, texts), float, n)
+    except ValueError:
+        times = None
+    index = {name: i for i, name in enumerate(alphabet.states)}
+    labels = np.fromiter(
+        map(index.get, map(str.strip, names), itertools.repeat(-1)), np.int64, n
+    )
+    # the first faulty row, as a row-by-row reader meets it: time, then state
+    bad_time = n if times is not None else _first_float_failure(texts)
+    unknown = np.flatnonzero(labels < 0)
+    bad_state = int(unknown[0]) if unknown.size else n
+    if bad_time < n and bad_time <= bad_state:
+        raise MalformedCsvError(f"{at(bad_time)}: bad time {texts[bad_time]!r}")
+    if bad_state < n:
+        name = names[bad_state].strip()
+        raise UnknownStateError(f"{at(bad_state)}: state {name!r} not in alphabet")
+    if fault is not None:
+        raise fault
     # NaN compares false, so the spacing checks below would not catch it
     bad = np.flatnonzero(~np.isfinite(times))
     if bad.size:
         i = int(bad[0])
-        raise MalformedCsvError(f"{_row_at(path, i)}: non-finite time {rows[i][0]!r}")
+        raise MalformedCsvError(f"{at(i)}: non-finite time {texts[i]!r}")
     if len(times) >= 2:
         spacing = np.diff(times)
         if spacing.min() <= 0:
@@ -306,24 +364,22 @@ def parse_runlength_csv(path, alphabet: StateAlphabet, sampling_rate_hz: float) 
     quantization) with a normalization warning.
     """
     _check_rate(sampling_rate_hz)
-    rows = _read_csv_rows(path, ("state", "duration_s"))
+    names, texts, at, fault = _read_columns(path, _RUNLENGTH_HEADER)
     states: list[int] = []
     seconds: list[float] = []
     durations: list[int] = []
     total = 0  # samples in all runs so far
     merged = False
-    for i, row in enumerate(rows):
-        if len(row) != 2:
-            raise MalformedCsvError(f"{_row_at(path, i)}: expected 2 fields, got {len(row)}")
-        name = row[0].strip()
+    for i, (name, text) in enumerate(zip(names, texts)):
+        name = name.strip()
         if name not in alphabet:
-            raise UnknownStateError(f"{_row_at(path, i)}: state {name!r} not in alphabet")
+            raise UnknownStateError(f"{at(i)}: state {name!r} not in alphabet")
         try:
-            dur = float(row[1])
+            dur = float(text)
         except ValueError:
-            raise MalformedCsvError(f"{_row_at(path, i)}: bad duration {row[1]!r}") from None
+            raise MalformedCsvError(f"{at(i)}: bad duration {text!r}") from None
         if not dur > 0:
-            raise NonPositiveDurationError(f"{_row_at(path, i)}: duration {dur!r} not > 0")
+            raise NonPositiveDurationError(f"{at(i)}: duration {dur!r} not > 0")
         state = alphabet.index(name)
         if states and states[-1] == state:
             seconds[-1] += dur
@@ -338,11 +394,13 @@ def parse_runlength_csv(path, alphabet: StateAlphabet, sampling_rate_hz: float) 
         # infinite duration fails too
         if not total + run < _INT64_LIMIT:
             raise MalformedCsvError(
-                f"{_row_at(path, i)}: duration {row[1]!r} is non-finite or takes the "
+                f"{at(i)}: duration {text!r} is non-finite or takes the "
                 f"sample count past int64 at {sampling_rate_hz:g} Hz"
             )
         durations.append(run)
         total += run
+    if fault is not None:
+        raise fault
     if merged:
         warnings.warn(
             f"{path}: merged adjacent runs with equal states",
@@ -359,11 +417,11 @@ def parse_runlength_csv(path, alphabet: StateAlphabet, sampling_rate_hz: float) 
 
 def _sniff_header(path) -> tuple[str, ...]:
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             first = fh.readline()
     except UnicodeDecodeError as exc:
         raise MalformedCsvError(_not_utf8(path, exc)) from None
-    return tuple(h.strip() for h in first.strip().split(","))
+    return _header(first)
 
 
 def load_sequences(manifest: CohortManifest) -> list[LabeledSequence]:
@@ -375,13 +433,13 @@ def load_sequences(manifest: CohortManifest) -> list[LabeledSequence]:
     out = []
     for p in manifest.resolved_paths():
         header = _sniff_header(p)
-        if header == ("time_s", "state"):
+        if header == _LABEL_HEADER:
             out.append(
                 parse_label_csv(
                     p, manifest.alphabet, expected_rate_hz=manifest.sampling_rate_hz
                 )
             )
-        elif header == ("state", "duration_s"):
+        elif header == _RUNLENGTH_HEADER:
             runs = parse_runlength_csv(
                 p, manifest.alphabet, sampling_rate_hz=manifest.sampling_rate_hz
             )

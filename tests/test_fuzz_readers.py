@@ -4,15 +4,32 @@ Property: every input either parses or raises one of the three exception
 types that ``cli.main`` reports as a one-line data error (exit 1):
 SemiMarkovError, ValueError or OSError.  Anything else would reach the user
 as a traceback.
+
+The sequence CSV readers are also checked against a row-by-row reference
+built on ``csv.reader``: on files without quotes both give the same sequence,
+warnings and error.
 """
 
 import copy
+import csv
 import json
+import math
+import warnings
+from pathlib import Path
 
-from hypothesis import given
+import numpy as np
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semimarkov.errors import SemiMarkovError
+from semimarkov.errors import (
+    DataNormalizationWarning,
+    MalformedCsvError,
+    NonPositiveDurationError,
+    NonUniformSamplingError,
+    RateMismatchError,
+    SemiMarkovError,
+    UnknownStateError,
+)
 from semimarkov.io import (
     document_to_dict,
     model_to_document,
@@ -22,7 +39,7 @@ from semimarkov.io import (
     read_model_json,
 )
 from semimarkov.presets import success_model
-from semimarkov.sequences import build_alphabet
+from semimarkov.sequences import LabeledSequence, RunSequence, build_alphabet, encode_runs
 
 DATA_ERRORS = (SemiMarkovError, ValueError, OSError)
 AB = build_alphabet(("A", "B"))
@@ -129,3 +146,191 @@ def test_runlength_csv_bytes(tmp_path_factory, data):
     p = tmp_path_factory.mktemp("runs") / "r.csv"
     p.write_bytes(data)
     _reads_or_reports(parse_runlength_csv, p, AB, 1.0)
+
+
+# --- the row-by-row reference --------------------------------------------------
+
+
+def _reference_rows(path, expected_header):
+    """Data rows and their file lines, as csv.reader reads them."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        rows = [(row, reader.line_num) for row in reader if row]
+    if header is None:
+        raise MalformedCsvError(f"{path}: empty file")
+    if [h.strip() for h in header] != list(expected_header):
+        raise MalformedCsvError(
+            f"{path}: expected header {','.join(expected_header)!r}, "
+            f"got {','.join(header)!r}"
+        )
+    if not rows:
+        raise MalformedCsvError(f"{path}: no data rows")
+    return rows
+
+
+def reference_label_csv(path, alphabet, expected_rate_hz=None):
+    rows = _reference_rows(path, ("time_s", "state"))
+    times, labels = [], []
+    for row, line in rows:
+        if len(row) != 2:
+            raise MalformedCsvError(f"{path}:{line}: expected 2 fields, got {len(row)}")
+        try:
+            times.append(float(row[0]))
+        except ValueError:
+            raise MalformedCsvError(f"{path}:{line}: bad time {row[0]!r}") from None
+        name = row[1].strip()
+        if name not in alphabet:
+            raise UnknownStateError(f"{path}:{line}: state {name!r} not in alphabet")
+        labels.append(alphabet.index(name))
+    for t, (row, line) in zip(times, rows):
+        if not math.isfinite(t):
+            raise MalformedCsvError(f"{path}:{line}: non-finite time {row[0]!r}")
+    if len(times) < 2:
+        if expected_rate_hz is None:
+            raise MalformedCsvError(
+                f"{path}: cannot infer a sampling rate from a single row; "
+                f"supply one via a manifest"
+            )
+        rate = expected_rate_hz
+    else:
+        spacing = np.diff(times)
+        if spacing.min() <= 0:
+            raise NonUniformSamplingError(f"{path}: timestamps must strictly ascend")
+        if spacing.max() - spacing.min() > 1e-6:
+            raise NonUniformSamplingError(
+                f"{path}: sample spacing varies by "
+                f"{spacing.max() - spacing.min():.3g} s (tolerance 1e-06 s)"
+            )
+        inferred = 1.0 / float(np.mean(spacing))
+        if expected_rate_hz is not None and abs(inferred - expected_rate_hz) > (
+            1e-6 * expected_rate_hz
+        ):
+            raise RateMismatchError(
+                f"{path}: spacing implies {inferred:.6g} Hz but the manifest "
+                f"says {expected_rate_hz:.6g} Hz"
+            )
+        rate = inferred if expected_rate_hz is None else expected_rate_hz
+    return LabeledSequence(labels, rate, Path(path).stem)
+
+
+def reference_runlength_csv(path, alphabet, sampling_rate_hz):
+    states, seconds, durations, total = [], [], [], 0
+    merged = False
+    for row, line in _reference_rows(path, ("state", "duration_s")):
+        if len(row) != 2:
+            raise MalformedCsvError(f"{path}:{line}: expected 2 fields, got {len(row)}")
+        name = row[0].strip()
+        if name not in alphabet:
+            raise UnknownStateError(f"{path}:{line}: state {name!r} not in alphabet")
+        try:
+            dur = float(row[1])
+        except ValueError:
+            raise MalformedCsvError(f"{path}:{line}: bad duration {row[1]!r}") from None
+        if not dur > 0:
+            raise NonPositiveDurationError(f"{path}:{line}: duration {dur!r} not > 0")
+        if states and states[-1] == alphabet.index(name):
+            seconds[-1] += dur
+            total -= durations.pop()
+            merged = True
+        else:
+            states.append(alphabet.index(name))
+            seconds.append(dur)
+        samples = seconds[-1] * sampling_rate_hz + 0.5
+        run = max(1, math.floor(samples)) if samples < 2.0**63 else math.inf
+        if not total + run < 2.0**63:
+            raise MalformedCsvError(
+                f"{path}:{line}: duration {row[1]!r} is non-finite or takes the "
+                f"sample count past int64 at {sampling_rate_hz:g} Hz"
+            )
+        durations.append(run)
+        total += run
+    if merged:
+        warnings.warn(f"{path}: merged adjacent runs with equal states",
+                      DataNormalizationWarning)
+    return RunSequence(np.array(states, dtype=np.int64),
+                       np.array(durations, dtype=np.int64), sampling_rate_hz,
+                       Path(path).stem)
+
+
+# --- files that mix good rows with every kind of fault ----------------------------
+
+_RATE_HZ = 4.0
+# no '"': quoting is not part of the format; no NUL: csv.reader rejects it on
+# Python 3.10 only; no surrogates: the files are valid UTF-8
+_text = st.text(st.characters(exclude_characters='"\x00', exclude_categories=("Cs",)),
+                max_size=4)
+
+
+@st.composite
+def _csv_text(draw, header, row):
+    """A CSV file holding up to two faults, each in a field picked at random."""
+    faults = draw(st.integers(0, 2))
+
+    def pick(good, bad):
+        nonlocal faults
+        if not faults or draw(st.integers(0, 1)):
+            return draw(st.sampled_from(good))
+        faults -= 1
+        return draw(st.sampled_from(bad) if draw(st.integers(0, 3)) else _text)
+
+    headers = [header, header.replace(",", " , ")] * 8 + [header + ",", header[:6], ""]
+    lines = [draw(st.sampled_from(headers))]
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(pick([""], [" ", "\t", ","]))
+        else:
+            first, second = row(pick, len([line for line in lines[1:] if line]))
+            lines.append(first + pick([",", " , "], ["", ",,", ", ,"])
+                         + second)
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r", None]))  # None: mixed
+    ends = [eol or draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+_states = (["A", "B", " A", "B\t", "\u3000A "], ["C", "a", ""])
+
+
+def _label_row(pick, k):
+    t = f"{k / _RATE_HZ}"
+    bad_times = [f"{(k + 0.5) / _RATE_HZ}", "nan", "inf", "-1e400", "1e400", "x", "", t + "x"]
+    return pick([t, f" {t} ", t + "0", "+" + t], bad_times), pick(*_states)
+
+
+def _runlength_row(pick, k):
+    bad_durations = ["1e300", "inf", "0", "-1", "nan", "x", ""]
+    return pick(*_states), pick(["0.25", "1", "0.5", " 2.5 ", "1e-9"], bad_durations)
+
+
+def _outcome(parse, *args):
+    """What a reader gives: (sequence runs, rate, id) or the error, and warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            seq = parse(*args)
+        except SemiMarkovError as exc:
+            result = (type(exc), str(exc))
+        else:
+            runs = seq if isinstance(seq, RunSequence) else encode_runs(seq)
+            result = (runs.runs, seq.sampling_rate_hz, seq.id)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=300)
+@given(_csv_text("time_s,state", _label_row), st.sampled_from([None, _RATE_HZ, 2.0]))
+def test_label_csv_matches_row_by_row_reference(tmp_path_factory, text, rate):
+    p = tmp_path_factory.mktemp("labels") / "x.csv"
+    p.write_bytes(text.encode("utf-8"))
+    assert _outcome(parse_label_csv, p, AB, rate) == _outcome(
+        reference_label_csv, p, AB, rate)
+
+
+@settings(max_examples=300)
+@given(_csv_text("state,duration_s", _runlength_row))
+def test_runlength_csv_matches_row_by_row_reference(tmp_path_factory, text):
+    p = tmp_path_factory.mktemp("runs") / "r.csv"
+    p.write_bytes(text.encode("utf-8"))
+    assert _outcome(parse_runlength_csv, p, AB, _RATE_HZ) == _outcome(
+        reference_runlength_csv, p, AB, _RATE_HZ)

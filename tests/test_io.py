@@ -138,19 +138,25 @@ class TestLabelCsv:
             parse_label_csv(p, AB)
 
 
+_BLANK_LINES = [
+    ("label", "time_s,state\n0.0,A\n\n\n0.5,A\n1.0,XXX\n", lambda p: parse_label_csv(p, AB)),
+    ("runlength", "state,duration_s\nA,1.0\n\nB,1.0\nXXX,1.0\n",
+     lambda p: parse_runlength_csv(p, AB, 1.0)),
+]
+
+
 @pytest.mark.parametrize(
     "text,parse",
     [
-        ("time_s,state\n0.0,A\n\n\n0.5,A\n1.0,XXX\n", lambda p: parse_label_csv(p, AB)),
-        ("state,duration_s\nA,1.0\n\nB,1.0\nXXX,1.0\n",
-         lambda p: parse_runlength_csv(p, AB, 1.0)),
+        pytest.param(text.replace("\n", newline), parse, id=name + suffix)
+        for suffix, newline in [("", "\n"), ("-CRLF", "\r\n"), ("-CR", "\r")]
+        for name, text, parse in _BLANK_LINES
     ],
-    ids=["label", "runlength"],
 )
 def test_error_after_blank_lines_names_the_file_line(tmp_path, text, parse):
     # blank lines are skipped, but still counted: the bad row is the last line
     p = tmp_path / "x.csv"
-    p.write_text(text)
+    p.write_bytes(text.encode())
     bad_line = len(text.splitlines())
     with pytest.raises(UnknownStateError, match=rf"x\.csv:{bad_line}: state 'XXX'"):
         parse(p)
@@ -158,18 +164,22 @@ def test_error_after_blank_lines_names_the_file_line(tmp_path, text, parse):
 
 @pytest.mark.parametrize("bad_line", [3, 1003])  # 1003 lies past the first read chunk
 @pytest.mark.parametrize(
-    "header,row,parse",
+    "header,row,parse,newline",
     [
-        ("time_s,state", "{t}.0,A", lambda p: parse_label_csv(p, AB)),
-        ("state,duration_s", "{ab},1.0", lambda p: parse_runlength_csv(p, AB, 1.0)),
+        ("time_s,state", "{t}.0,A", lambda p: parse_label_csv(p, AB), "\n"),
+        ("state,duration_s", "{ab},1.0", lambda p: parse_runlength_csv(p, AB, 1.0), "\n"),
+        ("time_s,state", "{t}.0,A", lambda p: parse_label_csv(p, AB), "\r"),
+        ("state,duration_s", "{ab},1.0", lambda p: parse_runlength_csv(p, AB, 1.0), "\r"),
     ],
-    ids=["label", "runlength"],
+    ids=["label", "runlength", "label-CR", "runlength-CR"],
 )
-def test_csv_that_is_not_utf8_names_file_and_line(tmp_path, header, row, parse, bad_line):
+def test_csv_that_is_not_utf8_names_file_and_line(
+    tmp_path, header, row, parse, newline, bad_line
+):
     lines = [header] + [row.format(t=i, ab="AB"[i % 2]) for i in range(1500)]
     lines[bad_line - 1] += "\xff"
     p = tmp_path / "x.csv"
-    p.write_bytes("\n".join(lines).encode("latin-1") + b"\n")
+    p.write_bytes((newline.join(lines) + newline).encode("latin-1"))
     with pytest.raises(MalformedCsvError, match=rf"x\.csv:{bad_line}: not valid UTF-8"):
         parse(p)
 
@@ -246,6 +256,20 @@ class TestManifest:
         p.write_text('{"group_label":"x"}')
         with pytest.raises(MalformedJsonError):
             read_manifest(p)
+
+    @pytest.mark.parametrize(
+        "field", [{"group_label": 5}, {"sampling_rate_hz": True}, {"sampling_rate_hz": "2"}]
+    )
+    def test_ill_typed_label_or_rate(self, tmp_path, field):
+        doc = {"group_label": "x", "sampling_rate_hz": 2, "alphabet": ["A", "B"],
+               "patient_files": ["a.csv"], **field}
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(MalformedJsonError, match=r"m\.json: ill-typed manifest field"):
+            read_manifest(p)
+        doc.update(group_label="x", sampling_rate_hz=2)  # an int rate is a number
+        p.write_text(json.dumps(doc))
+        assert read_manifest(p).sampling_rate_hz == 2.0
 
     def test_load_mixed_formats(self, tmp_path):
         write_label_csv(seq([0, 1, 1, 0], rate=2.0), AB, tmp_path / "a.csv")
