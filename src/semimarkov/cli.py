@@ -24,11 +24,11 @@ from .errors import SemiMarkovError
 from .fitting import fit_dtmc, fit_multi_chain, fit_semi_markov
 from .io import (
     CohortManifest,
+    ModelDocument,
     comparison_to_dict,
     emit_histogram_csv,
     histogram_bin_count,
     load_sequences,
-    model_to_document,
     read_manifest,
     read_model_json,
     write_json,
@@ -51,7 +51,7 @@ def _cmd_fit(args) -> int:
     if args.model == "dtmc":
         tm, counts = fit_dtmc(seqs, manifest.alphabet)
         meta["total_transitions"] = counts.total
-        write_model_json(model_to_document(tm, metadata=meta), args.out)
+        write_model_json(ModelDocument(tm, {}, meta), args.out)
     else:
         model = fit_semi_markov(seqs, manifest.alphabet, metadata=meta)
         write_model_json(model, args.out)
@@ -149,15 +149,8 @@ def _cmd_report(args) -> int:
     prefix = Path(args.out_prefix)
     for state, (values, counts) in table.items():
         name = manifest.alphabet.name(state)
-        tail = values > args.truncation
-        overlay = None
-        if tail.any():
-            overlay = fit_exponential(values[tail], counts[tail], truncation_s=args.truncation)
-            tail_fits[name] = {
-                "mu": overlay.params["mu"],
-                "truncation_s": overlay.truncation_s,
-                "n_obs": overlay.n_obs,
-            }
+        overlay = fit_exponential(values, counts)
+        tail_fits[name] = {"mu": overlay.params["mu"], "n_obs": overlay.n_obs}
         hist_path = prefix.parent / f"{prefix.name}_hist_{name}.csv"
         emit_histogram_csv(values, args.bin_width, hist_path, overlay, counts)
         print(f"wrote {hist_path}")
@@ -224,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--seed", type=int, required=True)
     p_rep.add_argument("--replicates", type=int, default=1000)
     p_rep.add_argument("--bin-width", type=float, default=1.0)
-    p_rep.add_argument("--truncation", type=float, default=0.0)
     p_rep.add_argument("--out-prefix", required=True)
     p_rep.set_defaults(func=_cmd_report)
     return parser

@@ -98,10 +98,8 @@ _EULER_GAMMA = 0.5772156649015329
 class DwellFit:
     """A fitted (or analytically specified) dwell-time distribution.
 
-    ``truncation_s`` shifts the support: the fit models ``truncation_s + X``
-    where X follows the stated family.  It is nonzero only for left-truncated
-    exponential tail fits.  ``fallback`` is read from model files, where
-    schema-v1 documents carry it; fits made by this version never set it.
+    ``fallback`` is read from model files, where schema-v1 documents carry
+    it; fits made by this version never set it.
     """
 
     family: str
@@ -109,7 +107,6 @@ class DwellFit:
     n_obs: int = 0
     log_likelihood: float | None = None
     bic: float | None = None
-    truncation_s: float = 0.0
     # kept: schema-v1 model files carry it, io reads it back, and
     # perfbench/tracing.py counts it
     fallback: bool = False
@@ -118,10 +115,6 @@ class DwellFit:
         _validate_params(self.family, self.params)
         if not all(math.isfinite(v) for v in self.params.values()):
             raise ValueError(f"{self.family} parameters must be finite: {self.params}")
-        if not (math.isfinite(self.truncation_s) and self.truncation_s >= 0.0):
-            raise ValueError(
-                f"truncation_s must be finite and non-negative, got {self.truncation_s!r}"
-            )
 
     @property
     def n_params(self) -> int:
@@ -230,10 +223,9 @@ def quantile(family: str, params: dict[str, float], u: float) -> float:
 
 
 def dwell_log_pdf(fit: DwellFit, xs) -> np.ndarray:
-    """Log density of a DwellFit at each of xs, honoring any left truncation
-    shift."""
+    """Log density of a DwellFit at each of xs."""
     theta = [fit.params[name] for name in PARAM_NAMES[fit.family]]
-    return _log_density(fit.family, theta, np.asarray(xs, dtype=float) - fit.truncation_s)
+    return _log_density(fit.family, theta, np.asarray(xs, dtype=float))
 
 
 # --- per-value log-densities (densities, fits and certificates) -------------
@@ -356,25 +348,17 @@ def _as_sample(xs, counts, minimum: float = 0.0) -> tuple[np.ndarray, np.ndarray
     return arr, weights.astype(np.int64), int(weights.sum())
 
 
-def fit_exponential(xs, counts=None, truncation_s: float = 0.0) -> DwellFit:
-    """Closed-form exponential MLE, optionally left-truncated at truncation_s.
-
-    With truncation c, fits the shifted model c + Exponential(mu) to the
-    observations above c: mu-hat = mean(x - c), weighted by the counts.
-    """
-    if truncation_s < 0:
-        raise ValueError("truncation_s must be non-negative")
-    arr, counts, n = _as_sample(xs, counts, minimum=truncation_s)
-    shifted = arr - truncation_s
-    mu = float((counts * shifted).sum() / n)
-    ll = _loglik(EXPONENTIAL, (mu,), shifted, counts)
+def fit_exponential(xs, counts=None) -> DwellFit:
+    """Closed-form exponential MLE: mu-hat = mean(x), weighted by the counts."""
+    arr, counts, n = _as_sample(xs, counts)
+    mu = float((counts * arr).sum() / n)
+    ll = _loglik(EXPONENTIAL, (mu,), arr, counts)
     return DwellFit(
         family=EXPONENTIAL,
         params={"mu": mu},
         n_obs=n,
         log_likelihood=ll,
         bic=bic(ll, 1, n),
-        truncation_s=truncation_s,
     )
 
 
@@ -732,7 +716,6 @@ def sample_dwell(fit: DwellFit, rng, min_seconds: float = 0.0) -> float:
             x = _sample_inverse_gaussian(fit.params["mu"], fit.params["lambda"], rng)
         else:
             x = quantile(fit.family, fit.params, rng.random())
-        x += fit.truncation_s
         if x > 0.0 and x >= min_seconds:
             return x
     floor = min_seconds if min_seconds > 0.0 else 1e-12

@@ -46,7 +46,7 @@ class SegmentTooShortError(SemiMarkovError):
 # --- dwell-distribution fitting ---
 
 class NonPositiveDurationError(SemiMarkovError):
-    """Durations must be strictly positive (and above any truncation point)."""
+    """Durations must be strictly positive."""
 
 
 class DegenerateDataError(SemiMarkovError):

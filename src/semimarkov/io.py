@@ -60,7 +60,7 @@ from .sequences import (
 SCHEMA_VERSION = 1
 
 # Absolute tolerance (seconds) for uniform sample spacing in label CSVs and
-# relative tolerance for the manifest-vs-inferred rate cross-check.
+# relative tolerance for the cross-check of that spacing against the rate.
 _SPACING_TOL_S = 1e-6
 _RATE_REL_TOL = 1e-6
 # Run-length durations must quantize to a sample count that fits in int64.
@@ -180,6 +180,24 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
+def _number_or_null(value, what: str) -> float | None:
+    return None if value is None else _number(value, what)
+
+
+def _count(value, what: str) -> int:
+    """A JSON integer >= 0; raises TypeError for anything else, bools too."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise TypeError(f"{what} must be a non-negative integer")
+    return value
+
+
+def _boolean(value, what: str) -> bool:
+    """A JSON true or false; raises TypeError for anything else."""
+    if not isinstance(value, bool):
+        raise TypeError(f"{what} must be true or false")
+    return value
+
+
 def read_manifest(path) -> CohortManifest:
     doc = read_json(path)
     if not isinstance(doc, dict):
@@ -288,17 +306,14 @@ def _first_float_failure(texts: list[str]) -> int:
     return len(texts)
 
 
-def parse_label_csv(
-    path, alphabet: StateAlphabet, expected_rate_hz: float | None = None
-) -> LabeledSequence:
+def parse_label_csv(path, alphabet: StateAlphabet, sampling_rate_hz: float) -> LabeledSequence:
     """Read a per-sample label CSV (header ``time_s,state``), whose id is the
     file's stem.
 
-    Timestamps must ascend with uniform spacing (tolerance 1e-6 s).  The
-    sampling rate is inferred from the spacing; when ``expected_rate_hz`` is
-    given (from the manifest) the two are cross-checked to a relative 1e-6
-    and the manifest rate is used, since it is exact where the text
-    timestamps are rounded.
+    Timestamps must ascend with uniform spacing (tolerance 1e-6 s), and the
+    rate that spacing implies must match ``sampling_rate_hz`` (the manifest's)
+    to a relative 1e-6.  The sequence carries ``sampling_rate_hz``, which is
+    exact where the text timestamps are rounded.
     """
     texts, names, at, fault = _read_columns(path, _LABEL_HEADER)
     n = len(texts)
@@ -336,23 +351,14 @@ def parse_label_csv(
                 f"{spacing.max() - spacing.min():.3g} s (tolerance {_SPACING_TOL_S} s)"
             )
         inferred = 1.0 / float(np.mean(spacing))
-        if expected_rate_hz is not None:
-            if abs(inferred - expected_rate_hz) > _RATE_REL_TOL * expected_rate_hz:
-                raise RateMismatchError(
-                    f"{path}: spacing implies {inferred:.6g} Hz but the manifest "
-                    f"says {expected_rate_hz:.6g} Hz"
-                )
-            rate = expected_rate_hz
-        else:
-            rate = inferred
-    elif expected_rate_hz is not None:
-        rate = expected_rate_hz
-    else:
-        raise MalformedCsvError(
-            f"{path}: cannot infer a sampling rate from a single row; "
-            f"supply one via a manifest"
-        )
-    return LabeledSequence(labels=labels, sampling_rate_hz=rate, id=Path(path).stem)
+        if abs(inferred - sampling_rate_hz) > _RATE_REL_TOL * sampling_rate_hz:
+            raise RateMismatchError(
+                f"{path}: spacing implies {inferred:.6g} Hz but the manifest "
+                f"says {sampling_rate_hz:.6g} Hz"
+            )
+    return LabeledSequence(
+        labels=labels, sampling_rate_hz=sampling_rate_hz, id=Path(path).stem
+    )
 
 
 def parse_runlength_csv(path, alphabet: StateAlphabet, sampling_rate_hz: float) -> RunSequence:
@@ -434,11 +440,7 @@ def load_sequences(manifest: CohortManifest) -> list[LabeledSequence]:
     for p in manifest.resolved_paths():
         header = _sniff_header(p)
         if header == _LABEL_HEADER:
-            out.append(
-                parse_label_csv(
-                    p, manifest.alphabet, expected_rate_hz=manifest.sampling_rate_hz
-                )
-            )
+            out.append(parse_label_csv(p, manifest.alphabet, manifest.sampling_rate_hz))
         elif header == _RUNLENGTH_HEADER:
             runs = parse_runlength_csv(
                 p, manifest.alphabet, sampling_rate_hz=manifest.sampling_rate_hz
@@ -485,7 +487,6 @@ class ModelDocument:
     transitions: TransitionMatrix
     dwell: dict[str, DwellFit]
     metadata: dict[str, Any]
-    schema_version: int = SCHEMA_VERSION
 
     def to_semi_markov(self) -> SemiMarkovModel:
         if self.transitions.kind != SEMI_MARKOV:
@@ -497,19 +498,6 @@ class ModelDocument:
         )
 
 
-def model_to_document(
-    model: SemiMarkovModel | TransitionMatrix, metadata: dict[str, Any] | None = None
-) -> ModelDocument:
-    if isinstance(model, SemiMarkovModel):
-        meta = dict(model.metadata)
-        if metadata:
-            meta.update(metadata)
-        return ModelDocument(
-            transitions=model.transitions, dwell=dict(model.dwell), metadata=meta
-        )
-    return ModelDocument(transitions=model, dwell={}, metadata=dict(metadata or {}))
-
-
 def _dwell_to_dict(fit: DwellFit) -> dict[str, Any]:
     return {
         "family": fit.family,
@@ -517,27 +505,34 @@ def _dwell_to_dict(fit: DwellFit) -> dict[str, Any]:
         "n_obs": fit.n_obs,
         "log_likelihood": fit.log_likelihood,
         "bic": fit.bic,
-        "truncation_s": fit.truncation_s,
         "fallback": fit.fallback,
     }
 
 
-def _dwell_from_dict(doc: dict[str, Any]) -> DwellFit:
+def _dwell_from_dict(name: str, doc: dict[str, Any]) -> DwellFit:
+    what = f"dwell {name}"
+    # files written before left-truncated fits were removed hold "truncation_s": 0.0
+    if _number(doc.get("truncation_s", 0.0), f"{what} truncation_s") != 0.0:
+        raise ValueError(
+            f"{what}: truncation_s {doc['truncation_s']!r} unsupported; only "
+            f"untruncated dwell fits (0.0) are read"
+        )
     return DwellFit(
         family=doc["family"],
-        params={k: float(v) for k, v in doc["params"].items()},
-        n_obs=int(doc["n_obs"]),
-        log_likelihood=doc["log_likelihood"],
-        bic=doc["bic"],
-        truncation_s=float(doc.get("truncation_s", 0.0)),
-        fallback=bool(doc.get("fallback", False)),
+        params={k: _number(v, f"{what} parameter {k}") for k, v in doc["params"].items()},
+        n_obs=_count(doc["n_obs"], f"{what} n_obs"),
+        log_likelihood=_number_or_null(doc["log_likelihood"], f"{what} log_likelihood"),
+        bic=_number_or_null(doc["bic"], f"{what} bic"),
+        fallback=_boolean(doc.get("fallback", False), f"{what} fallback"),
     )
 
 
-def document_to_dict(doc: ModelDocument) -> dict[str, Any]:
+def document_to_dict(doc: SemiMarkovModel | ModelDocument) -> dict[str, Any]:
+    """JSON-ready form of any record with ``transitions``, ``dwell`` and
+    ``metadata``."""
     tm = doc.transitions
     return {
-        "schema_version": doc.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "alphabet": list(tm.alphabet.states),
         "kind": tm.kind,
         "transitions": [[float(x) for x in row] for row in tm.probs],
@@ -549,7 +544,7 @@ def document_to_dict(doc: ModelDocument) -> dict[str, Any]:
 
 def document_from_dict(raw: dict[str, Any], source: str = "<dict>") -> ModelDocument:
     try:
-        version = raw["schema_version"]
+        version = _count(raw["schema_version"], "schema_version")
         if version != SCHEMA_VERSION:
             raise SchemaVersionMismatchError(
                 f"{source}: schema_version {version!r} unsupported (expected "
@@ -557,34 +552,30 @@ def document_from_dict(raw: dict[str, Any], source: str = "<dict>") -> ModelDocu
             )
         alphabet = build_alphabet(_strings(raw["alphabet"], "alphabet"))
         tm = TransitionMatrix(
-            probs=np.array(raw["transitions"], dtype=float),
+            probs=[[_number(p, "transition entries") for p in row]
+                   for row in raw["transitions"]],
             alphabet=alphabet,
-            row_fitted=np.array(raw["row_fitted"], dtype=bool),
+            row_fitted=[_boolean(b, "row_fitted entries") for b in raw["row_fitted"]],
             kind=raw["kind"],
         )
-        dwell = {name: _dwell_from_dict(d) for name, d in raw["dwell"].items()}
+        dwell = {name: _dwell_from_dict(name, d) for name, d in raw["dwell"].items()}
         unknown = sorted(set(dwell) - set(alphabet.states))
         if unknown:
             raise MalformedJsonError(f"{source}: dwell states {unknown} not in alphabet")
         if not isinstance(raw["metadata"], dict):
             raise TypeError("metadata must be a JSON object")
-        return ModelDocument(
-            transitions=tm,
-            dwell=dwell,
-            metadata=dict(raw["metadata"]),
-            schema_version=int(version),
-        )
+        return ModelDocument(transitions=tm, dwell=dwell, metadata=dict(raw["metadata"]))
     except KeyError as exc:
         raise MalformedJsonError(f"{source}: model document missing key {exc}") from exc
     except (AttributeError, TypeError, OverflowError) as exc:
         raise MalformedJsonError(f"{source}: ill-typed model document field: {exc}") from exc
+    except ValueError as exc:  # e.g. a matrix whose rows do not sum to 1
+        raise MalformedJsonError(f"{source}: {exc}") from exc
 
 
-def write_model_json(
-    model: SemiMarkovModel | TransitionMatrix | ModelDocument, path
-) -> None:
-    doc = model if isinstance(model, ModelDocument) else model_to_document(model)
-    write_json(document_to_dict(doc), path)
+def write_model_json(model: SemiMarkovModel | ModelDocument, path) -> None:
+    """Write a SemiMarkovModel, or a ModelDocument (a DTMC's has no dwell fits)."""
+    write_json(document_to_dict(model), path)
 
 
 def read_model_json(path) -> ModelDocument:
@@ -652,15 +643,14 @@ def emit_histogram_csv(
 # --- comparison reports ------------------------------------------------------
 
 
-def comparison_to_dict(report, context: dict[str, Any] | None = None) -> dict[str, Any]:
-    """JSON-ready form of a ComparisonReport (aggregation rule stated inline)."""
-    out = {
+def comparison_to_dict(report, context: dict[str, Any]) -> dict[str, Any]:
+    """JSON-ready form of a ComparisonReport (aggregation rule stated inline)
+    with the context that names what was compared."""
+    return {
         "per_row_symmetric_kl_nats": dict(report.per_row),
         "aggregate_symmetric_kl_nats": report.aggregate,
         "aggregation": "unweighted mean over rows fitted in both matrices",
         "skipped_rows": list(report.skipped_rows),
         "smoothing_epsilon": report.smoothing_epsilon,
+        "context": context,
     }
-    if context:
-        out["context"] = context
-    return out

@@ -5,16 +5,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semimarkov.cli import main
+from semimarkov.cli import build_parser, main
 from semimarkov.io import (
     CohortManifest,
+    load_sequences,
     read_manifest,
     read_model_json,
     write_manifest,
     write_model_json,
 )
 from semimarkov.presets import PATTERNS, success_model
-from semimarkov.sequences import decode_runs
+from semimarkov.sequences import decode_runs, durations_by_state, encode_runs
 from semimarkov.simulate import SimulationConfig, simulate_cohort
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "synthetic"
@@ -106,6 +107,33 @@ def test_simulate_requires_seed(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("state", ["PAU", "UNK"])
+def test_simulate_initial_state(tmp_path, state):
+    model_path = tmp_path / "m.json"
+    write_model_json(success_model(), model_path)
+    rc = main(["simulate", "--model", str(model_path), "--patients", "4",
+               "--duration-s", "60", "--rate-hz", "2", "--seed", "7",
+               "--initial-state", state, "--out-prefix", str(tmp_path / "sim")])
+    assert rc == 0
+    manifest = read_manifest(tmp_path / "sim_manifest.json")
+    assert len(manifest.patient_files) == 4
+    for path in manifest.resolved_paths():
+        assert path.read_text().splitlines()[1].split(",")[0] == state
+
+
+def test_simulate_unknown_initial_state_is_data_error(tmp_path, capsys):
+    model_path = tmp_path / "m.json"
+    write_model_json(success_model(), model_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["simulate", "--model", str(model_path), "--duration-s", "60",
+               "--seed", "7", "--initial-state", "XYZ", "--out-prefix", str(out / "sim")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "'XYZ'" in err[0]
+    assert list(out.iterdir()) == []
+
+
 def test_report_command(tmp_path):
     prefix = tmp_path / "rep"
     rc = main(["report", "--manifest", SUCCESS, "--seed", "11",
@@ -119,15 +147,23 @@ def test_report_command(tmp_path):
         assert (tmp_path / f"rep_hist_{state}.csv").exists()
 
 
-def test_report_truncation_flag(tmp_path):
+def test_report_tail_fits_cover_every_duration(tmp_path):
     prefix = tmp_path / "rep"
     rc = main(["report", "--manifest", SUCCESS, "--seed", "11",
-               "--replicates", "10", "--truncation", "2.0",
-               "--out-prefix", str(prefix)])
+               "--replicates", "10", "--out-prefix", str(prefix)])
     assert rc == 0
     doc = json.loads((tmp_path / "rep_fractions.json").read_text())
-    for fit in doc["exponential_tail_fits"].values():
-        assert fit["truncation_s"] == 2.0
+    seqs = load_sequences(read_manifest(SUCCESS))
+    table = durations_by_state([encode_runs(s) for s in seqs])
+    expected = {PATTERNS.name(state): (float((values * counts).sum() / counts.sum()),
+                                       int(counts.sum()))
+                for state, (values, counts) in table.items()}
+    assert {name: (fit["mu"], fit["n_obs"])
+            for name, fit in doc["exponential_tail_fits"].items()} == expected
+    # the left-truncation shift is gone: its flag is a usage error
+    assert main(["report", "--manifest", SUCCESS, "--seed", "11", "--truncation", "2",
+                 "--out-prefix", str(tmp_path / "t")]) == 2
+    assert not list(tmp_path.glob("t_*"))
 
 
 def test_report_requires_seed():
@@ -236,6 +272,15 @@ def _set_mu(value):
     return mutate
 
 
+def _set_item(value, *path):
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -250,10 +295,25 @@ def _set_mu(value):
         _set_mu(float("inf")),
         _set_dwell("PAU", "truncation_s", float("inf")),
         _set_dwell("PAU", "truncation_s", -5.0),
+        _set_dwell("PAU", "n_obs", "7"),
+        _set_dwell("PAU", "n_obs", 2.7),
+        _set_dwell("PAU", "n_obs", -5),
+        _set_dwell("PAU", "log_likelihood", "x"),
+        _set_dwell("PAU", "bic", [1]),
+        _set_mu(True),
+        _set_mu("2.5"),
+        _set_item("no", "row_fitted", 0),
+        _set_item("0.27", "transitions", 0, 1),
+        _set_item(True, "schema_version"),
+        _set_dwell("PAU", "fallback", "no"),
+        _set_dwell("PAU", "truncation_s", 1.2),
     ],
     ids=["dwell-list", "metadata-list", "alphabet-int", "dwell-entry-str",
          "params-null", "n_obs-null", "mu-401-digits", "dwell-unknown-state",
-         "mu-infinity", "truncation-infinity", "truncation-negative"],
+         "mu-infinity", "truncation-infinity", "truncation-negative",
+         "n_obs-str", "n_obs-fraction", "n_obs-negative", "log_likelihood-str",
+         "bic-list", "mu-true", "mu-str", "row_fitted-str", "transition-str",
+         "schema_version-true", "fallback-str", "truncation-positive"],
 )
 @pytest.mark.parametrize("command", ["compare", "simulate"])
 def test_ill_typed_model_file_is_data_error(tmp_path, capsys, mutate, command):
@@ -261,6 +321,7 @@ def test_ill_typed_model_file_is_data_error(tmp_path, capsys, mutate, command):
     write_model_json(success_model(), good)
     doc = json.loads(good.read_text())
     assert doc["dwell"]["PAU"]["family"] == "Exponential"
+    assert doc["transitions"][0][1] == 0.27 and doc["row_fitted"][0] is True
     mutate(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -394,3 +455,22 @@ def test_simulated_files_reload_exactly(tmp_path):
         assert np.array_equal(back.states, runs.states)
         assert np.array_equal(back.durations, runs.durations)
         assert np.array_equal(decode_runs(back).labels, decode_runs(runs).labels)
+
+
+def _readme_commands():
+    """The ``semimarkov ...`` commands of README's "Command line" block, each
+    with its backslash continuation lines joined."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    text = block.replace("\\\n", " ")
+    return [line.split()[1:] for line in text.splitlines() if line.startswith("semimarkov ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "fit", "split-fit", "compare", "simulate", "report"}
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # a removed or misspelt flag exits 2

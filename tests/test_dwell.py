@@ -237,15 +237,6 @@ def test_exponential_mle_is_sample_mean():
     )
 
 
-def test_exponential_truncated():
-    xs = [2.5, 3.0, 5.5]
-    fit = fit_exponential(xs, truncation_s=2.0)
-    assert fit.params["mu"] == pytest.approx(np.mean(xs) - 2.0, abs=1e-15)
-    assert fit.truncation_s == 2.0
-    with pytest.raises(NonPositiveDurationError):
-        fit_exponential([1.0, 3.0], truncation_s=2.0)
-
-
 def test_inverse_gaussian_closed_form():
     rng = np.random.default_rng(5)
     xs = stats.invgauss(8.61 / 3.61, scale=3.61).rvs(size=400, random_state=rng)

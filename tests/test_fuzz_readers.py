@@ -32,7 +32,6 @@ from semimarkov.errors import (
 )
 from semimarkov.io import (
     document_to_dict,
-    model_to_document,
     parse_label_csv,
     parse_runlength_csv,
     read_manifest,
@@ -56,7 +55,7 @@ json_values = st.recursive(
     max_leaves=8,
 )
 
-MODEL = document_to_dict(model_to_document(success_model()))
+MODEL = document_to_dict(success_model())
 MANIFEST = {
     "group_label": "success",
     "sampling_rate_hz": 2.0,
@@ -134,11 +133,11 @@ def csv_bytes(draw, header):
     return data
 
 
-@given(csv_bytes("time_s,state"), st.sampled_from([None, 1.0]))
-def test_label_csv_bytes(tmp_path_factory, data, rate):
+@given(csv_bytes("time_s,state"))
+def test_label_csv_bytes(tmp_path_factory, data):
     p = tmp_path_factory.mktemp("labels") / "x.csv"
     p.write_bytes(data)
-    _reads_or_reports(parse_label_csv, p, AB, rate)
+    _reads_or_reports(parse_label_csv, p, AB, 1.0)
 
 
 @given(csv_bytes("state,duration_s"))
@@ -169,7 +168,7 @@ def _reference_rows(path, expected_header):
     return rows
 
 
-def reference_label_csv(path, alphabet, expected_rate_hz=None):
+def reference_label_csv(path, alphabet, sampling_rate_hz):
     rows = _reference_rows(path, ("time_s", "state"))
     times, labels = [], []
     for row, line in rows:
@@ -186,14 +185,7 @@ def reference_label_csv(path, alphabet, expected_rate_hz=None):
     for t, (row, line) in zip(times, rows):
         if not math.isfinite(t):
             raise MalformedCsvError(f"{path}:{line}: non-finite time {row[0]!r}")
-    if len(times) < 2:
-        if expected_rate_hz is None:
-            raise MalformedCsvError(
-                f"{path}: cannot infer a sampling rate from a single row; "
-                f"supply one via a manifest"
-            )
-        rate = expected_rate_hz
-    else:
+    if len(times) >= 2:
         spacing = np.diff(times)
         if spacing.min() <= 0:
             raise NonUniformSamplingError(f"{path}: timestamps must strictly ascend")
@@ -203,15 +195,12 @@ def reference_label_csv(path, alphabet, expected_rate_hz=None):
                 f"{spacing.max() - spacing.min():.3g} s (tolerance 1e-06 s)"
             )
         inferred = 1.0 / float(np.mean(spacing))
-        if expected_rate_hz is not None and abs(inferred - expected_rate_hz) > (
-            1e-6 * expected_rate_hz
-        ):
+        if abs(inferred - sampling_rate_hz) > 1e-6 * sampling_rate_hz:
             raise RateMismatchError(
                 f"{path}: spacing implies {inferred:.6g} Hz but the manifest "
-                f"says {expected_rate_hz:.6g} Hz"
+                f"says {sampling_rate_hz:.6g} Hz"
             )
-        rate = inferred if expected_rate_hz is None else expected_rate_hz
-    return LabeledSequence(labels, rate, Path(path).stem)
+    return LabeledSequence(labels, sampling_rate_hz, Path(path).stem)
 
 
 def reference_runlength_csv(path, alphabet, sampling_rate_hz):
@@ -319,7 +308,7 @@ def _outcome(parse, *args):
 
 
 @settings(max_examples=300)
-@given(_csv_text("time_s,state", _label_row), st.sampled_from([None, _RATE_HZ, 2.0]))
+@given(_csv_text("time_s,state", _label_row), st.sampled_from([_RATE_HZ, 2.0]))
 def test_label_csv_matches_row_by_row_reference(tmp_path_factory, text, rate):
     p = tmp_path_factory.mktemp("labels") / "x.csv"
     p.write_bytes(text.encode("utf-8"))

@@ -18,11 +18,11 @@ from semimarkov.errors import (
 from semimarkov.fitting import fit_dtmc
 from semimarkov.io import (
     CohortManifest,
+    ModelDocument,
     canonical_json,
     emit_histogram_csv,
     float_text,
     load_sequences,
-    model_to_document,
     parse_label_csv,
     parse_runlength_csv,
     read_manifest,
@@ -73,7 +73,7 @@ class TestLabelCsv:
         s = seq([0, 0, 1, 0], rate=2.0, id="p0")
         p = tmp_path / "p0.csv"
         write_label_csv(s, AB, p)
-        back = parse_label_csv(p, AB, expected_rate_hz=2.0)
+        back = parse_label_csv(p, AB, 2.0)
         assert np.array_equal(back.labels, s.labels)
         assert back.sampling_rate_hz == 2.0
         assert back.id == "p0"
@@ -81,53 +81,51 @@ class TestLabelCsv:
     def test_spec_example(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text("time_s,state\n0.0,A\n0.5,A\n1.0,B\n")
-        s = parse_label_csv(p, AB)
+        s = parse_label_csv(p, AB, 2.0)
         assert s.labels.tolist() == [0, 0, 1]
-        assert s.sampling_rate_hz == pytest.approx(2.0)
+        assert s.sampling_rate_hz == 2.0
 
     def test_nonuniform_spacing(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text("time_s,state\n0.0,A\n0.5,A\n1.1,B\n")
         with pytest.raises(NonUniformSamplingError):
-            parse_label_csv(p, AB)
+            parse_label_csv(p, AB, 2.0)
 
     def test_descending_times(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text("time_s,state\n0.5,A\n0.0,B\n")
         with pytest.raises(NonUniformSamplingError):
-            parse_label_csv(p, AB)
+            parse_label_csv(p, AB, 2.0)
 
     def test_unknown_state(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text("time_s,state\n0.0,A\n1.0,XYZ\n")
         with pytest.raises(UnknownStateError):
-            parse_label_csv(p, AB)
+            parse_label_csv(p, AB, 1.0)
 
     def test_rate_mismatch(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text("time_s,state\n0.0,A\n0.5,B\n")
         with pytest.raises(RateMismatchError):
-            parse_label_csv(p, AB, expected_rate_hz=1.0)
+            parse_label_csv(p, AB, 1.0)
 
     def test_bad_header(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text("t,state\n0.0,A\n")
         with pytest.raises(MalformedCsvError):
-            parse_label_csv(p, AB)
+            parse_label_csv(p, AB, 2.0)
 
     def test_single_row_needs_manifest_rate(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text("time_s,state\n0.0,A\n")
-        with pytest.raises(MalformedCsvError):
-            parse_label_csv(p, AB)
-        s = parse_label_csv(p, AB, expected_rate_hz=4.0)
+        s = parse_label_csv(p, AB, 4.0)
         assert len(s) == 1 and s.sampling_rate_hz == 4.0
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text("")
         with pytest.raises(MalformedCsvError):
-            parse_label_csv(p, AB)
+            parse_label_csv(p, AB, 2.0)
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_time(self, tmp_path, text):
@@ -135,11 +133,12 @@ class TestLabelCsv:
         p = tmp_path / "x.csv"
         p.write_text(f"time_s,state\n0.0,A\n{text},B\n1.0,A\n")
         with pytest.raises(MalformedCsvError, match=r"x\.csv:3: non-finite time"):
-            parse_label_csv(p, AB)
+            parse_label_csv(p, AB, 2.0)
 
 
 _BLANK_LINES = [
-    ("label", "time_s,state\n0.0,A\n\n\n0.5,A\n1.0,XXX\n", lambda p: parse_label_csv(p, AB)),
+    ("label", "time_s,state\n0.0,A\n\n\n0.5,A\n1.0,XXX\n",
+     lambda p: parse_label_csv(p, AB, 2.0)),
     ("runlength", "state,duration_s\nA,1.0\n\nB,1.0\nXXX,1.0\n",
      lambda p: parse_runlength_csv(p, AB, 1.0)),
 ]
@@ -166,9 +165,9 @@ def test_error_after_blank_lines_names_the_file_line(tmp_path, text, parse):
 @pytest.mark.parametrize(
     "header,row,parse,newline",
     [
-        ("time_s,state", "{t}.0,A", lambda p: parse_label_csv(p, AB), "\n"),
+        ("time_s,state", "{t}.0,A", lambda p: parse_label_csv(p, AB, 1.0), "\n"),
         ("state,duration_s", "{ab},1.0", lambda p: parse_runlength_csv(p, AB, 1.0), "\n"),
-        ("time_s,state", "{t}.0,A", lambda p: parse_label_csv(p, AB), "\r"),
+        ("time_s,state", "{t}.0,A", lambda p: parse_label_csv(p, AB, 1.0), "\r"),
         ("state,duration_s", "{ab},1.0", lambda p: parse_runlength_csv(p, AB, 1.0), "\r"),
     ],
     ids=["label", "runlength", "label-CR", "runlength-CR"],
@@ -313,7 +312,7 @@ class TestModelJson:
     def test_dtmc_document(self, tmp_path):
         tm, counts = fit_dtmc([seq([0, 0, 1, 1, 0], rate=1.0)], AB)
         p = tmp_path / "d.json"
-        write_model_json(model_to_document(tm, metadata={"total_transitions": counts.total}), p)
+        write_model_json(ModelDocument(tm, {}, {"total_transitions": counts.total}), p)
         doc = read_model_json(p)
         assert doc.transitions.kind == "dtmc"
         assert doc.dwell == {}
@@ -379,7 +378,7 @@ class TestHistogram:
 
     @pytest.mark.parametrize("overlay,zero_rows", [
         (DwellFit(EXPONENTIAL, {"mu": 2.2}), 0),
-        (DwellFit(EXPONENTIAL, {"mu": 2.2}, truncation_s=1.2), 2),
+        (DwellFit(GPD, {"k": -0.5, "sigma": 5.5}), 2),  # upper end 11
         (DwellFit(GEV, {"k": 0.4, "sigma": 1.3, "mu": 5.0}), 4),  # lower end 1.75
         (DwellFit(GPD, {"k": -0.5, "sigma": 3.0}), 12),  # upper end 6
         (DwellFit(INVERSE_GAUSSIAN, {"mu": 8.61, "lambda": 3.61}), 0),
@@ -394,7 +393,7 @@ class TestHistogram:
         _, rows = self.read_rows(p)
         assert len(rows) == 24
         for left, right, _, pdf in rows:
-            x = 0.5 * (left + right) - overlay.truncation_s
+            x = 0.5 * (left + right)
             assert pdf == pytest.approx(math.exp(log_pdf(overlay.family, overlay.params, x)),
                                         rel=1e-15, abs=0.0)
         assert sum(row[3] == 0.0 for row in rows) == zero_rows
