@@ -41,7 +41,6 @@ from .fitting import (
 )
 from .io import (
     CohortManifest,
-    ModelDocument,
     canonical_json,
     emit_histogram_csv,
     load_sequences,

@@ -21,10 +21,9 @@ from pathlib import Path
 from .compare import bootstrap_group_fractions, compare_transition_matrices
 from .dwell import fit_exponential
 from .errors import SemiMarkovError
-from .fitting import fit_dtmc, fit_multi_chain, fit_semi_markov
+from .fitting import SemiMarkovModel, fit_dtmc, fit_multi_chain, fit_semi_markov
 from .io import (
     CohortManifest,
-    ModelDocument,
     comparison_to_dict,
     emit_histogram_csv,
     histogram_bin_count,
@@ -51,7 +50,7 @@ def _cmd_fit(args) -> int:
     if args.model == "dtmc":
         tm, counts = fit_dtmc(seqs, manifest.alphabet)
         meta["total_transitions"] = counts.total
-        write_model_json(ModelDocument(tm, {}, meta), args.out)
+        write_model_json(SemiMarkovModel(tm, {}, meta), args.out)
     else:
         model = fit_semi_markov(seqs, manifest.alphabet, metadata=meta)
         write_model_json(model, args.out)
@@ -64,11 +63,7 @@ def _cmd_split_fit(args) -> int:
     seqs = load_sequences(manifest)
     meta = {"cohort": manifest.group_label, "n_sequences": len(seqs)}
     mc = fit_multi_chain(seqs, args.segments, manifest.alphabet, metadata=meta)
-    for k, segment in enumerate(mc.segments, start=1):
-        out = f"{args.out_prefix}_seg{k}.json"
-        write_model_json(segment, out)
-        print(f"wrote {out}")
-    comparisons = []
+    comparisons = []  # before any file is written, so a bad --epsilon writes none
     for k in range(len(mc.segments) - 1):
         report = compare_transition_matrices(
             mc.segments[k].transitions,
@@ -80,6 +75,10 @@ def _cmd_split_fit(args) -> int:
                 report, context={"a": f"segment {k + 1}", "b": f"segment {k + 2}"}
             )
         )
+    for k, segment in enumerate(mc.segments, start=1):
+        out = f"{args.out_prefix}_seg{k}.json"
+        write_model_json(segment, out)
+        print(f"wrote {out}")
     out = f"{args.out_prefix}_comparison.json"
     write_json({"cohort": manifest.group_label, "comparisons": comparisons}, out)
     print(f"wrote {out}")
@@ -87,15 +86,15 @@ def _cmd_split_fit(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    doc_a = read_model_json(args.a)
-    doc_b = read_model_json(args.b)
+    model_a = read_model_json(args.a)
+    model_b = read_model_json(args.b)
     report = compare_transition_matrices(
-        doc_a.transitions, doc_b.transitions, epsilon=args.epsilon
+        model_a.transitions, model_b.transitions, epsilon=args.epsilon
     )
     context = {
         "a": Path(args.a).name,
         "b": Path(args.b).name,
-        "kind": doc_a.transitions.kind,
+        "kind": model_a.transitions.kind,
     }
     write_json(comparison_to_dict(report, context=context), args.out)
     print(f"wrote {args.out}")
@@ -103,8 +102,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    doc = read_model_json(args.model)
-    model = doc.to_semi_markov()
+    model = read_model_json(args.model)
     config = SimulationConfig(
         duration_s=args.duration_s,
         seed=args.seed,
@@ -113,18 +111,16 @@ def _cmd_simulate(args) -> int:
     )
     cohort = simulate_cohort(model, args.patients, config)
     prefix = Path(args.out_prefix)
-    files = []
-    for i, runs in enumerate(cohort):
-        out = prefix.parent / f"{prefix.name}{i:03d}.csv"
-        write_runlength_csv(runs, model.alphabet, out)
-        files.append(out.name)
-    manifest = CohortManifest(
-        group_label=str(doc.metadata.get("cohort", "simulated")),
+    files = [f"{prefix.name}{i:03d}.csv" for i in range(len(cohort))]
+    manifest = CohortManifest(  # checks the cohort label before any file is written
+        group_label=model.metadata.get("cohort", "simulated"),
         sampling_rate_hz=args.rate_hz,
         alphabet=model.alphabet,
-        patient_files=tuple(files),
+        patient_files=files,
         base_dir=prefix.parent,
     )
+    for name, runs in zip(files, cohort):
+        write_runlength_csv(runs, model.alphabet, prefix.parent / name)
     manifest_path = prefix.parent / f"{prefix.name}_manifest.json"
     write_manifest(manifest, manifest_path)
     print(f"wrote {len(files)} sequences and {manifest_path}")
@@ -141,7 +137,7 @@ def _cmd_report(args) -> int:
             histogram_bin_count(values.max(), args.bin_width)
         except ValueError as exc:
             name = manifest.alphabet.name(state)
-            raise ValueError(f"state {name}: {exc}; choose a larger --bin-width") from exc
+            raise ValueError(f"state {name}: {exc}; choose another --bin-width") from exc
     fractions = bootstrap_group_fractions(
         seqs, args.replicates, args.seed, manifest.alphabet
     )

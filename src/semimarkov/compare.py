@@ -103,8 +103,8 @@ def compare_transition_matrices(
         raise AlphabetMismatchError("matrices use different alphabets")
     if a.kind != b.kind:
         raise KindMismatchError(f"cannot compare kind {a.kind!r} with {b.kind!r}")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     per_row: dict[str, float] = {}
     skipped: list[str] = []
     for i, name in enumerate(a.alphabet.states):

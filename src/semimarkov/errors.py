@@ -80,7 +80,8 @@ class AlphabetMismatchError(SemiMarkovError):
 
 
 class KindMismatchError(SemiMarkovError):
-    """Models being compared are of different kinds (dtmc vs semi_markov)."""
+    """Models being compared are of different kinds (dtmc vs semi_markov), or
+    a dtmc model is given where only a semi_markov one can be simulated."""
 
 
 # --- simulation ---

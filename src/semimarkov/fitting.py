@@ -153,7 +153,9 @@ class SemiMarkovModel:
     ``dwell`` is keyed by state name and holds an entry for every state with
     at least one observed run.  ``metadata`` carries bookkeeping only
     (per-state run counts, cohort label, 1-based segment index) and never
-    influences simulation or comparison.
+    influences simulation or comparison.  A model with a ``dtmc`` matrix is a
+    per-sample Markov chain, as a model file holds it: its dwell is implied by
+    its self-transitions, so it carries no dwell fits.
     """
 
     transitions: TransitionMatrix
@@ -161,8 +163,8 @@ class SemiMarkovModel:
     metadata: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.transitions.kind != SEMI_MARKOV:
-            raise ValueError("SemiMarkovModel requires a semi_markov transition matrix")
+        if self.transitions.kind == DTMC and self.dwell:
+            raise ValueError("a dtmc transition matrix carries no dwell fits")
         for name in self.dwell:
             self.transitions.alphabet.index(name)  # raises on unknown state
 

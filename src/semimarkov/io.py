@@ -2,9 +2,11 @@
 
 Everything written here is canonical and timestamp-free so identical inputs
 produce byte-identical files (the determinism contract the CLI tests rely
-on).  JSON is emitted with sorted keys, no whitespace, and floats printed to
-17 significant digits (enough to round-trip an IEEE double exactly), with a
-trailing ".0" kept so floats never reparse as ints.
+on).  JSON is emitted by ``json.dumps`` with sorted keys and no whitespace,
+and every float, in JSON and CSV alike, is printed as ``repr`` prints it: the
+shortest text that round-trips the double, which always holds a "." or an
+"e", so a float never reparses as an int.  A model file reads back as the
+``SemiMarkovModel`` the fitters return; a DTMC file is one with no dwell fits.
 
 Two sequence formats exist because the sampling rate of per-sample label
 streams matters for DTMC fitting but not for semi-Markov fitting:
@@ -37,7 +39,6 @@ from .dwell import DwellFit, dwell_log_pdf
 from .errors import (
     DataNormalizationWarning,
     EmptyInputError,
-    KindMismatchError,
     MalformedCsvError,
     MalformedJsonError,
     NonPositiveDurationError,
@@ -46,7 +47,7 @@ from .errors import (
     SchemaVersionMismatchError,
     UnknownStateError,
 )
-from .fitting import SEMI_MARKOV, SemiMarkovModel, TransitionMatrix
+from .fitting import SemiMarkovModel, TransitionMatrix
 from .sequences import (
     LabeledSequence,
     RunSequence,
@@ -71,41 +72,16 @@ _INT64_LIMIT = 2.0**63
 
 
 def float_text(x: float) -> str:
-    """17-significant-digit decimal text that round-trips the double exactly
-    and always reparses as a float (never an int)."""
+    """The shortest decimal text that round-trips the double exactly; it
+    always reparses as a float (never an int)."""
     if not math.isfinite(x):
         raise ValueError(f"non-finite float {x!r} cannot be serialized")
-    s = f"{x:.17g}"
-    if "." not in s and "e" not in s and "E" not in s:
-        s += ".0"
-    return s
-
-
-def _serialize(obj) -> str:
-    if isinstance(obj, dict):
-        items = sorted(obj.items(), key=lambda kv: kv[0])
-        inner = ",".join(f"{json.dumps(str(k))}:{_serialize(v)}" for k, v in items)
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_serialize(v) for v in obj) + "]"
-    if isinstance(obj, np.ndarray):
-        return _serialize(obj.tolist())
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return float_text(float(obj))
-    if obj is None:
-        return "null"
-    raise TypeError(f"cannot canonicalize {type(obj).__name__}")
+    return repr(float(x))
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON text: sorted keys, compact, canonical floats."""
-    return _serialize(obj) + "\n"
+    """Deterministic JSON text: sorted keys, compact, shortest round-trip floats."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def write_json(obj, path) -> None:
@@ -156,6 +132,11 @@ class CohortManifest:
     base_dir: Path = field(default_factory=Path)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.group_label, str):
+            raise ValueError(  # worded as read_manifest words its ill-typed fields
+                "ill-typed manifest field: group_label must be a string, not "
+                + type(self.group_label).__name__
+            )
         object.__setattr__(self, "patient_files", tuple(self.patient_files))
         object.__setattr__(self, "base_dir", Path(self.base_dir))
         if not self.patient_files:
@@ -180,8 +161,15 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
-def _number_or_null(value, what: str) -> float | None:
-    return None if value is None else _number(value, what)
+def _finite_or_null(value, what: str) -> float | None:
+    """A finite JSON number as a float, or None for null; raises TypeError for
+    any other type and ValueError for NaN or an infinity."""
+    if value is None:
+        return None
+    x = _number(value, what)
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be a finite number or null, got {value!r}")
+    return x
 
 
 def _count(value, what: str) -> int:
@@ -203,8 +191,6 @@ def read_manifest(path) -> CohortManifest:
     if not isinstance(doc, dict):
         raise MalformedJsonError(f"{path}: manifest must be a JSON object")
     try:
-        if not isinstance(doc["group_label"], str):
-            raise TypeError("group_label must be a string")
         return CohortManifest(
             group_label=doc["group_label"],
             sampling_rate_hz=_number(doc["sampling_rate_hz"], "sampling_rate_hz"),
@@ -475,29 +461,6 @@ def write_runlength_csv(runs: RunSequence, alphabet: StateAlphabet, path) -> Non
 # --- model documents ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModelDocument:
-    """In-memory form of a persisted model file.
-
-    Covers both kinds: a DTMC document has an empty ``dwell`` map.  The
-    document round-trips byte-identically through write/read because the
-    serialization is canonical.
-    """
-
-    transitions: TransitionMatrix
-    dwell: dict[str, DwellFit]
-    metadata: dict[str, Any]
-
-    def to_semi_markov(self) -> SemiMarkovModel:
-        if self.transitions.kind != SEMI_MARKOV:
-            raise KindMismatchError(
-                f"document holds a {self.transitions.kind!r} model, not semi_markov"
-            )
-        return SemiMarkovModel(
-            transitions=self.transitions, dwell=dict(self.dwell), metadata=dict(self.metadata)
-        )
-
-
 def _dwell_to_dict(fit: DwellFit) -> dict[str, Any]:
     return {
         "family": fit.family,
@@ -521,28 +484,27 @@ def _dwell_from_dict(name: str, doc: dict[str, Any]) -> DwellFit:
         family=doc["family"],
         params={k: _number(v, f"{what} parameter {k}") for k, v in doc["params"].items()},
         n_obs=_count(doc["n_obs"], f"{what} n_obs"),
-        log_likelihood=_number_or_null(doc["log_likelihood"], f"{what} log_likelihood"),
-        bic=_number_or_null(doc["bic"], f"{what} bic"),
+        log_likelihood=_finite_or_null(doc["log_likelihood"], f"{what} log_likelihood"),
+        bic=_finite_or_null(doc["bic"], f"{what} bic"),
         fallback=_boolean(doc.get("fallback", False), f"{what} fallback"),
     )
 
 
-def document_to_dict(doc: SemiMarkovModel | ModelDocument) -> dict[str, Any]:
-    """JSON-ready form of any record with ``transitions``, ``dwell`` and
-    ``metadata``."""
-    tm = doc.transitions
+def document_to_dict(model: SemiMarkovModel) -> dict[str, Any]:
+    """JSON-ready form of a model of either kind."""
+    tm = model.transitions
     return {
         "schema_version": SCHEMA_VERSION,
         "alphabet": list(tm.alphabet.states),
         "kind": tm.kind,
-        "transitions": [[float(x) for x in row] for row in tm.probs],
-        "row_fitted": [bool(b) for b in tm.row_fitted],
-        "dwell": {name: _dwell_to_dict(fit) for name, fit in doc.dwell.items()},
-        "metadata": doc.metadata,
+        "transitions": tm.probs.tolist(),
+        "row_fitted": tm.row_fitted.tolist(),
+        "dwell": {name: _dwell_to_dict(fit) for name, fit in model.dwell.items()},
+        "metadata": model.metadata,
     }
 
 
-def document_from_dict(raw: dict[str, Any], source: str = "<dict>") -> ModelDocument:
+def document_from_dict(raw: dict[str, Any], source: str = "<dict>") -> SemiMarkovModel:
     try:
         version = _count(raw["schema_version"], "schema_version")
         if version != SCHEMA_VERSION:
@@ -564,7 +526,11 @@ def document_from_dict(raw: dict[str, Any], source: str = "<dict>") -> ModelDocu
             raise MalformedJsonError(f"{source}: dwell states {unknown} not in alphabet")
         if not isinstance(raw["metadata"], dict):
             raise TypeError("metadata must be a JSON object")
-        return ModelDocument(transitions=tm, dwell=dwell, metadata=dict(raw["metadata"]))
+        try:  # so that every model that reads writes back
+            canonical_json(raw["metadata"])
+        except ValueError:
+            raise ValueError("metadata must not hold NaN or an infinity") from None
+        return SemiMarkovModel(transitions=tm, dwell=dwell, metadata=dict(raw["metadata"]))
     except KeyError as exc:
         raise MalformedJsonError(f"{source}: model document missing key {exc}") from exc
     except (AttributeError, TypeError, OverflowError) as exc:
@@ -573,12 +539,12 @@ def document_from_dict(raw: dict[str, Any], source: str = "<dict>") -> ModelDocu
         raise MalformedJsonError(f"{source}: {exc}") from exc
 
 
-def write_model_json(model: SemiMarkovModel | ModelDocument, path) -> None:
-    """Write a SemiMarkovModel, or a ModelDocument (a DTMC's has no dwell fits)."""
+def write_model_json(model: SemiMarkovModel, path) -> None:
+    """Write a model of either kind (a DTMC's has no dwell fits)."""
     write_json(document_to_dict(model), path)
 
 
-def read_model_json(path) -> ModelDocument:
+def read_model_json(path) -> SemiMarkovModel:
     raw = read_json(path)
     if not isinstance(raw, dict):
         raise MalformedJsonError(f"{path}: model document must be a JSON object")
@@ -593,11 +559,11 @@ MAX_HISTOGRAM_BINS = 10**6  # rows of one histogram CSV
 def histogram_bin_count(max_duration_s: float, bin_width_s: float) -> int:
     """Number of bins of width bin_width_s from 0 up to max_duration_s.
 
-    Raises ValueError for a non-positive width or more than
-    MAX_HISTOGRAM_BINS bins.
+    Raises ValueError for a width that is not a finite number > 0, or for
+    more than MAX_HISTOGRAM_BINS bins.
     """
-    if not bin_width_s > 0:
-        raise ValueError("bin_width_s must be positive")
+    if not (math.isfinite(bin_width_s) and bin_width_s > 0):
+        raise ValueError(f"bin_width_s must be finite and positive, got {bin_width_s!r}")
     span = float(max_duration_s) / bin_width_s
     if not span <= MAX_HISTOGRAM_BINS:
         raise ValueError(f"binning up to {max_duration_s:g} s takes {span:.4g} bins of "

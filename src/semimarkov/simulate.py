@@ -2,7 +2,8 @@
 
 ``simulate_sequence`` and ``simulate_cohort`` each take either a
 ``SemiMarkovModel`` or a ``MultiChainModel``; a single model is simulated as
-a one-segment chain, so both kinds share one generator loop.
+a one-segment chain, so both share one generator loop.  Only ``semi_markov``
+models simulate: a DTMC read from a model file has no dwell fits to draw from.
 
 The generator alternates dwell draws and categorical next-state draws,
 quantizing each dwell onto the output sampling grid (round half-up, one
@@ -25,9 +26,10 @@ import numpy as np
 from .dwell import sample_dwell
 from .errors import (
     InvalidInitialStateError,
+    KindMismatchError,
     UnreachableAbsentRowError,
 )
-from .fitting import MultiChainModel, SemiMarkovModel
+from .fitting import SEMI_MARKOV, MultiChainModel, SemiMarkovModel
 from .sequences import RunSequence, _run_samples
 
 
@@ -136,6 +138,11 @@ def _resolve_initial(
 def _simulate_runs(
     chain: MultiChainModel, config: SimulationConfig
 ) -> tuple[list[int], list[int]]:
+    for seg in chain.segments:
+        if seg.transitions.kind != SEMI_MARKOV:
+            raise KindMismatchError(
+                f"cannot simulate a {seg.transitions.kind!r} model, only semi_markov"
+            )
     rate = config.output_sampling_rate_hz
     if config.duration_s * rate + 0.5 < 1.0:
         raise ValueError("duration_s is shorter than half a sample period")

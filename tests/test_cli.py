@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from semimarkov.cli import build_parser, main
+from semimarkov.dwell import FAMILIES
 from semimarkov.io import (
     CohortManifest,
     load_sequences,
@@ -97,6 +98,39 @@ def test_simulate_then_refit(tmp_path):
     rc = main(["fit", "--manifest", str(tmp_path / "sim_manifest.json"),
                "--model", "semi-markov", "--out", str(tmp_path / "refit.json")])
     assert rc == 0
+
+
+def test_simulate_dtmc_model_is_data_error(tmp_path, capsys):
+    model_path = tmp_path / "dtmc.json"
+    assert main(["fit", "--manifest", SUCCESS, "--model", "dtmc",
+                 "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["simulate", "--model", str(model_path), "--duration-s", "60",
+               "--seed", "7", "--out-prefix", str(out / "sim")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "'dtmc'" in err[0]
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("cohort", [{"x": [1]}, 5, None])
+def test_simulate_non_string_cohort_is_data_error(tmp_path, capsys, cohort):
+    # the simulated manifest's group_label comes from metadata.cohort
+    model_path = tmp_path / "m.json"
+    write_model_json(success_model(), model_path)
+    raw = json.loads(model_path.read_text())
+    raw["metadata"]["cohort"] = cohort
+    model_path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["simulate", "--model", str(model_path), "--duration-s", "60",
+               "--seed", "7", "--out-prefix", str(out / "sim")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "group_label" in err[0]
+    assert list(out.iterdir()) == []
 
 
 def test_simulate_requires_seed(tmp_path):
@@ -307,13 +341,17 @@ def _set_item(value, *path):
         _set_item(True, "schema_version"),
         _set_dwell("PAU", "fallback", "no"),
         _set_dwell("PAU", "truncation_s", 1.2),
+        _set_dwell("PAU", "bic", float("nan")),
+        _set_dwell("PAU", "log_likelihood", float("inf")),
+        _set_item(float("-inf"), "metadata", "x"),
     ],
     ids=["dwell-list", "metadata-list", "alphabet-int", "dwell-entry-str",
          "params-null", "n_obs-null", "mu-401-digits", "dwell-unknown-state",
          "mu-infinity", "truncation-infinity", "truncation-negative",
          "n_obs-str", "n_obs-fraction", "n_obs-negative", "log_likelihood-str",
          "bic-list", "mu-true", "mu-str", "row_fitted-str", "transition-str",
-         "schema_version-true", "fallback-str", "truncation-positive"],
+         "schema_version-true", "fallback-str", "truncation-positive", "bic-nan",
+         "log_likelihood-infinity", "metadata-infinity"],
 )
 @pytest.mark.parametrize("command", ["compare", "simulate"])
 def test_ill_typed_model_file_is_data_error(tmp_path, capsys, mutate, command):
@@ -424,6 +462,45 @@ def test_report_checks_every_histogram_before_writing_any(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("width", ["inf", "nan", "0", "-1"])
+def test_report_bin_width_that_is_not_finite_and_positive_writes_nothing(
+        tmp_path, capsys, width):
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["report", "--manifest", SUCCESS, "--seed", "1", "--replicates", "10",
+               "--bin-width", width, "--out-prefix", str(out / "rep")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: state ")
+    assert "bin_width_s must be finite and positive" in err[0]
+    assert "wrote" not in captured.out
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["compare", "split-fit"])
+@pytest.mark.parametrize("epsilon", ["inf", "nan", "0"])
+def test_epsilon_that_is_not_finite_and_positive_writes_nothing(
+        tmp_path, capsys, command, epsilon):
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "compare":
+        model = tmp_path / "m.json"
+        write_model_json(success_model(), model)
+        argv = ["compare", "--a", str(model), "--b", str(model),
+                "--out", str(out / "c.json")]
+    else:
+        argv = ["split-fit", "--manifest", SUCCESS, "--segments", "2",
+                "--out-prefix", str(out / "half")]
+    rc = main(argv + ["--epsilon", epsilon])
+    assert rc == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: epsilon must be finite")
+    assert "wrote" not in captured.out
+    assert list(out.iterdir()) == []
+
+
 def test_split_fit_into_more_segments_than_samples_is_data_error(tmp_path, capsys):
     # a cut list of 10^12 boundaries would not fit in memory; no sequence of
     # 600 samples has that many non-empty segments
@@ -465,6 +542,16 @@ def _readme_commands():
     block = section.split("```", 2)[1]
     text = block.replace("\\\n", " ")
     return [line.split()[1:] for line in text.splitlines() if line.startswith("semimarkov ")]
+
+
+def test_readme_quickstart_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library quickstart", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    aggregate, fit = capsys.readouterr().out.splitlines()
+    assert 0.0 <= float(aggregate) < 0.1  # a refit stays close to its source
+    assert fit.split()[0] in FAMILIES
 
 
 def test_readme_commands_parse():

@@ -152,6 +152,13 @@ class TestCompareMatrices:
         with pytest.raises(KindMismatchError):
             compare_transition_matrices(a, b)
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-9, math.inf, math.nan])
+    def test_epsilon_must_be_finite_and_positive(self, epsilon):
+        # an infinite epsilon would turn every smoothed row into NaN
+        a = tm([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            compare_transition_matrices(a, a, epsilon=epsilon)
+
     def test_dtmc_rows_compared_whole(self):
         # dtmc diagonals carry information and must not be dropped
         a = tm([[0.9, 0.1], [0.2, 0.8]], kind="dtmc")

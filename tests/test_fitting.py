@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from semimarkov.dwell import EXPONENTIAL, DwellFit
 from semimarkov.errors import (
     EmptyInputError,
     MixedSamplingRatesError,
@@ -201,10 +202,11 @@ class TestSemiMarkovModel:
         with pytest.raises(NoTransitionsError):
             fit_semi_markov([seq([0, 0, 0])], AB)
 
-    def test_requires_semi_markov_kind(self):
+    def test_dtmc_kind_carries_no_dwell_fits(self):
         tm, _ = fit_dtmc([seq([0, 1, 0])], AB)
-        with pytest.raises(ValueError):
-            SemiMarkovModel(transitions=tm, dwell={})
+        assert SemiMarkovModel(transitions=tm, dwell={}).dwell == {}
+        with pytest.raises(ValueError, match="dtmc transition matrix carries no dwell"):
+            SemiMarkovModel(transitions=tm, dwell={"A": DwellFit(EXPONENTIAL, {"mu": 1.0})})
 
 
 class TestMultiChain:

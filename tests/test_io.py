@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,11 +16,11 @@ from semimarkov.errors import (
     SchemaVersionMismatchError,
     UnknownStateError,
 )
-from semimarkov.fitting import fit_dtmc
+from semimarkov.fitting import SemiMarkovModel, fit_dtmc
 from semimarkov.io import (
     CohortManifest,
-    ModelDocument,
     canonical_json,
+    document_to_dict,
     emit_histogram_csv,
     float_text,
     load_sequences,
@@ -300,8 +301,8 @@ class TestModelJson:
         assert doc.dwell.keys() == m.dwell.keys()
         for name in m.dwell:
             assert doc.dwell[name].params == m.dwell[name].params
-        back = doc.to_semi_markov()
-        assert back.metadata["cohort"] == "success"
+        assert isinstance(doc, SemiMarkovModel)
+        assert doc.metadata["cohort"] == "success"
 
     def test_byte_identical_reserialization(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -309,16 +310,44 @@ class TestModelJson:
         write_model_json(read_model_json(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_seventeen_digit_floats_read_to_the_same_values(self, tmp_path):
+        # earlier versions printed every float to 17 significant digits
+        def seventeen(match):
+            text = f"{float(match[0]):.17g}"
+            return text if "." in text or "e" in text else text + ".0"
+
+        new = tmp_path / "new.json"
+        write_model_json(success_model(), new)
+        text = new.read_text()
+        old_text = re.sub(r"(?<=[:,\[])-?\d+\.\d+(?:e[-+]?\d+)?(?=[,\]}])", seventeen, text)
+        assert old_text != text and "0.27000000000000002" in old_text
+        old = tmp_path / "old.json"
+        old.write_text(old_text)
+        assert json.loads(old_text) == json.loads(text)  # every value, exactly
+        again = tmp_path / "again.json"
+        write_model_json(read_model_json(old), again)
+        assert again.read_bytes() == new.read_bytes()
+
     def test_dtmc_document(self, tmp_path):
         tm, counts = fit_dtmc([seq([0, 0, 1, 1, 0], rate=1.0)], AB)
         p = tmp_path / "d.json"
-        write_model_json(ModelDocument(tm, {}, {"total_transitions": counts.total}), p)
+        write_model_json(SemiMarkovModel(tm, {}, {"total_transitions": counts.total}), p)
         doc = read_model_json(p)
+        assert isinstance(doc, SemiMarkovModel)
         assert doc.transitions.kind == "dtmc"
+        assert np.array_equal(doc.transitions.probs, tm.probs)
         assert doc.dwell == {}
         assert doc.metadata["total_transitions"] == 4
-        with pytest.raises(Exception):
-            doc.to_semi_markov()
+
+    def test_dtmc_document_with_a_dwell_fit_is_malformed(self, tmp_path):
+        tm, _ = fit_dtmc([seq([0, 0, 1, 1, 0], rate=1.0)], AB)
+        p = tmp_path / "d.json"
+        p.write_text(canonical_json(
+            {**document_to_dict(SemiMarkovModel(tm, {})),
+             "dwell": {"A": {"family": EXPONENTIAL, "params": {"mu": 2.0}, "n_obs": 1,
+                             "log_likelihood": None, "bic": None}}}))
+        with pytest.raises(MalformedJsonError, match="dtmc transition matrix carries no dwell"):
+            read_model_json(p)
 
     def test_truncated_file(self, tmp_path):
         p = tmp_path / "m.json"

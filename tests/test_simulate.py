@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 
 import semimarkov.simulate as simulate_mod
 from semimarkov.dwell import EXPONENTIAL, DwellFit
-from semimarkov.errors import InvalidInitialStateError, UnreachableAbsentRowError
+from semimarkov.errors import (
+    InvalidInitialStateError,
+    KindMismatchError,
+    UnreachableAbsentRowError,
+)
 from semimarkov.fitting import MultiChainModel, SemiMarkovModel, TransitionMatrix
 from semimarkov.presets import failure_model, success_model
 from semimarkov.sequences import build_alphabet
@@ -163,6 +167,22 @@ def test_missing_dwell_rejected():
     cfg = SimulationConfig(duration_s=10.0, seed=0, initial_state="A")
     with pytest.raises(UnreachableAbsentRowError):
         simulate_sequence(model, cfg)
+
+
+def test_dtmc_kind_is_refused():
+    # a DTMC read from a model file has no dwell fits to draw from
+    dtmc = SemiMarkovModel(
+        transitions=TransitionMatrix.from_probabilities(
+            [(0.9, 0.1), (0.2, 0.8)], AB, kind="dtmc"
+        ),
+        dwell={},
+    )
+    cfg = SimulationConfig(duration_s=10.0, seed=0)
+    with pytest.raises(KindMismatchError, match="'dtmc'"):
+        simulate_sequence(dtmc, cfg)
+    chain = MultiChainModel(segments=(two_state_model(), dtmc), boundaries=(5.0,))
+    with pytest.raises(KindMismatchError):
+        simulate_cohort(chain, 1, cfg)
 
 
 class TestCohort:
