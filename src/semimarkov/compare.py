@@ -28,6 +28,10 @@ from .errors import (
 from .fitting import SEMI_MARKOV, TransitionMatrix
 from .sequences import LabeledSequence, StateAlphabet, encode_runs
 
+#: Most bootstrap replicates one call draws: their table takes 8 bytes per
+#: state and replicate, so a mistyped count fails before it allocates.
+MAX_REPLICATES = 10**6
+
 
 def kl_divergence(p, q) -> float:
     """D_KL(p || q) = sum p_i ln(p_i / q_i) in nats, with 0 ln(0/q) = 0.
@@ -160,12 +164,14 @@ def bootstrap_group_fractions(
     and takes the unweighted mean of per-patient time_fractions.  Replicate
     r draws from its own stream seeded seed + r, so results are identical
     regardless of evaluation order.  Reported std is the population standard
-    deviation over replicates.
+    deviation over replicates.  At most MAX_REPLICATES replicates are drawn.
     """
     if not patients:
         raise EmptyInputError("no patients supplied")
-    if n_replicates < 1:
-        raise ValueError("n_replicates must be at least 1")
+    if not 1 <= n_replicates <= MAX_REPLICATES:
+        raise ValueError(
+            f"n_replicates must be from 1 to {MAX_REPLICATES}, got {n_replicates}"
+        )
     names = alphabet.states
     # time_fractions keys its map by alphabet.states, in that order
     per_patient = np.array([list(time_fractions(p, alphabet).values()) for p in patients])

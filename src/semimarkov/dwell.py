@@ -14,12 +14,15 @@ Four families are supported.  Parameterizations (all times in seconds):
 * ``InverseGaussian``: mean ``mu``, shape ``lambda``;
   f(x) = sqrt(lambda / (2 pi x^3)) exp(-lambda (x-mu)^2 / (2 mu^2 x)), x > 0.
 
+A ``DwellFit`` checks its parameters once, when built, and freezes them;
+``log_pdf``, ``cdf``, ``quantile`` and ``sample_dwell`` take the fit as is.
+
 Log densities return -inf outside the support rather than truncating.
 Each family's log-density is written once, as a vectorized per-value kernel
 ``kernel(*theta, values)`` that covers the whole support and is evaluated in
-one place, ``_log_density``; ``log_pdf`` and ``dwell_log_pdf`` return it, and
-the fitted log-likelihoods and the stationarity certificate sum it over
-distinct values with their counts in one place, ``_loglik``.  Every fitter takes
+one place, ``_log_density``; ``log_pdf`` returns it, and the fitted
+log-likelihoods and the stationarity certificate sum it over distinct values
+with their counts in one place, ``_loglik``.  Every fitter takes
 values with optional counts, ``fit(xs, counts=None)`` (None: each value once),
 such as a cohort's dwell table from ``sequences.durations_by_state`` --
 durations lie on a sampling grid, so there are far fewer values than
@@ -36,7 +39,9 @@ from __future__ import annotations
 import logging
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 from scipy.optimize import brentq
@@ -69,7 +74,6 @@ PARAM_NAMES = {
     GPD: ("k", "sigma"),
     INVERSE_GAUSSIAN: ("mu", "lambda"),
 }
-_PARAM_KEYS = {family: frozenset(names) for family, names in PARAM_NAMES.items()}
 
 # Shape magnitudes below this are evaluated with the k -> 0 limit form.
 _SHAPE_EPS = 1e-13
@@ -98,12 +102,13 @@ _EULER_GAMMA = 0.5772156649015329
 class DwellFit:
     """A fitted (or analytically specified) dwell-time distribution.
 
+    ``params`` is stored read-only once its names and ranges are checked.
     ``fallback`` is read from model files, where schema-v1 documents carry
     it; fits made by this version never set it.
     """
 
     family: str
-    params: dict[str, float]
+    params: Mapping[str, float]
     n_obs: int = 0
     log_likelihood: float | None = None
     bic: float | None = None
@@ -112,45 +117,44 @@ class DwellFit:
     fallback: bool = False
 
     def __post_init__(self) -> None:
-        _validate_params(self.family, self.params)
-        if not all(math.isfinite(v) for v in self.params.values()):
-            raise ValueError(f"{self.family} parameters must be finite: {self.params}")
+        family, params = self.family, dict(self.params)
+        names = PARAM_NAMES.get(family)
+        if names is None:
+            raise ValueError(f"unknown dwell family {family!r}")
+        if params.keys() != set(names):
+            raise ValueError(f"{family} expects parameters {sorted(names)}, got {sorted(params)}")
+        if family == EXPONENTIAL and not params["mu"] > 0:
+            raise ValueError("Exponential mu must be positive")
+        if family in (GEV, GPD) and not params["sigma"] > 0:
+            raise ValueError(f"{family} sigma must be positive")
+        if family == INVERSE_GAUSSIAN:
+            if not params["mu"] > 0 or not params["lambda"] > 0:
+                raise ValueError("InverseGaussian mu and lambda must be positive")
+        if not all(math.isfinite(v) for v in params.values()):
+            raise ValueError(f"{family} parameters must be finite: {params}")
+        object.__setattr__(self, "params", MappingProxyType(params))
+
+    def __reduce__(self):  # a mappingproxy does not pickle; its dict does
+        return DwellFit, (self.family, dict(self.params), self.n_obs,
+                          self.log_likelihood, self.bic, self.fallback)
 
     @property
     def n_params(self) -> int:
         return len(PARAM_NAMES[self.family])
 
 
-def _validate_params(family: str, params: dict[str, float]) -> None:
-    expected = _PARAM_KEYS.get(family)
-    if expected is None:
-        raise ValueError(f"unknown dwell family {family!r}")
-    if params.keys() != expected:
-        raise ValueError(
-            f"{family} expects parameters {sorted(expected)}, got {sorted(params)}"
-        )
-    if family == EXPONENTIAL and not params["mu"] > 0:
-        raise ValueError("Exponential mu must be positive")
-    if family in (GEV, GPD) and not params["sigma"] > 0:
-        raise ValueError(f"{family} sigma must be positive")
-    if family == INVERSE_GAUSSIAN:
-        if not params["mu"] > 0 or not params["lambda"] > 0:
-            raise ValueError("InverseGaussian mu and lambda must be positive")
-
-
 # --- densities, CDFs, quantiles ---------------------------------------------
 
 
-def log_pdf(family: str, params: dict[str, float], x: float) -> float:
-    """Natural-log density at x (seconds).  Returns -inf outside the support."""
-    _validate_params(family, params)
-    theta = [params[name] for name in PARAM_NAMES[family]]
-    return float(_log_density(family, theta, np.array([x], dtype=float))[0])
+def log_pdf(fit: DwellFit, xs) -> np.ndarray:
+    """Natural-log density at each of xs (seconds); -inf outside the support."""
+    theta = [fit.params[name] for name in PARAM_NAMES[fit.family]]
+    return _log_density(fit.family, theta, np.asarray(xs, dtype=float))
 
 
-def cdf(family: str, params: dict[str, float], x: float) -> float:
+def cdf(fit: DwellFit, x: float) -> float:
     """Cumulative distribution function at x."""
-    _validate_params(family, params)
+    family, params = fit.family, fit.params
     if family == EXPONENTIAL:
         if x <= 0:
             return 0.0
@@ -185,15 +189,15 @@ def cdf(family: str, params: dict[str, float], x: float) -> float:
     return float(ndtr(a) + math.exp(2.0 * lam / mu + log_ndtr(-b)))
 
 
-def quantile(family: str, params: dict[str, float], u: float) -> float:
+def quantile(fit: DwellFit, u: float) -> float:
     """Inverse CDF at u in (0, 1).
 
     Closed form for Exponential, GEV, and GPD; numerical inversion of the
     CDF for InverseGaussian.
     """
-    _validate_params(family, params)
     if not 0.0 < u < 1.0:
         raise ValueError(f"quantile level must be in (0, 1), got {u}")
+    family, params = fit.family, fit.params
     if family == EXPONENTIAL:
         return -params["mu"] * math.log1p(-u)
     if family == GEV:
@@ -210,22 +214,16 @@ def quantile(family: str, params: dict[str, float], u: float) -> float:
     # InverseGaussian: strictly increasing CDF, bracket then root-find
     mu = params["mu"]
     lo, hi = mu * 1e-12, mu
-    while cdf(family, params, hi) < u:
+    while cdf(fit, hi) < u:
         hi *= 2.0
         if hi > mu * 1e18:  # pragma: no cover - unreachable for valid u
             raise ArithmeticError("failed to bracket InverseGaussian quantile")
-    while cdf(family, params, lo) > u:
+    while cdf(fit, lo) > u:
         lo *= 0.5
     return float(
-        brentq(lambda x: cdf(family, params, x) - u, lo, hi, xtol=1e-300, rtol=8.9e-16,
+        brentq(lambda x: cdf(fit, x) - u, lo, hi, xtol=1e-300, rtol=8.9e-16,
                maxiter=200)
     )
-
-
-def dwell_log_pdf(fit: DwellFit, xs) -> np.ndarray:
-    """Log density of a DwellFit at each of xs."""
-    theta = [fit.params[name] for name in PARAM_NAMES[fit.family]]
-    return _log_density(fit.family, theta, np.asarray(xs, dtype=float))
 
 
 # --- per-value log-densities (densities, fits and certificates) -------------
@@ -715,7 +713,7 @@ def sample_dwell(fit: DwellFit, rng, min_seconds: float = 0.0) -> float:
         if fit.family == INVERSE_GAUSSIAN:
             x = _sample_inverse_gaussian(fit.params["mu"], fit.params["lambda"], rng)
         else:
-            x = quantile(fit.family, fit.params, rng.random())
+            x = quantile(fit, rng.random())
         if x > 0.0 and x >= min_seconds:
             return x
     floor = min_seconds if min_seconds > 0.0 else 1e-12

@@ -10,6 +10,7 @@ Three model layers:
 
 Counts are pooled across sequences; transitions are never counted across
 sequence boundaries (sequences are independent recordings).
+Each model type checks its values once, when built, and is then trusted.
 """
 
 from __future__ import annotations
@@ -78,42 +79,36 @@ class TransitionCounts:
 
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
-    """Row-stochastic transition matrix with explicit absent-row flags.
+    """Transition matrix whose rows each sum to 1 or are all zero.
 
-    ``row_fitted[i]`` is False when state i was never observed with an
-    outgoing transition; such rows are all-zero and carry no probabilities
-    (they are never silently imputed).  ``kind`` is "dtmc" for per-sample
-    chains or "semi_markov" for run-level chains, whose diagonal is exactly
-    zero by construction.
+    ``row_fitted``, derived from the rows, is False for an all-zero row: a
+    state never observed with an outgoing transition, whose row is never
+    silently imputed.  ``kind`` is "dtmc" for per-sample chains or
+    "semi_markov" for run-level chains, whose diagonal is exactly zero by
+    construction.
     """
 
     probs: np.ndarray
     alphabet: StateAlphabet
-    row_fitted: np.ndarray
     kind: str
+    row_fitted: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        n = len(self.alphabet)
-        probs = _as_readonly_float_matrix(self.probs, n, "probs")
-        fitted = np.array(self.row_fitted, dtype=bool)
-        if fitted.shape != (n,):
-            raise ValueError(f"row_fitted must have length {n}")
-        fitted.setflags(write=False)
+        probs = _as_readonly_float_matrix(self.probs, len(self.alphabet), "probs")
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "row_fitted", fitted)
         if self.kind not in (DTMC, SEMI_MARKOV):
             raise ValueError(f"kind must be {DTMC!r} or {SEMI_MARKOV!r}")
         if not np.all((probs >= 0) & (probs <= 1)):  # NaN fails too
             raise ValueError("probabilities must lie in [0, 1]")
         sums = probs.sum(axis=1)
-        for i in range(n):
-            if fitted[i]:
-                if abs(sums[i] - 1.0) > 1e-12:
-                    raise ValueError(
-                        f"fitted row {self.alphabet.name(i)} sums to {sums[i]!r}, not 1"
-                    )
-            elif sums[i] != 0.0:
-                raise ValueError(f"absent row {self.alphabet.name(i)} must be all zero")
+        fitted = sums > 0.0
+        bad = np.flatnonzero(fitted & (np.abs(sums - 1.0) > 1e-12))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"row {self.alphabet.name(i)} sums to {sums[i]!r}; each "
+                             f"row must sum to 1 or be all zero")
+        fitted.setflags(write=False)
+        object.__setattr__(self, "row_fitted", fitted)
         if self.kind == SEMI_MARKOV and np.any(np.diag(probs) != 0.0):
             raise ValueError("semi_markov matrices must have an exactly zero diagonal")
 
@@ -143,7 +138,7 @@ class TransitionMatrix:
         totals = arr.sum(axis=1)
         fitted = totals > 0
         arr[fitted] = arr[fitted] / totals[fitted, None]
-        return cls(probs=arr, alphabet=alphabet, row_fitted=fitted, kind=kind)
+        return cls(probs=arr, alphabet=alphabet, kind=kind)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,8 +160,9 @@ class SemiMarkovModel:
     def __post_init__(self) -> None:
         if self.transitions.kind == DTMC and self.dwell:
             raise ValueError("a dtmc transition matrix carries no dwell fits")
-        for name in self.dwell:
-            self.transitions.alphabet.index(name)  # raises on unknown state
+        unknown = sorted(set(self.dwell) - set(self.alphabet.states))
+        if unknown:
+            raise ValueError(f"dwell states {unknown} not in alphabet")
 
     @property
     def alphabet(self) -> StateAlphabet:

@@ -29,13 +29,14 @@ import itertools
 import json
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from .dwell import DwellFit, dwell_log_pdf
+from .dwell import DwellFit, log_pdf
 from .errors import (
     DataNormalizationWarning,
     EmptyInputError,
@@ -45,6 +46,7 @@ from .errors import (
     NonUniformSamplingError,
     RateMismatchError,
     SchemaVersionMismatchError,
+    SemiMarkovError,
     UnknownStateError,
 )
 from .fitting import SemiMarkovModel, TransitionMatrix
@@ -107,10 +109,30 @@ def _not_utf8(path, exc: UnicodeDecodeError) -> str:
 def read_json(path):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedJsonError(f"{path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise MalformedJsonError(_not_utf8(path, exc)) from None
+    # ValueError: not JSON, or an integer past Python's digit limit;
+    # RecursionError: nesting deeper than the interpreter's stack
+    except (ValueError, RecursionError) as exc:
+        raise MalformedJsonError(f"{path}: {exc}") from exc
+
+
+@contextmanager
+def _fields_of(source, what: str):
+    """Report a missing, ill-typed or invalid field of a JSON document (``what``)
+    as one MalformedJsonError that names the file ``source``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise MalformedJsonError(f"{source}: {what} missing key {exc}") from exc
+    except (AttributeError, TypeError, OverflowError) as exc:
+        raise MalformedJsonError(f"{source}: ill-typed {what} field: {exc}") from exc
+    except SchemaVersionMismatchError:
+        raise
+    # e.g. a rate that is not a finite number > 0, a matrix whose rows do not
+    # sum to 1, a one-state alphabet
+    except (ValueError, SemiMarkovError) as exc:
+        raise MalformedJsonError(f"{source}: {exc}") from exc
 
 
 # --- cohort manifests --------------------------------------------------------
@@ -190,7 +212,7 @@ def read_manifest(path) -> CohortManifest:
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise MalformedJsonError(f"{path}: manifest must be a JSON object")
-    try:
+    with _fields_of(path, "manifest"):
         return CohortManifest(
             group_label=doc["group_label"],
             sampling_rate_hz=_number(doc["sampling_rate_hz"], "sampling_rate_hz"),
@@ -198,12 +220,6 @@ def read_manifest(path) -> CohortManifest:
             patient_files=_strings(doc["patient_files"], "patient_files"),
             base_dir=Path(path).parent,
         )
-    except KeyError as exc:
-        raise MalformedJsonError(f"{path}: manifest missing key {exc}") from exc
-    except (AttributeError, TypeError, OverflowError) as exc:
-        raise MalformedJsonError(f"{path}: ill-typed manifest field: {exc}") from exc
-    except ValueError as exc:  # e.g. a rate that is not a finite number > 0
-        raise MalformedJsonError(f"{path}: {exc}") from exc
 
 
 def write_manifest(manifest: CohortManifest, path) -> None:
@@ -505,7 +521,7 @@ def document_to_dict(model: SemiMarkovModel) -> dict[str, Any]:
 
 
 def document_from_dict(raw: dict[str, Any], source: str = "<dict>") -> SemiMarkovModel:
-    try:
+    with _fields_of(source, "model document"):
         version = _count(raw["schema_version"], "schema_version")
         if version != SCHEMA_VERSION:
             raise SchemaVersionMismatchError(
@@ -513,17 +529,13 @@ def document_from_dict(raw: dict[str, Any], source: str = "<dict>") -> SemiMarko
                 f"{SCHEMA_VERSION})"
             )
         alphabet = build_alphabet(_strings(raw["alphabet"], "alphabet"))
-        tm = TransitionMatrix(
-            probs=[[_number(p, "transition entries") for p in row]
-                   for row in raw["transitions"]],
-            alphabet=alphabet,
-            row_fitted=[_boolean(b, "row_fitted entries") for b in raw["row_fitted"]],
-            kind=raw["kind"],
-        )
+        probs = [[_number(p, "transition entries") for p in row] for row in raw["transitions"]]
+        row_fitted = [_boolean(b, "row_fitted entries") for b in raw["row_fitted"]]
+        tm = TransitionMatrix(probs=probs, alphabet=alphabet, kind=raw["kind"])
+        if row_fitted != tm.row_fitted.tolist():  # written as derived, so a mismatch is corrupt
+            raise ValueError(f"row_fitted {row_fitted} must be true exactly for the rows "
+                             f"with mass, {tm.row_fitted.tolist()}")
         dwell = {name: _dwell_from_dict(name, d) for name, d in raw["dwell"].items()}
-        unknown = sorted(set(dwell) - set(alphabet.states))
-        if unknown:
-            raise MalformedJsonError(f"{source}: dwell states {unknown} not in alphabet")
         if not isinstance(raw["metadata"], dict):
             raise TypeError("metadata must be a JSON object")
         try:  # so that every model that reads writes back
@@ -531,12 +543,6 @@ def document_from_dict(raw: dict[str, Any], source: str = "<dict>") -> SemiMarko
         except ValueError:
             raise ValueError("metadata must not hold NaN or an infinity") from None
         return SemiMarkovModel(transitions=tm, dwell=dwell, metadata=dict(raw["metadata"]))
-    except KeyError as exc:
-        raise MalformedJsonError(f"{source}: model document missing key {exc}") from exc
-    except (AttributeError, TypeError, OverflowError) as exc:
-        raise MalformedJsonError(f"{source}: ill-typed model document field: {exc}") from exc
-    except ValueError as exc:  # e.g. a matrix whose rows do not sum to 1
-        raise MalformedJsonError(f"{source}: {exc}") from exc
 
 
 def write_model_json(model: SemiMarkovModel, path) -> None:
@@ -598,8 +604,8 @@ def emit_histogram_csv(
     columns = [edges[:-1].tolist(), edges[1:].tolist(), density.tolist()]
     if overlay is not None:
         header += ",overlay_pdf"
-        log_pdf = dwell_log_pdf(overlay, 0.5 * (edges[:-1] + edges[1:]))
-        columns.append([math.exp(v) for v in log_pdf.tolist()])
+        log_density = log_pdf(overlay, 0.5 * (edges[:-1] + edges[1:]))
+        columns.append([math.exp(v) for v in log_density.tolist()])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for row in zip(*columns):

@@ -315,6 +315,26 @@ def _set_item(value, *path):
     return mutate
 
 
+def _text(old, new):
+    """The document as JSON text with old replaced by new, for values that
+    json.dumps cannot write: an integer of 5000 digits, nesting 3000 deep."""
+    def mutate(doc):
+        text = json.dumps(doc)
+        assert old in text
+        return text.replace(old, new, 1)
+    return mutate
+
+
+def _without(key):
+    def mutate(doc):
+        del doc[key]
+    return mutate
+
+
+def _empty_row(doc):  # PAU's row loses its mass but keeps its true flag
+    doc["transitions"][0] = [0.0] * len(doc["transitions"][0])
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -344,6 +364,15 @@ def _set_item(value, *path):
         _set_dwell("PAU", "bic", float("nan")),
         _set_dwell("PAU", "log_likelihood", float("inf")),
         _set_item(float("-inf"), "metadata", "x"),
+        _set_item(False, "row_fitted", 0),
+        _empty_row,
+        lambda doc: doc["row_fitted"].append(True),
+        _set_item(["PAU"], "alphabet"),
+        _set_item(["PAU", "ASB", "MVT", "SYB", "PAU"], "alphabet"),
+        _text('"schema_version": 1', '"schema_version": ' + "1" * 5000),
+        _text('"metadata": {', '"metadata": {"x": ' + "[" * 3000 + "]" * 3000 + ", "),
+        lambda doc: "[" * 3000,
+        _without("kind"),
     ],
     ids=["dwell-list", "metadata-list", "alphabet-int", "dwell-entry-str",
          "params-null", "n_obs-null", "mu-401-digits", "dwell-unknown-state",
@@ -351,7 +380,10 @@ def _set_item(value, *path):
          "n_obs-str", "n_obs-fraction", "n_obs-negative", "log_likelihood-str",
          "bic-list", "mu-true", "mu-str", "row_fitted-str", "transition-str",
          "schema_version-true", "fallback-str", "truncation-positive", "bic-nan",
-         "log_likelihood-infinity", "metadata-infinity"],
+         "log_likelihood-infinity", "metadata-infinity", "row_fitted-false-on-mass",
+         "row_fitted-true-on-zero-row", "row_fitted-too-long", "alphabet-one-state",
+         "alphabet-duplicate", "schema_version-5000-digits", "metadata-3000-deep",
+         "list-3000-deep", "kind-missing"],
 )
 @pytest.mark.parametrize("command", ["compare", "simulate"])
 def test_ill_typed_model_file_is_data_error(tmp_path, capsys, mutate, command):
@@ -360,9 +392,9 @@ def test_ill_typed_model_file_is_data_error(tmp_path, capsys, mutate, command):
     doc = json.loads(good.read_text())
     assert doc["dwell"]["PAU"]["family"] == "Exponential"
     assert doc["transitions"][0][1] == 0.27 and doc["row_fitted"][0] is True
-    mutate(doc)
+    text = mutate(doc)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text(text if isinstance(text, str) else json.dumps(doc))
     if command == "compare":
         argv = ["compare", "--a", str(bad), "--b", str(good),
                 "--out", str(tmp_path / "c.json")]
@@ -371,7 +403,8 @@ def test_ill_typed_model_file_is_data_error(tmp_path, capsys, mutate, command):
                 "--out-prefix", str(tmp_path / "s")]
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "good.json"]
 
 
 @pytest.mark.parametrize(
@@ -385,20 +418,32 @@ def test_ill_typed_model_file_is_data_error(tmp_path, capsys, mutate, command):
         [1, 2],
         {"sampling_rate_hz": math.inf},
         {"sampling_rate_hz": 0.0},
+        {"alphabet": ["PAU"]},
+        {"alphabet": ["PAU", "ASB", "PAU"]},
+        {"patient_files": []},
+        {"group_label": 7},
+        {"sampling_rate_hz": "2.0"},
+        '{"sampling_rate_hz": ' + "2" * 5000 + "}",
+        "[" * 3000,
+        '{"alphabet": ' + "[" * 3000 + "]" * 3000 + "}",
     ],
     ids=["files-int", "rate-null", "alphabet-null", "alphabet-str", "files-ints",
-         "top-level-list", "rate-inf", "rate-zero"],
+         "top-level-list", "rate-inf", "rate-zero", "alphabet-one-state",
+         "alphabet-duplicate", "files-empty", "label-int", "rate-str", "rate-5000-digits",
+         "list-3000-deep", "alphabet-3000-deep"],
 )
 def test_ill_typed_manifest_is_data_error(tmp_path, capsys, doc):
     if isinstance(doc, dict):
         doc = {"group_label": "g", "sampling_rate_hz": 2.0,
                "alphabet": list(PATTERNS.states), "patient_files": ["p.csv"], **doc}
-    (tmp_path / "m.json").write_text(json.dumps(doc))
-    rc = main(["fit", "--manifest", str(tmp_path / "m.json"),
+    manifest = tmp_path / "m.json"
+    manifest.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    rc = main(["fit", "--manifest", str(manifest),
                "--model", "dtmc", "--out", str(tmp_path / "o.json")])
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "m.json" in err[0]
+    assert len(err) == 1 and err[0].startswith(f"error: {manifest}: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
 
 
 def test_report_on_an_infinite_rate_is_data_error(tmp_path, capsys):
@@ -474,6 +519,20 @@ def test_report_bin_width_that_is_not_finite_and_positive_writes_nothing(
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: state ")
     assert "bin_width_s must be finite and positive" in err[0]
+    assert "wrote" not in captured.out
+    assert list(out.iterdir()) == []
+
+
+def test_report_replicates_over_the_limit_writes_nothing(tmp_path, capsys):
+    # 10^13 replicates of five fractions would take 364 TiB
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["report", "--manifest", SUCCESS, "--seed", "1",
+               "--replicates", "10000000000000", "--out-prefix", str(out / "rep")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert err == ["error: n_replicates must be from 1 to 1000000, got 10000000000000"]
     assert "wrote" not in captured.out
     assert list(out.iterdir()) == []
 

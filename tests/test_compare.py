@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from semimarkov.compare import (
+    MAX_REPLICATES,
     bootstrap_group_fractions,
     compare_transition_matrices,
     kl_divergence,
@@ -76,13 +77,11 @@ class TestSymmetricKl:
         assert d1 >= 0.0
 
 
-def tm(rows, fitted=None, kind="semi_markov", alphabet=None):
+def tm(rows, kind="semi_markov", alphabet=None):
     rows = np.array(rows, dtype=float)
     n = rows.shape[0]
     alphabet = alphabet or build_alphabet(tuple("ABCDEFG"[:n]))
-    if fitted is None:
-        fitted = rows.sum(axis=1) > 0
-    return TransitionMatrix(probs=rows, alphabet=alphabet, row_fitted=fitted, kind=kind)
+    return TransitionMatrix(probs=rows, alphabet=alphabet, kind=kind)
 
 
 class TestCompareMatrices:
@@ -219,3 +218,9 @@ class TestBootstrap:
     def test_empty(self):
         with pytest.raises(EmptyInputError):
             bootstrap_group_fractions([], 10, seed=0, alphabet=AB)
+
+    @pytest.mark.parametrize("n", [0, -1, 10**13])
+    def test_replicate_count_out_of_range(self, n):
+        # 10^13 replicates of two fractions would take 146 TiB
+        with pytest.raises(ValueError, match=f"n_replicates must be from 1 to {MAX_REPLICATES}"):
+            bootstrap_group_fractions([seq([0, 1])], n, seed=0, alphabet=AB)

@@ -1,4 +1,5 @@
 import math
+import pickle
 import warnings
 from pathlib import Path
 
@@ -90,7 +91,7 @@ class FixedUniform:
 def test_log_pdf_matches_scipy(family, params):
     dist = scipy_frozen(family, params)
     for x in (0.1, 0.5, 1.0, 2.0, 3.7, 8.0, 15.0):
-        ours = log_pdf(family, params, x)
+        ours = log_pdf(DwellFit(family, params), x)
         ref = dist.logpdf(x)
         if math.isinf(ref):
             assert math.isinf(ours)
@@ -102,18 +103,18 @@ def test_log_pdf_matches_scipy(family, params):
 def test_cdf_matches_scipy(family, params):
     dist = scipy_frozen(family, params)
     for x in (0.05, 0.5, 1.0, 2.5, 5.0, 12.0, 40.0):
-        assert cdf(family, params, x) == pytest.approx(dist.cdf(x), abs=1e-12)
+        assert cdf(DwellFit(family, params), x) == pytest.approx(dist.cdf(x), abs=1e-12)
 
 
 @pytest.mark.parametrize("family,params", PARAM_SETS)
 def test_out_of_support(family, params):
-    assert log_pdf(family, params, -1.0) == -math.inf
-    assert cdf(family, params, -1.0) == 0.0
+    assert log_pdf(DwellFit(family, params), -1.0) == -math.inf
+    assert cdf(DwellFit(family, params), -1.0) == 0.0
     # x = 0 opens the Exponential and GPD supports; the inverse Gaussian's is x > 0
     if family == INVERSE_GAUSSIAN:
-        assert log_pdf(family, params, 0.0) == -math.inf
+        assert log_pdf(DwellFit(family, params), 0.0) == -math.inf
     elif family in (EXPONENTIAL, GPD):
-        assert math.isfinite(log_pdf(family, params, 0.0))
+        assert math.isfinite(log_pdf(DwellFit(family, params), 0.0))
 
 
 # (family, theta, points inside the support, points outside it)
@@ -148,8 +149,8 @@ def test_kernel_covers_the_whole_support(family, theta, inside, outside):
 def test_gpd_negative_shape_upper_endpoint():
     params = {"k": -0.22, "sigma": 3.62}
     top = -params["sigma"] / params["k"]  # 16.4545...
-    assert log_pdf(GPD, params, top + 0.1) == -math.inf
-    assert cdf(GPD, params, top + 0.1) == 1.0
+    assert log_pdf(DwellFit(GPD, params), top + 0.1) == -math.inf
+    assert cdf(DwellFit(GPD, params), top + 0.1) == 1.0
 
 
 def test_gev_gumbel_limit():
@@ -158,10 +159,10 @@ def test_gev_gumbel_limit():
     params = {"k": 1e-14, "sigma": 1.3, "mu": 1.85}
     gum = stats.gumbel_r(loc=1.85, scale=1.3)
     for x in (-1.0, 0.0, 2.0, 6.0):
-        assert log_pdf(GEV, params, x) == pytest.approx(gum.logpdf(x), abs=1e-10)
-        assert cdf(GEV, params, x) == pytest.approx(gum.cdf(x), abs=1e-12)
+        assert log_pdf(DwellFit(GEV, params), x) == pytest.approx(gum.logpdf(x), abs=1e-10)
+        assert cdf(DwellFit(GEV, params), x) == pytest.approx(gum.cdf(x), abs=1e-12)
         u = 0.37
-    assert quantile(GEV, params, u) == pytest.approx(gum.ppf(u), abs=1e-9)
+    assert quantile(DwellFit(GEV, params), u) == pytest.approx(gum.ppf(u), abs=1e-9)
 
 
 @pytest.mark.parametrize("family,params", PARAM_SETS)
@@ -169,11 +170,11 @@ def test_density_integrates_to_one(family, params):
     # piecewise between quantile breakpoints: the GEV shapes here have tail
     # index < 2 and a single quad over the whole support stalls
     us = [1e-12, 0.1, 0.5, 0.9, 0.99, 0.999, 1 - 1e-5, 1 - 1e-7, 1 - 1e-9]
-    cuts = [quantile(family, params, u) for u in us]
+    cuts = [quantile(DwellFit(family, params), u) for u in us]
     total = 0.0
     for lo, hi in zip(cuts, cuts[1:]):
         piece, _ = integrate.quad(
-            lambda x: math.exp(log_pdf(family, params, x)), lo, hi, limit=200
+            lambda x: math.exp(log_pdf(DwellFit(family, params), x)), lo, hi, limit=200
         )
         total += piece
     assert total == pytest.approx(1.0, abs=1e-4)
@@ -182,22 +183,22 @@ def test_density_integrates_to_one(family, params):
 @pytest.mark.parametrize("family,params", PARAM_SETS)
 def test_quantile_cdf_roundtrip(family, params):
     for u in np.linspace(0.01, 0.99, 99):
-        x = quantile(family, params, float(u))
-        assert cdf(family, params, x) == pytest.approx(float(u), abs=1e-10)
+        x = quantile(DwellFit(family, params), float(u))
+        assert cdf(DwellFit(family, params), x) == pytest.approx(float(u), abs=1e-10)
 
 
 def test_quantile_domain():
     with pytest.raises(ValueError):
-        quantile(EXPONENTIAL, {"mu": 1.0}, 0.0)
+        quantile(DwellFit(EXPONENTIAL, {"mu": 1.0}), 0.0)
     with pytest.raises(ValueError):
-        quantile(EXPONENTIAL, {"mu": 1.0}, 1.0)
+        quantile(DwellFit(EXPONENTIAL, {"mu": 1.0}), 1.0)
 
 
 def test_param_validation():
     with pytest.raises(ValueError):
-        log_pdf(EXPONENTIAL, {"mu": -1.0}, 1.0)
+        log_pdf(DwellFit(EXPONENTIAL, {"mu": -1.0}), 1.0)
     with pytest.raises(ValueError):
-        log_pdf(GEV, {"k": 0.1, "sigma": 1.0}, 1.0)  # missing mu
+        log_pdf(DwellFit(GEV, {"k": 0.1, "sigma": 1.0}), 1.0)  # missing mu
     with pytest.raises(ValueError):
         DwellFit(family="Weibull", params={})
 
@@ -214,6 +215,31 @@ def test_param_validation():
 def test_non_finite_params_rejected(family, params):
     with pytest.raises(ValueError):
         DwellFit(family=family, params=params)
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        (GEV, {"k": 0.1, "sigma": 0.0, "mu": 1.0}),
+        (GPD, {"k": 0.1, "sigma": -2.0}),
+        (INVERSE_GAUSSIAN, {"mu": 0.0, "lambda": 1.0}),
+        (INVERSE_GAUSSIAN, {"mu": 1.0, "lambda": -1.0}),
+    ],
+)
+def test_non_positive_scale_rejected(family, params):
+    with pytest.raises(ValueError, match="must be positive"):
+        DwellFit(family=family, params=params)
+
+
+def test_params_are_frozen_when_checked():
+    source = {"mu": 2.5}
+    fit = DwellFit(EXPONENTIAL, source)
+    with pytest.raises(TypeError):
+        fit.params["mu"] = -1.0
+    source["mu"] = -1.0  # the fit holds its own copy of what it checked
+    assert fit.params == {"mu": 2.5}
+    assert str(fit.params) == "{'mu': 2.5}"  # prints as the dict it was given
+    assert pickle.loads(pickle.dumps(fit)) == fit
 
 
 def test_n_params_hand_values():
@@ -272,7 +298,7 @@ def test_log_pdf_sums_to_fitted_log_likelihood(family, params):
     }[family]
     xs = scipy_frozen(family, params).rvs(size=500, random_state=np.random.default_rng(21))
     fit = fitter(xs)
-    total = math.fsum(log_pdf(family, fit.params, float(x)) for x in xs)
+    total = math.fsum(log_pdf(DwellFit(family, fit.params), float(x)) for x in xs)
     assert total == pytest.approx(fit.log_likelihood, rel=1e-9)
 
 
@@ -344,7 +370,7 @@ def test_weighted_kernel_equals_per_observation_sum(family, theta):
     assert len(values) < len(GRID_XS) / 5
     weighted = _loglik(family, theta, values, counts)
     params = dict(zip(PARAM_NAMES[family], theta))
-    per_obs = math.fsum(log_pdf(family, params, float(x)) for x in GRID_XS)
+    per_obs = math.fsum(log_pdf(DwellFit(family, params), float(x)) for x in GRID_XS)
     if math.isinf(per_obs):
         assert weighted == per_obs == -math.inf
     else:
@@ -567,6 +593,11 @@ def test_bic_hand_values():
     )
 
 
+def test_bic_needs_an_observation():
+    with pytest.raises(ValueError, match="n_obs must be at least 1"):
+        bic(-1.0, 1, 0)
+
+
 def test_bic_monotone_in_params():
     vals = [bic(-120.0, p, 50) for p in range(1, 5)]
     assert vals == sorted(vals) and len(set(vals)) == 4
@@ -654,4 +685,4 @@ def test_rejection_bound_warns():
 def test_quantile_monotone(u1, u2):
     lo, hi = sorted((u1, u2))
     for family, params in PARAM_SETS[:4]:
-        assert quantile(family, params, lo) <= quantile(family, params, hi)
+        assert quantile(DwellFit(family, params), lo) <= quantile(DwellFit(family, params), hi)

@@ -12,6 +12,7 @@ from semimarkov.errors import (
     SequenceTooShortError,
 )
 from semimarkov.fitting import (
+    MultiChainModel,
     SemiMarkovModel,
     TransitionCounts,
     TransitionMatrix,
@@ -136,25 +137,45 @@ class TestTransitionMatrixType:
             TransitionMatrix(
                 probs=np.array([[0.5, 0.4], [0.0, 0.0]]),
                 alphabet=AB,
-                row_fitted=np.array([True, False]),
                 kind="dtmc",
             )
 
-    def test_absent_row_must_be_zero(self):
-        with pytest.raises(ValueError):
-            TransitionMatrix(
-                probs=np.array([[0.5, 0.5], [0.3, 0.7]]),
-                alphabet=AB,
-                row_fitted=np.array([True, False]),
-                kind="dtmc",
-            )
+    def test_row_fitted_is_true_exactly_for_rows_with_mass(self):
+        alpha = build_alphabet(("A", "B", "C"))
+        tm = TransitionMatrix(
+            probs=np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+            alphabet=alpha,
+            kind="semi_markov",
+        )
+        assert tm.row_fitted.tolist() == [True, False, True]
+        assert tm.absent_states() == ["B"]
+        with pytest.raises(ValueError):  # read-only, like probs
+            tm.row_fitted[1] = True
+        with pytest.raises(TypeError):  # derived, never passed in
+            TransitionMatrix(probs=tm.probs, alphabet=alpha, kind="semi_markov",
+                             row_fitted=[True, True, True])
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="kind must be"):
+            TransitionMatrix(probs=np.array([[0.0, 1.0], [1.0, 0.0]]), alphabet=AB,
+                             kind="hmm")
+
+    @pytest.mark.parametrize("rows", [[(0.0, 1.0)], [(0.0, 1.0, 0.0), (1.0, 0.0, 0.0)]])
+    def test_from_probabilities_wrong_shape_rejected(self, rows):
+        with pytest.raises(ValueError, match="rows must be 2x2"):
+            TransitionMatrix.from_probabilities(rows, AB)
+
+    def test_from_probabilities_negative_weight_rejected(self):
+        # the row sums to 1 already, so only the sign check names the fault
+        with pytest.raises(ValueError, match="non-negative"):
+            TransitionMatrix.from_probabilities([(0.0, 1.0), (-1.0, 2.0)], AB,
+                                                kind="dtmc")
 
     def test_semi_markov_diagonal_enforced(self):
         with pytest.raises(ValueError):
             TransitionMatrix(
                 probs=np.array([[0.1, 0.9], [1.0, 0.0]]),
                 alphabet=AB,
-                row_fitted=np.array([True, True]),
                 kind="semi_markov",
             )
 
@@ -177,7 +198,6 @@ class TestTransitionMatrixType:
             TransitionMatrix(
                 probs=np.array([[0.0, np.nan], [1.0, 0.0]]),
                 alphabet=AB,
-                row_fitted=np.array([True, True]),
                 kind="semi_markov",
             )
 
@@ -207,6 +227,36 @@ class TestSemiMarkovModel:
         assert SemiMarkovModel(transitions=tm, dwell={}).dwell == {}
         with pytest.raises(ValueError, match="dtmc transition matrix carries no dwell"):
             SemiMarkovModel(transitions=tm, dwell={"A": DwellFit(EXPONENTIAL, {"mu": 1.0})})
+
+    def test_dwell_state_outside_the_alphabet(self):
+        tm = TransitionMatrix.from_probabilities([(0.0, 1.0), (1.0, 0.0)], AB)
+        fit = DwellFit(EXPONENTIAL, {"mu": 1.0})
+        with pytest.raises(ValueError, match=r"dwell states \['C', 'D'\] not in alphabet"):
+            SemiMarkovModel(transitions=tm, dwell={"A": fit, "D": fit, "C": fit})
+
+
+def flip_flop(alphabet=AB):
+    """A two-state semi-Markov model that alternates between its states."""
+    tm = TransitionMatrix.from_probabilities([(0.0, 1.0), (1.0, 0.0)], alphabet)
+    fit = DwellFit(EXPONENTIAL, {"mu": 1.0})
+    return SemiMarkovModel(tm, dict.fromkeys(alphabet.states, fit))
+
+
+class TestMultiChainModelType:
+    def test_needs_a_segment(self):
+        with pytest.raises(ValueError, match="at least one segment"):
+            MultiChainModel(segments=(), boundaries=())
+
+    @pytest.mark.parametrize("boundary", [0.0, -5.0])
+    def test_boundaries_are_positive_times(self, boundary):
+        m = flip_flop()
+        with pytest.raises(ValueError, match="positive times"):
+            MultiChainModel(segments=(m, m), boundaries=(boundary,))
+
+    def test_segments_share_one_alphabet(self):
+        other = flip_flop(build_alphabet(("X", "Y")))
+        with pytest.raises(ValueError, match="share one alphabet"):
+            MultiChainModel(segments=(flip_flop(), other), boundaries=(5.0,))
 
 
 class TestMultiChain:

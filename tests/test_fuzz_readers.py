@@ -3,7 +3,9 @@
 Property: every input either parses or raises one of the three exception
 types that ``cli.main`` reports as a one-line data error (exit 1):
 SemiMarkovError, ValueError or OSError.  Anything else would reach the user
-as a traceback.
+as a traceback.  The JSON readers are held to more: they raise only
+MalformedJsonError or SchemaVersionMismatchError, with a message that starts
+with the file's path.
 
 The sequence CSV readers are also checked against a row-by-row reference
 built on ``csv.reader``: on files without quotes both give the same sequence,
@@ -24,9 +26,11 @@ from hypothesis import strategies as st
 from semimarkov.errors import (
     DataNormalizationWarning,
     MalformedCsvError,
+    MalformedJsonError,
     NonPositiveDurationError,
     NonUniformSamplingError,
     RateMismatchError,
+    SchemaVersionMismatchError,
     SemiMarkovError,
     UnknownStateError,
 )
@@ -41,6 +45,7 @@ from semimarkov.presets import success_model
 from semimarkov.sequences import LabeledSequence, RunSequence, build_alphabet, encode_runs
 
 DATA_ERRORS = (SemiMarkovError, ValueError, OSError)
+JSON_ERRORS = (MalformedJsonError, SchemaVersionMismatchError)
 AB = build_alphabet(("A", "B"))
 
 json_values = st.recursive(
@@ -96,18 +101,44 @@ def _reads_or_reports(reader, *args):
         pass
 
 
-@given(st.sampled_from(list(_paths(MODEL))), json_values)
-def test_model_file_with_one_arbitrary_field(tmp_path_factory, path, value):
+def _reads_or_names_the_file(reader, path):
+    try:
+        reader(path)
+    except JSON_ERRORS as exc:
+        assert str(exc).startswith(f"{path}: "), exc
+
+
+# JSON text that json.dumps cannot write: nesting deeper than the
+# interpreter's stack, and integers past Python's 4300-digit limit
+raw_json_values = (
+    st.integers(1, 3000).map(lambda n: "[" * n + "]" * n)
+    | st.integers(4200, 4400).map(lambda n: "7" * n)
+)
+_HOLE = "\x00hole"
+
+
+def _text_with(doc, path, value, raw: str | None):
+    """doc as JSON text with the node at path replaced by value, or by the
+    raw JSON text raw."""
+    if raw is None:
+        return json.dumps(_put(doc, path, value))
+    return json.dumps(_put(doc, path, _HOLE)).replace(json.dumps(_HOLE), raw)
+
+
+@given(st.sampled_from(list(_paths(MODEL))), json_values,
+       st.none() | raw_json_values)
+def test_model_file_with_one_arbitrary_field(tmp_path_factory, path, value, raw):
     p = tmp_path_factory.mktemp("model") / "m.json"
-    p.write_text(json.dumps(_put(MODEL, path, value)), encoding="utf-8")
-    _reads_or_reports(read_model_json, p)
+    p.write_text(_text_with(MODEL, path, value, raw), encoding="utf-8")
+    _reads_or_names_the_file(read_model_json, p)
 
 
-@given(st.sampled_from(list(_paths(MANIFEST))), json_values)
-def test_manifest_with_one_arbitrary_field(tmp_path_factory, path, value):
+@given(st.sampled_from(list(_paths(MANIFEST))), json_values,
+       st.none() | raw_json_values)
+def test_manifest_with_one_arbitrary_field(tmp_path_factory, path, value, raw):
     p = tmp_path_factory.mktemp("manifest") / "m.json"
-    p.write_text(json.dumps(_put(MANIFEST, path, value)), encoding="utf-8")
-    _reads_or_reports(read_manifest, p)
+    p.write_text(_text_with(MANIFEST, path, value, raw), encoding="utf-8")
+    _reads_or_names_the_file(read_manifest, p)
 
 
 # fields over csv.field_size_limit() (131072 characters) have to be built on

@@ -20,6 +20,7 @@ from semimarkov.fitting import SemiMarkovModel, fit_dtmc
 from semimarkov.io import (
     CohortManifest,
     canonical_json,
+    document_from_dict,
     document_to_dict,
     emit_histogram_csv,
     float_text,
@@ -48,6 +49,11 @@ class TestCanonicalJson:
         assert float_text(2.0) == "2.0"
         assert float_text(-0.0) == "-0.0"
         assert "e" in float_text(1e300)
+
+    def test_non_finite_float_is_refused(self):
+        for x in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="non-finite float"):
+                float_text(x)
 
     def test_float_roundtrip_is_exact(self):
         for x in (0.27, 2.51, 1.0 / 3.0, 5e-324, 1.7976931348623157e308):
@@ -349,6 +355,16 @@ class TestModelJson:
         with pytest.raises(MalformedJsonError, match="dtmc transition matrix carries no dwell"):
             read_model_json(p)
 
+    @pytest.mark.parametrize(
+        "key", ["schema_version", "alphabet", "kind", "transitions", "row_fitted", "dwell",
+                "metadata"])
+    def test_missing_key_is_malformed(self, key):
+        raw = document_to_dict(success_model())
+        del raw[key]
+        with pytest.raises(MalformedJsonError,
+                           match=f"^m.json: model document missing key '{key}'$"):
+            document_from_dict(raw, source="m.json")
+
     def test_truncated_file(self, tmp_path):
         p = tmp_path / "m.json"
         write_model_json(success_model(), p)
@@ -423,7 +439,7 @@ class TestHistogram:
         assert len(rows) == 24
         for left, right, _, pdf in rows:
             x = 0.5 * (left + right)
-            assert pdf == pytest.approx(math.exp(log_pdf(overlay.family, overlay.params, x)),
+            assert pdf == pytest.approx(math.exp(log_pdf(overlay, x)),
                                         rel=1e-15, abs=0.0)
         assert sum(row[3] == 0.0 for row in rows) == zero_rows
 

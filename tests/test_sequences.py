@@ -87,6 +87,16 @@ class TestRunEncoding:
                 sampling_rate_hz=1.0,
             )
 
+    @pytest.mark.parametrize(
+        "states, durations, message",
+        [([[0, 1]], [[1, 1]], "one-dimensional"), ([0, 1, 0], [1, 1], "equal length"),
+         ([], [], "at least one run")],
+        ids=["2-D", "ragged", "empty"],
+    )
+    def test_malformed_runs_rejected(self, states, durations, message):
+        with pytest.raises(ValueError, match=message):
+            RunSequence(states=states, durations=durations, sampling_rate_hz=1.0)
+
     def test_zero_duration_rejected(self):
         with pytest.raises(ValueError):
             RunSequence(

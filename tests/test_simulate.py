@@ -122,7 +122,6 @@ def test_initial_state_without_fitted_row():
         transitions=TransitionMatrix(
             probs=np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
             alphabet=alpha,
-            row_fitted=np.array([True, True, False]),
             kind="semi_markov",
         ),
         dwell={
@@ -146,7 +145,6 @@ def test_reachable_absent_row_rejected():
         transitions=TransitionMatrix(
             probs=np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
             alphabet=alpha,
-            row_fitted=np.array([True, True, False]),
             kind="semi_markov",
         ),
         dwell={
@@ -167,6 +165,40 @@ def test_missing_dwell_rejected():
     cfg = SimulationConfig(duration_s=10.0, seed=0, initial_state="A")
     with pytest.raises(UnreachableAbsentRowError):
         simulate_sequence(model, cfg)
+
+
+def test_initial_state_without_dwell_fit():
+    model = SemiMarkovModel(
+        transitions=TransitionMatrix.from_probabilities([(0.0, 1.0), (1.0, 0.0)], AB),
+        dwell={"A": DwellFit(EXPONENTIAL, {"mu": 1.0})},  # B's row has mass, no dwell
+    )
+    cfg = SimulationConfig(duration_s=10.0, seed=0, initial_state="B")
+    with pytest.raises(InvalidInitialStateError, match="'B' has no dwell distribution"):
+        simulate_sequence(model, cfg)
+
+
+def test_no_startable_state():
+    # every row has mass, but no state has a dwell fit to start from
+    model = SemiMarkovModel(
+        transitions=TransitionMatrix.from_probabilities([(0.0, 1.0), (1.0, 0.0)], AB),
+        dwell={},
+    )
+    with pytest.raises(InvalidInitialStateError, match="no startable states"):
+        simulate_sequence(model, SimulationConfig(duration_s=10.0, seed=0))
+
+
+def test_duration_under_half_a_sample():
+    # 0.4 s at 1 Hz rounds to no sample at all, below the one-sample floor
+    cfg = SimulationConfig(duration_s=0.4, seed=0, output_sampling_rate_hz=1.0)
+    with pytest.raises(ValueError, match="shorter than half a sample period"):
+        simulate_sequence(two_state_model(), cfg)
+
+
+@pytest.mark.parametrize("n_patients", [0, -3])
+def test_cohort_needs_a_patient(n_patients):
+    cfg = SimulationConfig(duration_s=10.0, seed=0)
+    with pytest.raises(ValueError, match="n_patients must be at least 1"):
+        simulate_cohort(two_state_model(), n_patients, cfg)
 
 
 def test_dtmc_kind_is_refused():
