@@ -37,7 +37,7 @@ def build_cohort(out_dir: Path, label: str) -> None:
     config = SimulationConfig(
         duration_s=DURATION_S, seed=seed, output_sampling_rate_hz=RATE_HZ
     )
-    cohort = simulate_cohort(model, N_PATIENTS, config, id_prefix=f"{label}_")
+    cohort = simulate_cohort(model, N_PATIENTS, config)
     files = []
     for i, runs in enumerate(cohort):
         name = f"{label}_{i:02d}.csv"

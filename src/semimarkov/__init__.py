@@ -62,7 +62,6 @@ from .sequences import (
     durations_by_state,
     encode_runs,
     split_at_time,
-    upsample,
 )
 from .simulate import (
     SimulationConfig,

@@ -63,12 +63,10 @@ def _cmd_split_fit(args) -> int:
     seqs = load_sequences(manifest)
     meta = {"cohort": manifest.group_label, "n_sequences": len(seqs)}
     mc = fit_multi_chain(seqs, args.segments, manifest.alphabet, metadata=meta)
-    comparisons = []  # before any file is written, so a bad --epsilon writes none
+    comparisons = []  # before any file is written, so a failed comparison writes none
     for k in range(len(mc.segments) - 1):
         report = compare_transition_matrices(
-            mc.segments[k].transitions,
-            mc.segments[k + 1].transitions,
-            epsilon=args.epsilon,
+            mc.segments[k].transitions, mc.segments[k + 1].transitions
         )
         comparisons.append(
             comparison_to_dict(
@@ -88,9 +86,7 @@ def _cmd_split_fit(args) -> int:
 def _cmd_compare(args) -> int:
     model_a = read_model_json(args.a)
     model_b = read_model_json(args.b)
-    report = compare_transition_matrices(
-        model_a.transitions, model_b.transitions, epsilon=args.epsilon
-    )
+    report = compare_transition_matrices(model_a.transitions, model_b.transitions)
     context = {
         "a": Path(args.a).name,
         "b": Path(args.b).name,
@@ -185,14 +181,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_split.add_argument("--manifest", required=True)
     p_split.add_argument("--segments", required=True, type=int)
-    p_split.add_argument("--epsilon", type=float, default=1e-9)
     p_split.add_argument("--out-prefix", required=True)
     p_split.set_defaults(func=_cmd_split_fit)
 
     p_cmp = sub.add_parser("compare", help="row-wise symmetric KL of two models")
     p_cmp.add_argument("--a", required=True)
     p_cmp.add_argument("--b", required=True)
-    p_cmp.add_argument("--epsilon", type=float, default=1e-9)
     p_cmp.add_argument("--out", required=True)
     p_cmp.set_defaults(func=_cmd_compare)
 

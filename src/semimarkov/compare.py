@@ -7,8 +7,8 @@ The central quantity is the symmetric KL divergence
 in nats, applied row-by-row to transition matrices.  Semi-Markov rows are
 compared as distributions over the other states (the structural diagonal
 zero is shared by both matrices and is removed, not smoothed).  Rows with
-incidental zeros are epsilon-smoothed in both matrices so the divergence
-stays finite.
+incidental zeros are smoothed in both matrices by ``SMOOTHING_EPSILON`` so
+the divergence stays finite.
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ from .sequences import LabeledSequence, StateAlphabet, encode_runs
 #: Most bootstrap replicates one call draws: their table takes 8 bytes per
 #: state and replicate, so a mistyped count fails before it allocates.
 MAX_REPLICATES = 10**6
+
+#: Added to every entry of both rows when either holds an incidental zero.
+SMOOTHING_EPSILON = 1e-9
 
 
 def kl_divergence(p, q) -> float:
@@ -73,7 +76,6 @@ class ComparisonReport:
     per_row: dict[str, float]
     aggregate: float
     skipped_rows: tuple[str, ...]
-    smoothing_epsilon: float
 
 
 def _comparison_rows(tm: TransitionMatrix, i: int) -> np.ndarray:
@@ -87,9 +89,7 @@ def _comparison_rows(tm: TransitionMatrix, i: int) -> np.ndarray:
     return row.copy()
 
 
-def compare_transition_matrices(
-    a: TransitionMatrix, b: TransitionMatrix, epsilon: float = 1e-9
-) -> ComparisonReport:
+def compare_transition_matrices(a: TransitionMatrix, b: TransitionMatrix) -> ComparisonReport:
     """Row-wise symmetric KL divergence between two fitted matrices.
 
     Rules, applied per state fitted in both matrices:
@@ -97,8 +97,8 @@ def compare_transition_matrices(
     * semi-Markov rows drop the structural diagonal zero and renormalize
       over the other states (both matrices share that zero; smoothing it
       would inject spurious divergence);
-    * if either row then contains a zero, epsilon is added to every entry
-      of both rows and each is renormalized;
+    * if either row then contains a zero, SMOOTHING_EPSILON is added to
+      every entry of both rows and each is renormalized;
     * the aggregate is the unweighted mean of the per-row values.
 
     Rows absent in either matrix are skipped and listed in the report.
@@ -107,8 +107,6 @@ def compare_transition_matrices(
         raise AlphabetMismatchError("matrices use different alphabets")
     if a.kind != b.kind:
         raise KindMismatchError(f"cannot compare kind {a.kind!r} with {b.kind!r}")
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     per_row: dict[str, float] = {}
     skipped: list[str] = []
     for i, name in enumerate(a.alphabet.states):
@@ -118,9 +116,9 @@ def compare_transition_matrices(
         pa = _comparison_rows(a, i)
         pb = _comparison_rows(b, i)
         if np.any(pa == 0.0) or np.any(pb == 0.0):
-            pa = pa + epsilon
+            pa = pa + SMOOTHING_EPSILON
             pa /= pa.sum()
-            pb = pb + epsilon
+            pb = pb + SMOOTHING_EPSILON
             pb /= pb.sum()
         per_row[name] = symmetric_kl(pa, pb)
     if not per_row:
@@ -130,7 +128,6 @@ def compare_transition_matrices(
         per_row=per_row,
         aggregate=aggregate,
         skipped_rows=tuple(skipped),
-        smoothing_epsilon=epsilon,
     )
 
 

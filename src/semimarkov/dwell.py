@@ -103,8 +103,6 @@ class DwellFit:
     """A fitted (or analytically specified) dwell-time distribution.
 
     ``params`` is stored read-only once its names and ranges are checked.
-    ``fallback`` is read from model files, where schema-v1 documents carry
-    it; fits made by this version never set it.
     """
 
     family: str
@@ -112,9 +110,7 @@ class DwellFit:
     n_obs: int = 0
     log_likelihood: float | None = None
     bic: float | None = None
-    # kept: schema-v1 model files carry it, io reads it back, and
-    # perfbench/tracing.py counts it
-    fallback: bool = False
+    fallback = False  # a class attribute, not a field: perfbench/tracing.py counts it
 
     def __post_init__(self) -> None:
         family, params = self.family, dict(self.params)
@@ -136,7 +132,7 @@ class DwellFit:
 
     def __reduce__(self):  # a mappingproxy does not pickle; its dict does
         return DwellFit, (self.family, dict(self.params), self.n_obs,
-                          self.log_likelihood, self.bic, self.fallback)
+                          self.log_likelihood, self.bic)
 
     @property
     def n_params(self) -> int:

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import bisect
 import logging
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any
 
 import numpy as np
@@ -145,24 +147,30 @@ class TransitionMatrix:
 class SemiMarkovModel:
     """Run-level transition matrix plus per-state dwell-time distributions.
 
-    ``dwell`` is keyed by state name and holds an entry for every state with
-    at least one observed run.  ``metadata`` carries bookkeeping only
-    (per-state run counts, cohort label, 1-based segment index) and never
-    influences simulation or comparison.  A model with a ``dtmc`` matrix is a
-    per-sample Markov chain, as a model file holds it: its dwell is implied by
-    its self-transitions, so it carries no dwell fits.
+    ``dwell`` is keyed by state name, holds an entry for every state with at
+    least one observed run, and is stored read-only once checked.
+    ``metadata`` carries bookkeeping only (per-state run counts, cohort label,
+    1-based segment index) and never influences simulation or comparison.  A
+    model with a ``dtmc`` matrix is a per-sample Markov chain, as a model file
+    holds it: its dwell is implied by its self-transitions, so it carries no
+    dwell fits.
     """
 
     transitions: TransitionMatrix
-    dwell: dict[str, DwellFit]
+    dwell: Mapping[str, DwellFit]
     metadata: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.transitions.kind == DTMC and self.dwell:
+        dwell = dict(self.dwell)
+        if self.transitions.kind == DTMC and dwell:
             raise ValueError("a dtmc transition matrix carries no dwell fits")
-        unknown = sorted(set(self.dwell) - set(self.alphabet.states))
+        unknown = sorted(set(dwell) - set(self.alphabet.states))
         if unknown:
             raise ValueError(f"dwell states {unknown} not in alphabet")
+        object.__setattr__(self, "dwell", MappingProxyType(dwell))
+
+    def __reduce__(self):  # a mappingproxy does not pickle; its dict does
+        return SemiMarkovModel, (self.transitions, dict(self.dwell), self.metadata)
 
     @property
     def alphabet(self) -> StateAlphabet:

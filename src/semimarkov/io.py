@@ -36,6 +36,7 @@ from typing import Any
 
 import numpy as np
 
+from .compare import SMOOTHING_EPSILON
 from .dwell import DwellFit, log_pdf
 from .errors import (
     DataNormalizationWarning,
@@ -58,6 +59,7 @@ from .sequences import (
     _run_samples,
     build_alphabet,
     decode_runs,
+    encode_runs,
 )
 
 SCHEMA_VERSION = 1
@@ -457,12 +459,21 @@ def load_sequences(manifest: CohortManifest) -> list[LabeledSequence]:
 
 
 def write_label_csv(seq: LabeledSequence, alphabet: StateAlphabet, path) -> None:
-    """Write a per-sample label CSV with timestamps on the uniform grid."""
-    rate = seq.sampling_rate_hz
+    """Write a per-sample label CSV with sample i at time i / rate.
+
+    Each time is printed as ``float_text`` prints it (i / rate is finite), by
+    one ``repr`` of the list of all times, and each run's rows are one join.
+    """
+    runs = encode_runs(seq)
+    times = np.arange(runs.total_samples) / runs.sampling_rate_hz
+    texts = repr(times.tolist())[1:-1].split(", ")
+    start = 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("time_s,state\n")
-        for i, lab in enumerate(seq.labels.tolist()):
-            fh.write(f"{i / rate:.6f},{alphabet.name(lab)}\n")
+        for state, n in runs.runs:
+            end = f",{alphabet.name(state)}\n"
+            fh.write(end.join(texts[start:start + n]) + end)
+            start += n
 
 
 def write_runlength_csv(runs: RunSequence, alphabet: StateAlphabet, path) -> None:
@@ -484,13 +495,14 @@ def _dwell_to_dict(fit: DwellFit) -> dict[str, Any]:
         "n_obs": fit.n_obs,
         "log_likelihood": fit.log_likelihood,
         "bic": fit.bic,
-        "fallback": fit.fallback,
     }
 
 
 def _dwell_from_dict(name: str, doc: dict[str, Any]) -> DwellFit:
     what = f"dwell {name}"
-    # files written before left-truncated fits were removed hold "truncation_s": 0.0
+    # files written before left-truncated fits and fallback fits were removed
+    # hold "truncation_s": 0.0 and a "fallback" flag
+    _boolean(doc.get("fallback", False), f"{what} fallback")
     if _number(doc.get("truncation_s", 0.0), f"{what} truncation_s") != 0.0:
         raise ValueError(
             f"{what}: truncation_s {doc['truncation_s']!r} unsupported; only "
@@ -502,7 +514,6 @@ def _dwell_from_dict(name: str, doc: dict[str, Any]) -> DwellFit:
         n_obs=_count(doc["n_obs"], f"{what} n_obs"),
         log_likelihood=_finite_or_null(doc["log_likelihood"], f"{what} log_likelihood"),
         bic=_finite_or_null(doc["bic"], f"{what} bic"),
-        fallback=_boolean(doc.get("fallback", False), f"{what} fallback"),
     )
 
 
@@ -563,7 +574,8 @@ MAX_HISTOGRAM_BINS = 10**6  # rows of one histogram CSV
 
 
 def histogram_bin_count(max_duration_s: float, bin_width_s: float) -> int:
-    """Number of bins of width bin_width_s from 0 up to max_duration_s.
+    """The smallest number n of bins of width bin_width_s whose last edge,
+    n * bin_width_s, reaches max_duration_s (at least one).
 
     Raises ValueError for a width that is not a finite number > 0, or for
     more than MAX_HISTOGRAM_BINS bins.
@@ -571,43 +583,41 @@ def histogram_bin_count(max_duration_s: float, bin_width_s: float) -> int:
     if not (math.isfinite(bin_width_s) and bin_width_s > 0):
         raise ValueError(f"bin_width_s must be finite and positive, got {bin_width_s!r}")
     span = float(max_duration_s) / bin_width_s
-    if not span <= MAX_HISTOGRAM_BINS:
+    n = max(1, math.ceil(span)) if span <= MAX_HISTOGRAM_BINS else MAX_HISTOGRAM_BINS + 1
+    # span is rounded, so its ceiling can be one bin off either way; a span
+    # that is NaN or too large keeps n above the limit
+    if n > 1 and (n - 1) * bin_width_s >= max_duration_s:
+        n -= 1
+    elif n * bin_width_s < max_duration_s:
+        n += 1
+    if n > MAX_HISTOGRAM_BINS:
         raise ValueError(f"binning up to {max_duration_s:g} s takes {span:.4g} bins of "
                          f"{bin_width_s:g} s, more than {MAX_HISTOGRAM_BINS}")
-    return max(1, int(math.ceil(span)))
+    return n
 
 
-def emit_histogram_csv(
-    durations,
-    bin_width_s: float,
-    path,
-    overlay: DwellFit | None = None,
-    counts=None,
-) -> None:
-    """Write a normalized histogram of durations as plot-ready CSV.
+def emit_histogram_csv(durations, bin_width_s: float, path, overlay: DwellFit, counts) -> None:
+    """Write a normalized histogram of durations, each with its multiplicity
+    in ``counts``, as plot-ready CSV.
 
-    ``counts``, if given, holds each duration's multiplicity.  Columns
-    ``bin_left_s,bin_right_s,density`` with sum(density)*bin_width equal to 1;
-    with an overlay fit, a fourth column ``overlay_pdf`` holds the fitted
-    density at each bin midpoint, from one evaluation of the fit's log-density
-    over all midpoints.  At most MAX_HISTOGRAM_BINS bins are written.
+    Columns ``bin_left_s,bin_right_s,density,overlay_pdf``: sum(density) *
+    bin_width is 1, and ``overlay_pdf`` holds the overlay fit's density at each
+    bin midpoint, from one evaluation of its log-density over all midpoints.
+    At most MAX_HISTOGRAM_BINS bins are written.
     """
     arr = np.asarray(list(durations), dtype=float)
     if arr.size == 0:
         raise EmptyInputError("no durations to bin")
-    weights = np.ones(arr.size, dtype=np.int64) if counts is None else np.asarray(counts)
+    weights = np.asarray(counts)
     n_bins = histogram_bin_count(arr.max(), bin_width_s)
     edges = np.arange(n_bins + 1) * bin_width_s
     hist, _ = np.histogram(arr, bins=edges, weights=weights)
     density = hist / (int(weights.sum()) * bin_width_s)
-    header = "bin_left_s,bin_right_s,density"
-    columns = [edges[:-1].tolist(), edges[1:].tolist(), density.tolist()]
-    if overlay is not None:
-        header += ",overlay_pdf"
-        log_density = log_pdf(overlay, 0.5 * (edges[:-1] + edges[1:]))
-        columns.append([math.exp(v) for v in log_density.tolist()])
+    log_density = log_pdf(overlay, 0.5 * (edges[:-1] + edges[1:]))
+    columns = [edges[:-1].tolist(), edges[1:].tolist(), density.tolist(),
+               [math.exp(v) for v in log_density.tolist()]]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(header + "\n")
+        fh.write("bin_left_s,bin_right_s,density,overlay_pdf\n")
         for row in zip(*columns):
             fh.write(",".join(map(float_text, row)) + "\n")
 
@@ -616,13 +626,13 @@ def emit_histogram_csv(
 
 
 def comparison_to_dict(report, context: dict[str, Any]) -> dict[str, Any]:
-    """JSON-ready form of a ComparisonReport (aggregation rule stated inline)
-    with the context that names what was compared."""
+    """JSON-ready form of a ComparisonReport (aggregation rule and smoothing
+    constant stated inline) with the context that names what was compared."""
     return {
         "per_row_symmetric_kl_nats": dict(report.per_row),
         "aggregate_symmetric_kl_nats": report.aggregate,
         "aggregation": "unweighted mean over rows fitted in both matrices",
         "skipped_rows": list(report.skipped_rows),
-        "smoothing_epsilon": report.smoothing_epsilon,
+        "smoothing_epsilon": SMOOTHING_EPSILON,
         "context": context,
     }

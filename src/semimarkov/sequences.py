@@ -1,9 +1,9 @@
-"""Labeled state sequences, run-length encoding, segmentation, and resampling.
+"""Labeled state sequences, run-length encoding, and segmentation.
 
 Sequences are stored as runs of alphabet indices at a uniform sampling rate;
 per-sample labels are expanded only when ``LabeledSequence.labels`` is read.
-Run durations are kept in integer samples, so re-encoding and upsampling are
-exact; ``durations_by_state`` turns a cohort's runs into the per-state table of
+Run durations are kept in integer samples, so re-encoding is exact;
+``durations_by_state`` turns a cohort's runs into the per-state table of
 distinct durations in seconds with counts that every dwell fit reads.
 """
 
@@ -218,23 +218,6 @@ def split_at_time(
     at = np.searchsorted(ends, cuts, side="right")
     pieces = zip(np.split(states, at), np.split(np.diff(ends, prepend=0), at))
     return [decode_runs(RunSequence(s, d, seq.sampling_rate_hz, seq.id)) for s, d in pieces]
-
-
-def upsample(seq: LabeledSequence, factor: int) -> LabeledSequence:
-    """Repeat each sample `factor` times and scale the rate to match.
-
-    Run durations in seconds are unchanged; run durations in samples are
-    multiplied by `factor`.
-    """
-    if not isinstance(factor, (int, np.integer)) or factor < 1:
-        raise ValueError(f"factor must be a positive integer, got {factor!r}")
-    if factor == 1:
-        return seq
-    if len(seq) * int(factor) >= 2**63:
-        raise ValueError(f"{len(seq)} samples times {factor} overflows int64")
-    runs = encode_runs(seq)
-    rate = seq.sampling_rate_hz * factor
-    return decode_runs(RunSequence(runs.states, runs.durations * factor, rate, seq.id))
 
 
 def durations_by_state(runs_list: Sequence[RunSequence]) -> dict[int, tuple]:

@@ -204,17 +204,17 @@ def simulate_cohort(
     model: SemiMarkovModel | MultiChainModel,
     n_patients: int,
     config: SimulationConfig,
-    id_prefix: str = "sim",
 ) -> list[RunSequence]:
     """Simulate n_patients independent recordings.
 
-    Patient i uses seed config.seed + i, so the cohort is reproducible and
-    any subset of patients can be regenerated independently.
+    Patient i uses seed config.seed + i and id ``sim`` + i in three digits,
+    so the cohort is reproducible and any subset of patients can be
+    regenerated independently.
     """
     if n_patients < 1:
         raise ValueError("n_patients must be at least 1")
     out = []
     for i in range(n_patients):
         cfg = replace(config, seed=config.seed + i)
-        out.append(simulate_sequence(model, cfg, sequence_id=f"{id_prefix}{i:03d}"))
+        out.append(simulate_sequence(model, cfg, sequence_id=f"sim{i:03d}"))
     return out

@@ -53,7 +53,6 @@ from semimarkov.sequences import (
     decode_runs,
     durations_by_state,
     encode_runs,
-    upsample,
 )
 from semimarkov.simulate import SimulationConfig, simulate_cohort
 
@@ -101,8 +100,9 @@ def test_criterion_2_sampling_rate_invariance():
     assert np.all(np.diag(base_dtmc.probs) < 1.0)
 
     for k in (2, 5):
-        ups = [upsample(s, k) for s in seqs]
-        up_runs = [encode_runs(s) for s in ups]
+        up_runs = [RunSequence(r.states, r.durations * k, r.sampling_rate_hz * k, r.id)
+                   for r in base_runs]
+        ups = [decode_runs(r) for r in up_runs]
         up_sm = fit_semi_markov_transitions(up_runs, PATTERNS)
         assert np.array_equal(up_sm.probs, base_sm.probs)
         assert np.array_equal(up_sm.row_fitted, base_sm.row_fitted)
@@ -167,13 +167,13 @@ def test_criterion_3_kl_correctness():
 
     a = success_model().transitions
     b = failure_model().transitions
-    report = compare_transition_matrices(a, b, epsilon=1e-9)
+    report = compare_transition_matrices(a, b)
     assert report.skipped_rows == ()
     for state, frozen in _FROZEN_ROW_KLS.items():
         assert abs(report.per_row[state] - frozen) < 1e-10
     assert abs(report.aggregate - _FROZEN_AGGREGATE) < 1e-10
 
-    same = compare_transition_matrices(a, a, epsilon=1e-9)
+    same = compare_transition_matrices(a, a)
     assert same.aggregate == 0.0
     print(
         f"criterion 3 PASS: hand value {symmetric_kl(p, q):.6f}~0.8789, "
@@ -407,7 +407,7 @@ def _run_pipeline(out: Path) -> None:
         ["split-fit", "--manifest", success, "--segments", "2",
          "--out-prefix", str(out / "success_split")],
         ["compare", "--a", str(out / "success_sm.json"),
-         "--b", str(out / "failure_sm.json"), "--epsilon", "1e-9",
+         "--b", str(out / "failure_sm.json"),
          "--out", str(out / "cohort_cmp.json")],
         ["simulate", "--model", str(out / "success_sm.json"), "--patients", "3",
          "--duration-s", "120", "--rate-hz", "2", "--seed", "42",

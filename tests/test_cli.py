@@ -58,11 +58,12 @@ def test_compare_command(tmp_path):
     main(["fit", "--manifest", SUCCESS, "--model", "semi-markov", "--out", str(ma)])
     main(["fit", "--manifest", FAILURE, "--model", "semi-markov", "--out", str(mb)])
     out = tmp_path / "cmp.json"
-    rc = main(["compare", "--a", str(ma), "--b", str(mb), "--epsilon", "1e-9", "--out", str(out)])
+    rc = main(["compare", "--a", str(ma), "--b", str(mb), "--out", str(out)])
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["aggregate_symmetric_kl_nats"] > 0
     assert set(doc["per_row_symmetric_kl_nats"]) <= set(PATTERNS.states)
+    assert doc["smoothing_epsilon"] == 1e-9
 
 
 def test_compare_kind_mismatch_is_data_error(tmp_path):
@@ -198,6 +199,22 @@ def test_report_tail_fits_cover_every_duration(tmp_path):
     assert main(["report", "--manifest", SUCCESS, "--seed", "11", "--truncation", "2",
                  "--out-prefix", str(tmp_path / "t")]) == 2
     assert not list(tmp_path.glob("t_*"))
+
+
+def test_report_histogram_keeps_the_longest_dwell(tmp_path):
+    # 126 samples at 2 Hz last 63 s; 63 / 0.7 rounds to 90.0, yet 90 bins of
+    # 0.7 s end at 62.99999999999999
+    (tmp_path / "p.csv").write_text("state,duration_s\nPAU,1.0\nASB,2.0\nPAU,63.0\n")
+    write_manifest(CohortManifest("g", 2.0, PATTERNS, ["p.csv"], tmp_path),
+                   tmp_path / "m.json")
+    rc = main(["report", "--manifest", str(tmp_path / "m.json"), "--seed", "1",
+               "--replicates", "10", "--bin-width", "0.7",
+               "--out-prefix", str(tmp_path / "rep")])
+    assert rc == 0
+    lines = (tmp_path / "rep_hist_PAU.csv").read_text().splitlines()[1:]
+    rows = [[float(v) for v in line.split(",")] for line in lines]
+    assert len(rows) == 91 and rows[-1][1] >= 63.0 and rows[-1][2] > 0.0
+    assert math.fsum(row[2] for row in rows) * 0.7 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_report_requires_seed():
@@ -538,9 +555,8 @@ def test_report_replicates_over_the_limit_writes_nothing(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["compare", "split-fit"])
-@pytest.mark.parametrize("epsilon", ["inf", "nan", "0"])
-def test_epsilon_that_is_not_finite_and_positive_writes_nothing(
-        tmp_path, capsys, command, epsilon):
+def test_epsilon_flag_is_a_usage_error_and_writes_nothing(tmp_path, capsys, command):
+    # the smoothing constant is fixed at 1e-9; the flag that set it is gone
     out = tmp_path / "out"
     out.mkdir()
     if command == "compare":
@@ -551,11 +567,9 @@ def test_epsilon_that_is_not_finite_and_positive_writes_nothing(
     else:
         argv = ["split-fit", "--manifest", SUCCESS, "--segments", "2",
                 "--out-prefix", str(out / "half")]
-    rc = main(argv + ["--epsilon", epsilon])
-    assert rc == 1
+    assert main(argv + ["--epsilon", "1e-9"]) == 2
     captured = capsys.readouterr()
-    err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: epsilon must be finite")
+    assert "unrecognized arguments: --epsilon 1e-9" in captured.err
     assert "wrote" not in captured.out
     assert list(out.iterdir()) == []
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from semimarkov import compare
 from semimarkov.compare import (
     MAX_REPLICATES,
     bootstrap_group_fractions,
@@ -110,16 +111,20 @@ class TestCompareMatrices:
     def test_incidental_zero_smoothed_in_both(self):
         a = tm([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
         b = tm([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
-        rep = compare_transition_matrices(a, b, epsilon=1e-9)
+        rep = compare_transition_matrices(a, b)
         assert math.isfinite(rep.per_row["A"])
         assert rep.per_row["A"] > 1.0  # ~ ln(1/eps)-scale, clearly large
+        e = 1e-9  # row A off the diagonal: (1, 0) against (0.5, 0.5)
+        smoothed = ((1 + e) / (1 + 2 * e), e / (1 + 2 * e))
+        assert rep.per_row["A"] == pytest.approx(symmetric_kl(smoothed, (0.5, 0.5)), rel=1e-12)
         assert rep.per_row["B"] == 0.0
 
-    def test_smoothing_continuity(self):
+    def test_smoothing_continuity(self, monkeypatch):
         a = success_model().transitions
         b = failure_model().transitions
-        r1 = compare_transition_matrices(a, b, epsilon=1e-9)
-        r2 = compare_transition_matrices(a, b, epsilon=1e-10)
+        r1 = compare_transition_matrices(a, b)
+        monkeypatch.setattr(compare, "SMOOTHING_EPSILON", 1e-10)
+        r2 = compare_transition_matrices(a, b)
         # no true zeros here, so epsilon never engages
         assert abs(r1.aggregate - r2.aggregate) < 1e-3
 
@@ -150,13 +155,6 @@ class TestCompareMatrices:
         b = tm([[0.5, 0.5], [0.5, 0.5]], kind="dtmc")
         with pytest.raises(KindMismatchError):
             compare_transition_matrices(a, b)
-
-    @pytest.mark.parametrize("epsilon", [0.0, -1e-9, math.inf, math.nan])
-    def test_epsilon_must_be_finite_and_positive(self, epsilon):
-        # an infinite epsilon would turn every smoothed row into NaN
-        a = tm([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
-        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
-            compare_transition_matrices(a, a, epsilon=epsilon)
 
     def test_dtmc_rows_compared_whole(self):
         # dtmc diagonals carry information and must not be dropped

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,12 +23,13 @@ from semimarkov.fitting import (
     fit_semi_markov,
     fit_semi_markov_transitions,
 )
+from semimarkov.io import document_to_dict
+from semimarkov.presets import PATTERNS, success_model
 from semimarkov.sequences import (
     LabeledSequence,
     RunSequence,
     build_alphabet,
     encode_runs,
-    upsample,
 )
 
 AB = build_alphabet(("A", "B"))
@@ -127,7 +130,9 @@ class TestSemiMarkovTransitions:
             base = fit_semi_markov_transitions([encode_runs(s)], alpha)
         except NoTransitionsError:
             return
-        up = fit_semi_markov_transitions([encode_runs(upsample(s, k))], alpha)
+        r = encode_runs(s)
+        up_runs = RunSequence(r.states, r.durations * k, r.sampling_rate_hz * k, r.id)
+        up = fit_semi_markov_transitions([up_runs], alpha)
         assert np.array_equal(base.probs, up.probs)  # bit-identical
 
 
@@ -233,6 +238,28 @@ class TestSemiMarkovModel:
         fit = DwellFit(EXPONENTIAL, {"mu": 1.0})
         with pytest.raises(ValueError, match=r"dwell states \['C', 'D'\] not in alphabet"):
             SemiMarkovModel(transitions=tm, dwell={"A": fit, "D": fit, "C": fit})
+
+    def test_dwell_map_is_read_only(self):
+        m = success_model()
+        with pytest.raises(TypeError):
+            m.dwell["XYZ"] = m.dwell["PAU"]
+        with pytest.raises(TypeError):
+            del m.dwell["PAU"]
+        assert list(m.dwell) == list(PATTERNS.states)
+
+    def test_dwell_map_is_copied_when_built(self):
+        tm = TransitionMatrix.from_probabilities([(0.0, 1.0), (1.0, 0.0)], AB)
+        fits = {"A": DwellFit(EXPONENTIAL, {"mu": 1.0})}
+        m = SemiMarkovModel(transitions=tm, dwell=fits)
+        fits["XYZ"] = fits["A"]  # changing the caller's dict changes no model
+        assert list(m.dwell) == ["A"]
+
+    def test_model_pickles(self):
+        m = success_model()
+        back = pickle.loads(pickle.dumps(m))
+        assert document_to_dict(back) == document_to_dict(m)
+        with pytest.raises(TypeError):
+            back.dwell["XYZ"] = back.dwell["PAU"]
 
 
 def flip_flop(alphabet=AB):

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from semimarkov.io import (
     document_to_dict,
     emit_histogram_csv,
     float_text,
+    histogram_bin_count,
     load_sequences,
     parse_label_csv,
     parse_runlength_csv,
@@ -36,6 +38,8 @@ from semimarkov.io import (
 )
 from semimarkov.presets import PATTERNS, success_model
 from semimarkov.sequences import LabeledSequence, build_alphabet, encode_runs
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 AB = build_alphabet(("A", "B"))
 
@@ -84,6 +88,17 @@ class TestLabelCsv:
         assert np.array_equal(back.labels, s.labels)
         assert back.sampling_rate_hz == 2.0
         assert back.id == "p0"
+
+    @pytest.mark.parametrize("rate", [2.0, 50.0, 3e4, 7e4, 3e5])
+    def test_roundtrip_at_any_rate(self, tmp_path, rate):
+        # times printed to 6 decimals would vary in spacing by 1e-6 s at the
+        # three high rates; the shortest round-trip text does not
+        s = seq([0, 0, 1, 0, 1, 1] * 50, rate=rate)
+        p = tmp_path / "p.csv"
+        write_label_csv(s, AB, p)
+        assert p.read_text().splitlines()[:3] == ["time_s,state", "0.0,A", f"{1 / rate!r},A"]
+        back = parse_label_csv(p, AB, rate)
+        assert np.array_equal(back.labels, s.labels)
 
     def test_spec_example(self, tmp_path):
         p = tmp_path / "x.csv"
@@ -334,6 +349,18 @@ class TestModelJson:
         write_model_json(read_model_json(old), again)
         assert again.read_bytes() == new.read_bytes()
 
+    def test_fallback_flags_of_older_files_are_read_and_dropped(self, tmp_path):
+        # a fitted model as earlier versions wrote it: every dwell fit holds a
+        # "fallback" flag, here true for ASB and false for the other four
+        old = FIXTURES / "success_semimarkov_v1_fallback.json"
+        raw = json.loads(old.read_text())
+        assert [d.pop("fallback") for d in raw["dwell"].values()] == [True] + [False] * 4
+        model = read_model_json(old)
+        assert document_to_dict(model) == raw
+        again = tmp_path / "again.json"
+        write_model_json(model, again)
+        assert again.read_text() == canonical_json(raw)
+
     def test_dtmc_document(self, tmp_path):
         tm, counts = fit_dtmc([seq([0, 0, 1, 1, 0], rate=1.0)], AB)
         p = tmp_path / "d.json"
@@ -383,39 +410,63 @@ class TestModelJson:
 
 
 class TestHistogram:
+    EXP = DwellFit(EXPONENTIAL, {"mu": 2.2})
+
     def read_rows(self, path):
         lines = path.read_text().strip().splitlines()
         return lines[0].split(","), [
             [float(v) for v in line.split(",")] for line in lines[1:]
         ]
 
+    def emit(self, xs, width, path, overlay=EXP):
+        """Each duration once."""
+        emit_histogram_csv(xs, width, path, overlay, np.ones(len(xs), dtype=np.int64))
+
     def test_hand_normalization(self, tmp_path):
         p = tmp_path / "h.csv"
-        emit_histogram_csv([1.0, 1.0, 3.0], 2.0, p)
+        self.emit([1.0, 1.0, 3.0], 2.0, p)
         header, rows = self.read_rows(p)
-        assert header == ["bin_left_s", "bin_right_s", "density"]
-        assert rows[0] == [0.0, 2.0, pytest.approx(1 / 3)]
-        assert rows[1] == [2.0, 4.0, pytest.approx(1 / 6)]
+        assert header == ["bin_left_s", "bin_right_s", "density", "overlay_pdf"]
+        assert rows[0][:3] == [0.0, 2.0, pytest.approx(1 / 3)]
+        assert rows[1][:3] == [2.0, 4.0, pytest.approx(1 / 6)]
 
     def test_single_value(self, tmp_path):
         p = tmp_path / "h.csv"
-        emit_histogram_csv([0.7], 2.0, p)
+        self.emit([0.7], 2.0, p)
         _, rows = self.read_rows(p)
-        assert rows == [[0.0, 2.0, 0.5]]
+        assert [row[:3] for row in rows] == [[0.0, 2.0, 0.5]]
 
     def test_densities_integrate_to_one(self, tmp_path):
         rng = np.random.default_rng(0)
         xs = rng.exponential(2.2, size=500)
         p = tmp_path / "h.csv"
-        emit_histogram_csv(xs, 0.5, p)
+        self.emit(xs, 0.5, p)
         _, rows = self.read_rows(p)
         total = sum(r[2] for r in rows) * 0.5
         assert total == pytest.approx(1.0, abs=1e-9)
 
+    def test_last_bin_reaches_the_longest_dwell(self, tmp_path):
+        # 63 / 0.7 rounds to 90.0, but the 90th bin ends below 63
+        assert 63.0 / 0.7 == 90.0 and 90 * 0.7 < 63.0
+        p = tmp_path / "h.csv"
+        emit_histogram_csv([1.0, 2.0, 63.0], 0.7, p, self.EXP, [1, 1, 1])
+        _, rows = self.read_rows(p)
+        assert len(rows) == 91 and rows[-1][1] >= 63.0
+        assert rows[-1][2] > 0.0
+        assert sum(r[2] for r in rows) * 0.7 == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("max_s,width,n", [
+        (63.0, 0.7, 91),  # 63 / 0.7 is 90.0, but 90 * 0.7 < 63
+        (2.1, 0.3, 7),  # 2.1 / 0.3 is 7.000000000000001, but 7 * 0.3 == 2.1
+        (2.0, 1.0, 2),
+        (0.0, 1.0, 1),
+    ])
+    def test_bin_count_where_the_ratio_rounds(self, max_s, width, n):
+        assert histogram_bin_count(max_s, width) == n
+
     def test_exponential_overlay_column(self, tmp_path):
         p = tmp_path / "h.csv"
-        overlay = DwellFit(EXPONENTIAL, {"mu": 2.2})
-        emit_histogram_csv([1.0, 1.0, 3.0], 2.0, p, overlay=overlay)
+        self.emit([1.0, 1.0, 3.0], 2.0, p)
         header, rows = self.read_rows(p)
         assert header[-1] == "overlay_pdf"
         assert rows[0][3] == pytest.approx(math.exp(-1.0 / 2.2) / 2.2, abs=1e-12)
@@ -434,7 +485,7 @@ class TestHistogram:
     ])
     def test_overlay_is_the_density_at_each_midpoint(self, tmp_path, overlay, zero_rows):
         p = tmp_path / "h.csv"
-        emit_histogram_csv([0.3, 1.0, 2.5, 7.9, 12.0], 0.5, p, overlay=overlay)
+        self.emit([0.3, 1.0, 2.5, 7.9, 12.0], 0.5, p, overlay)
         _, rows = self.read_rows(p)
         assert len(rows) == 24
         for left, right, _, pdf in rows:
@@ -443,26 +494,27 @@ class TestHistogram:
                                         rel=1e-15, abs=0.0)
         assert sum(row[3] == 0.0 for row in rows) == zero_rows
 
-    @pytest.mark.parametrize("overlay", [None, DwellFit(EXPONENTIAL, {"mu": 2.2})])
+    @pytest.mark.parametrize("overlay", [DwellFit(GPD, {"k": -0.5, "sigma": 5.5}),
+                                         DwellFit(EXPONENTIAL, {"mu": 2.2})])
     def test_counts_match_expanded_durations(self, tmp_path, overlay):
         xs = np.ceil(np.random.default_rng(1).exponential(2.2, size=500) * 4.0) / 4.0
         values, counts = np.unique(xs, return_counts=True)
         table, flat = tmp_path / "table.csv", tmp_path / "flat.csv"
-        emit_histogram_csv(values, 0.5, table, overlay=overlay, counts=counts)
-        emit_histogram_csv(np.repeat(values, counts), 0.5, flat, overlay=overlay)
+        emit_histogram_csv(values, 0.5, table, overlay, counts)
+        self.emit(np.repeat(values, counts), 0.5, flat, overlay)
         assert table.read_bytes() == flat.read_bytes()
 
     def test_bin_count_limit(self, tmp_path):
         p = tmp_path / "h.csv"
         with pytest.raises(ValueError, match="5e\\+11 bins of 1 s"):
-            emit_histogram_csv([5e11], 1.0, p)
+            self.emit([5e11], 1.0, p)
         with pytest.raises(ValueError, match="bins"):
-            emit_histogram_csv([1.0], 1e-320, p)
+            self.emit([1.0], 1e-320, p)
         assert not p.exists()
 
     def test_empty_guard(self, tmp_path):
         with pytest.raises(Exception):
-            emit_histogram_csv([], 1.0, tmp_path / "h.csv")
+            self.emit([], 1.0, tmp_path / "h.csv")
 
 
 def test_sniffed_bad_header(tmp_path):

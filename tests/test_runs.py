@@ -17,9 +17,9 @@ from semimarkov.sequences import (
     RunSequence,
     build_alphabet,
     decode_runs,
+    durations_by_state,
     encode_runs,
     split_at_time,
-    upsample,
 )
 
 ABCD = build_alphabet(("A", "B", "C", "D"))
@@ -113,7 +113,10 @@ def test_split_and_upsample_on_10_to_the_12_samples(huge):
         [(0, 4 * 10**11), (1, 10**11)],
         [(1, 4 * 10**11)],
     ]
-    up = upsample(huge, 3)
-    assert (len(up), up.sampling_rate_hz) == (3 * 10**12, 3.0)
-    with pytest.raises(ValueError):
-        upsample(huge, 2**62)
+    r = encode_runs(huge)
+    up = RunSequence(r.states, r.durations * 3, r.sampling_rate_hz * 3, r.id)
+    assert (len(decode_runs(up)), up.sampling_rate_hz) == (3 * 10**12, 3.0)
+    # at three times the rate both runs still last HALF seconds
+    table = durations_by_state([up])
+    assert {s: (v.tolist(), c.tolist()) for s, (v, c) in table.items()} == {
+        0: ([float(HALF)], [1]), 1: ([float(HALF)], [1])}

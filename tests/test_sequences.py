@@ -18,7 +18,6 @@ from semimarkov.sequences import (
     durations_by_state,
     encode_runs,
     split_at_time,
-    upsample,
 )
 
 label_arrays = st.lists(st.integers(0, 2), min_size=1, max_size=60)
@@ -217,24 +216,13 @@ class TestSplit:
 
 
 class TestUpsample:
-    def test_factor_one_is_identity(self):
-        s = seq([0, 1])
-        assert upsample(s, 1) is s
-
-    def test_repeat(self):
-        u = upsample(seq([0, 1], rate=2.0), 3)
-        assert u.labels.tolist() == [0, 0, 0, 1, 1, 1]
-        assert u.sampling_rate_hz == 6.0
+    """Runs of k times the samples at k times the rate, as the rate-invariance
+    tests build them."""
 
     @given(label_arrays, st.sampled_from([2, 3, 5]))
     def test_run_seconds_unchanged(self, labels, k):
-        s = seq(labels, rate=2.0)
-        a = durations_by_state([encode_runs(s)])
-        b = durations_by_state([encode_runs(upsample(s, k))])
+        r = encode_runs(seq(labels, rate=2.0))
+        up = RunSequence(r.states, r.durations * k, r.sampling_rate_hz * k, r.id)
+        a = durations_by_state([r])
+        b = durations_by_state([up])
         assert_tables_equal(a, b)  # exact float equality: k*d / (k*rate) must cancel
-
-    def test_bad_factor(self):
-        with pytest.raises(ValueError):
-            upsample(seq([0, 1]), 0)
-        with pytest.raises(ValueError):
-            upsample(seq([0, 1]), 2.5)
