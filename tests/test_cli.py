@@ -554,8 +554,7 @@ def test_report_replicates_over_the_limit_writes_nothing(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["compare", "split-fit"])
-def test_epsilon_flag_is_a_usage_error_and_writes_nothing(tmp_path, capsys, command):
+def _epsilon_usage_error_writes_nothing(tmp_path, capsys, command, epsilon):
     # the smoothing constant is fixed at 1e-9; the flag that set it is gone
     out = tmp_path / "out"
     out.mkdir()
@@ -567,11 +566,23 @@ def test_epsilon_flag_is_a_usage_error_and_writes_nothing(tmp_path, capsys, comm
     else:
         argv = ["split-fit", "--manifest", SUCCESS, "--segments", "2",
                 "--out-prefix", str(out / "half")]
-    assert main(argv + ["--epsilon", "1e-9"]) == 2
+    assert main(argv + ["--epsilon", epsilon]) == 2
     captured = capsys.readouterr()
-    assert "unrecognized arguments: --epsilon 1e-9" in captured.err
+    assert f"unrecognized arguments: --epsilon {epsilon}" in captured.err
     assert "wrote" not in captured.out
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["compare", "split-fit"])
+@pytest.mark.parametrize("epsilon", ["inf", "nan", "0"])
+def test_epsilon_that_is_not_finite_and_positive_writes_nothing(
+        tmp_path, capsys, command, epsilon):
+    _epsilon_usage_error_writes_nothing(tmp_path, capsys, command, epsilon)
+
+
+@pytest.mark.parametrize("command", ["compare", "split-fit"])
+def test_epsilon_flag_is_a_usage_error_and_writes_nothing(tmp_path, capsys, command):
+    _epsilon_usage_error_writes_nothing(tmp_path, capsys, command, "1e-9")
 
 
 def test_split_fit_into_more_segments_than_samples_is_data_error(tmp_path, capsys):
