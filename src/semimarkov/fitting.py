@@ -16,6 +16,7 @@ Each model type checks its values once, when built, and is then trusted.
 from __future__ import annotations
 
 import bisect
+import json
 import logging
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -150,15 +151,16 @@ class SemiMarkovModel:
     ``dwell`` is keyed by state name, holds an entry for every state with at
     least one observed run, and is stored read-only once checked.
     ``metadata`` carries bookkeeping only (per-state run counts, cohort label,
-    1-based segment index) and never influences simulation or comparison.  A
-    model with a ``dtmc`` matrix is a per-sample Markov chain, as a model file
-    holds it: its dwell is implied by its self-transitions, so it carries no
-    dwell fits.
+    1-based segment index) and never influences simulation or comparison; it
+    must be JSON that a model file can hold (no NaN or infinity) and is stored
+    read-only too.  A model with a ``dtmc`` matrix is a per-sample Markov
+    chain, as a model file holds it: its dwell is implied by its
+    self-transitions, so it carries no dwell fits.
     """
 
     transitions: TransitionMatrix
     dwell: Mapping[str, DwellFit]
-    metadata: dict[str, Any] = field(default_factory=dict)
+    metadata: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         dwell = dict(self.dwell)
@@ -167,10 +169,18 @@ class SemiMarkovModel:
         unknown = sorted(set(dwell) - set(self.alphabet.states))
         if unknown:
             raise ValueError(f"dwell states {unknown} not in alphabet")
+        if not isinstance(self.metadata, Mapping):
+            raise TypeError("metadata must be a JSON object")
+        metadata = dict(self.metadata)
+        try:  # as a model file writes it, so that every model built writes
+            json.dumps(metadata, sort_keys=True, allow_nan=False)
+        except ValueError:
+            raise ValueError("metadata must not hold NaN or an infinity") from None
         object.__setattr__(self, "dwell", MappingProxyType(dwell))
+        object.__setattr__(self, "metadata", MappingProxyType(metadata))
 
     def __reduce__(self):  # a mappingproxy does not pickle; its dict does
-        return SemiMarkovModel, (self.transitions, dict(self.dwell), self.metadata)
+        return SemiMarkovModel, (self.transitions, dict(self.dwell), dict(self.metadata))
 
     @property
     def alphabet(self) -> StateAlphabet:

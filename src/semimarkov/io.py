@@ -25,7 +25,6 @@ the time or state check like any other stray character.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import warnings
@@ -35,6 +34,7 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .compare import SMOOTHING_EPSILON
 from .dwell import DwellFit, log_pdf
@@ -247,67 +247,126 @@ def _header(line: str) -> tuple[str, ...]:
     return tuple(h.strip() for h in line.split(","))
 
 
-def _read_columns(path, header: tuple[str, str]):
-    """The two columns of a sequence CSV, read once and split column-wise.
+def _read_rows(path, header: tuple[str, str]):
+    """The data rows of a sequence CSV, as byte offsets into the file.
 
-    Returns ``(first, second, at, fault)``: the columns as lists of strings,
-    ``at(i)``, the ``path:line`` of data row i (blank lines are skipped but
-    counted), and ``fault``, the error for the first row that does not hold
-    exactly two fields, or None.  The columns stop before that row, so the
-    caller checks the rows ahead of it first and raises ``fault`` only if
-    they pass, as a row-by-row reader would.
+    Returns ``(data, starts, commas, ends, at, fault)``: ``data``, the file's
+    UTF-8 bytes with every line end made ``"\\n"``; the offsets of each data
+    row's start, its one comma and its end in ``data``; ``at(i)``, the
+    ``path:line`` of data row i (blank lines are skipped but counted); and
+    ``fault``, the error for the first row that does not hold exactly two
+    fields, or None.  The rows stop before that row, so the caller checks the
+    rows ahead of it first and raises ``fault`` only if they pass, as a
+    row-by-row reader would.  No per-row object is built.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:  # universal newlines
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise MalformedCsvError(_not_utf8(path, exc)) from None
-    if not text:
+    data = Path(path).read_bytes()
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedCsvError(_not_utf8(path, exc)) from None
+    if not data:
         raise MalformedCsvError(f"{path}: empty file")
-    first, _, body = text.partition("\n")
-    del text
+    if b"\r" in data:  # lines end in LF, CRLF or CR
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    header_end = data.find(b"\n")
+    first = (data if header_end < 0 else data[:header_end]).decode()
     if _header(first) != header:
         raise MalformedCsvError(
             f"{path}: expected header {','.join(header)!r}, got {first!r}"
         )
-    body = body.removesuffix("\n")  # ends the last row; opens no blank line
-    # Line ends and commas by byte offset ("\n" and "," are one byte each in
-    # UTF-8), so no per-line string is built.
-    buf = np.frombuffer(body.encode(), np.uint8)
-    ends = np.append(np.flatnonzero(buf == 10), buf.size)
-    commas = np.diff(np.searchsorted(np.flatnonzero(buf == 44), ends), prepend=0)
-    kept = np.diff(ends, prepend=-1) > 1  # the line is not blank
-    del buf
-    line_of = np.flatnonzero(kept) + 2
-    commas = commas[kept]
-    n = line_of.size
-    if not n:
+    # "\n" and "," are one byte each in UTF-8 and never part of another
+    # character.  Line 0 is the header, which holds one comma; a final "\n"
+    # ends the last row and opens no blank line.
+    buf = np.frombuffer(data, np.uint8)[: len(data) - data.endswith(b"\n")]
+    newlines = np.flatnonzero(buf == 10)
+    commas = np.flatnonzero(buf == 44)
+    ends = np.append(newlines, buf.size)
+    starts = np.append(0, newlines + 1)
+    # the common case needs no search: one comma on every line, none blank
+    if (commas.size == ends.size > 1 and (commas < ends).all()
+            and (commas[1:] > newlines).all()):
+        return data, starts[1:], commas[1:], ends[1:], lambda i: f"{path}:{i + 2}", None
+    ahead = np.searchsorted(commas, ends)  # the commas ahead of each line's end
+    fields = np.diff(ahead, prepend=0) + 1
+    lines = np.flatnonzero(ends > starts)[1:]  # the data lines that are not blank
+    if not lines.size:
         raise MalformedCsvError(f"{path}: no data rows")
 
     def at(i: int) -> str:
-        return f"{path}:{line_of[i]}"
+        return f"{path}:{int(lines[i]) + 1}"
 
     fault = None
-    bad = np.flatnonzero(commas != 1)
+    bad = np.flatnonzero(fields[lines] != 2)
+    n = int(bad[0]) if bad.size else lines.size
     if bad.size:
-        n = int(bad[0])
-        fault = MalformedCsvError(f"{at(n)}: expected 2 fields, got {commas[n] + 1}")
-    if n < kept.size:  # blank lines or a faulty row: keep the rows ahead of it
-        body = "\n".join(itertools.islice(filter(None, body.split("\n")), n))
-    joined = body.replace("\n", ",")
-    del body
-    fields = joined.split(",") if joined else []
-    del joined
-    return fields[0::2], fields[1::2], at, fault
+        fault = MalformedCsvError(f"{at(n)}: expected 2 fields, got {fields[lines[n]]}")
+    rows = lines[:n]
+    return data, starts[rows], commas[ahead[rows] - 1], ends[rows], at, fault
 
 
-def _first_float_failure(texts: list[str]) -> int:
-    for i, text in enumerate(texts):
+def _texts(data: bytes, lo: np.ndarray, hi: np.ndarray) -> list[str]:
+    """The fields ``data[lo[i]:hi[i]]`` as strings."""
+    return [data[a:b].decode() for a, b in zip(lo.tolist(), hi.tolist())]
+
+
+# ASCII separators that numpy strips from around a number and float() does not
+_NUMPY_STRIPS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _time_column(path, data: bytes, starts, commas, whole: bool) -> tuple[np.ndarray, int]:
+    """The rows' times, and the index of the first row whose time ``float()``
+    refuses (the row count if none); only the times ahead of that row are
+    returned.
+
+    ``float()`` is the grammar.  When the rows are ``whole`` (none has a wrong
+    field count), numpy parses the column in C with the conversion ``float()``
+    uses; where it refuses a time that ``float()`` may read, such as ``1_0``
+    or digits of other scripts, the rows are read one by one.
+    """
+    if whole and not any(c in data for c in _NUMPY_STRIPS):
         try:
-            float(text)
+            times = np.loadtxt(path, delimiter=",", usecols=0, skiprows=1, comments=None,
+                               quotechar=None, encoding="utf-8", ndmin=1)
         except ValueError:
-            return i
-    return len(texts)
+            pass
+        else:
+            if times.size == starts.size:  # numpy skips the same blank lines
+                return times, times.size
+    times = []
+    for text in _texts(data, starts, commas):
+        try:
+            times.append(float(text))
+        except ValueError:
+            break
+    return np.array(times, float), len(times)
+
+
+# the top w bytes of a little-endian word, for w = 0..8
+_HIGH_BYTES = np.array([(1 << 64) - (1 << 8 * (8 - w)) for w in range(9)], np.uint64)
+
+
+def _run_heads(data: bytes, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The rows whose field ``data[lo:hi]`` differs from the row before's,
+    row 0 included.
+
+    Fields are compared by length and by their last 8 bytes, read as one
+    word that ends where the field does (the header line stands before every
+    field, so the word starts inside the file); longer fields that still
+    agree are compared in full, one group per length, so no array holds more
+    than those fields' own bytes.
+    """
+    words = np.ndarray(len(data) - 7, "<u8", data, strides=(1,))
+    lens = hi - lo
+    key = words[hi - 8] & _HIGH_BYTES[np.minimum(lens, 8)]
+    head = np.ones(lens.size, bool)
+    head[1:] = (key[1:] != key[:-1]) | (lens[1:] != lens[:-1])
+    tied = np.flatnonzero(~head & (lens > 8))
+    for width in np.unique(lens[tied]).tolist():
+        rows = tied[lens[tied] == width]
+        fields = sliding_window_view(np.frombuffer(data, np.uint8), width)
+        head[rows] = (fields[lo[rows]] != fields[lo[rows - 1]]).any(axis=1)
+    return np.flatnonzero(head)
 
 
 def parse_label_csv(path, alphabet: StateAlphabet, sampling_rate_hz: float) -> LabeledSequence:
@@ -317,26 +376,27 @@ def parse_label_csv(path, alphabet: StateAlphabet, sampling_rate_hz: float) -> L
     Timestamps must ascend with uniform spacing (tolerance 1e-6 s), and the
     rate that spacing implies must match ``sampling_rate_hz`` (the manifest's)
     to a relative 1e-6.  The sequence carries ``sampling_rate_hz``, which is
-    exact where the text timestamps are rounded.
+    exact where the text timestamps are rounded.  Each state name is looked
+    up once per run of rows that spell it alike.
     """
-    texts, names, at, fault = _read_columns(path, _LABEL_HEADER)
-    n = len(texts)
-    try:
-        times = np.fromiter(map(float, texts), float, n)
-    except ValueError:
-        times = None
+    data, starts, commas, ends, at, fault = _read_rows(path, _LABEL_HEADER)
+    n = starts.size
+    times, bad_time = _time_column(path, data, starts, commas, fault is None)
+    heads = _run_heads(data, commas + 1, ends)
     index = {name: i for i, name in enumerate(alphabet.states)}
-    labels = np.fromiter(
-        map(index.get, map(str.strip, names), itertools.repeat(-1)), np.int64, n
-    )
+    names = [name.strip() for name in _texts(data, commas[heads] + 1, ends[heads])]
+    states = np.array([index.get(name, -1) for name in names], np.int64)
     # the first faulty row, as a row-by-row reader meets it: time, then state
-    bad_time = n if times is not None else _first_float_failure(texts)
-    unknown = np.flatnonzero(labels < 0)
-    bad_state = int(unknown[0]) if unknown.size else n
+    unknown = np.flatnonzero(states < 0)
+    bad_state = int(heads[unknown[0]]) if unknown.size else n
+
+    def time_text(i: int) -> str:
+        return data[starts[i]:commas[i]].decode()
+
     if bad_time < n and bad_time <= bad_state:
-        raise MalformedCsvError(f"{at(bad_time)}: bad time {texts[bad_time]!r}")
+        raise MalformedCsvError(f"{at(bad_time)}: bad time {time_text(bad_time)!r}")
     if bad_state < n:
-        name = names[bad_state].strip()
+        name = names[unknown[0]]
         raise UnknownStateError(f"{at(bad_state)}: state {name!r} not in alphabet")
     if fault is not None:
         raise fault
@@ -344,8 +404,8 @@ def parse_label_csv(path, alphabet: StateAlphabet, sampling_rate_hz: float) -> L
     bad = np.flatnonzero(~np.isfinite(times))
     if bad.size:
         i = int(bad[0])
-        raise MalformedCsvError(f"{at(i)}: non-finite time {texts[i]!r}")
-    if len(times) >= 2:
+        raise MalformedCsvError(f"{at(i)}: non-finite time {time_text(i)!r}")
+    if n >= 2:
         spacing = np.diff(times)
         if spacing.min() <= 0:
             raise NonUniformSamplingError(f"{path}: timestamps must strictly ascend")
@@ -360,9 +420,11 @@ def parse_label_csv(path, alphabet: StateAlphabet, sampling_rate_hz: float) -> L
                 f"{path}: spacing implies {inferred:.6g} Hz but the manifest "
                 f"says {sampling_rate_hz:.6g} Hz"
             )
-    return LabeledSequence(
-        labels=labels, sampling_rate_hz=sampling_rate_hz, id=Path(path).stem
-    )
+    # rows that spell one state differently (" A" after "A") join one run
+    keep = np.append(True, states[1:] != states[:-1])
+    heads, states = heads[keep], states[keep]
+    runs = RunSequence(states, np.diff(heads, append=n), sampling_rate_hz, Path(path).stem)
+    return decode_runs(runs)
 
 
 def parse_runlength_csv(path, alphabet: StateAlphabet, sampling_rate_hz: float) -> RunSequence:
@@ -374,7 +436,8 @@ def parse_runlength_csv(path, alphabet: StateAlphabet, sampling_rate_hz: float) 
     quantization) with a normalization warning.
     """
     _check_rate(sampling_rate_hz)
-    names, texts, at, fault = _read_columns(path, _RUNLENGTH_HEADER)
+    data, starts, commas, ends, at, fault = _read_rows(path, _RUNLENGTH_HEADER)
+    names, texts = _texts(data, starts, commas), _texts(data, commas + 1, ends)
     states: list[int] = []
     seconds: list[float] = []
     durations: list[int] = []
@@ -527,7 +590,7 @@ def document_to_dict(model: SemiMarkovModel) -> dict[str, Any]:
         "transitions": tm.probs.tolist(),
         "row_fitted": tm.row_fitted.tolist(),
         "dwell": {name: _dwell_to_dict(fit) for name, fit in model.dwell.items()},
-        "metadata": model.metadata,
+        "metadata": dict(model.metadata),
     }
 
 
@@ -547,13 +610,7 @@ def document_from_dict(raw: dict[str, Any], source: str = "<dict>") -> SemiMarko
             raise ValueError(f"row_fitted {row_fitted} must be true exactly for the rows "
                              f"with mass, {tm.row_fitted.tolist()}")
         dwell = {name: _dwell_from_dict(name, d) for name, d in raw["dwell"].items()}
-        if not isinstance(raw["metadata"], dict):
-            raise TypeError("metadata must be a JSON object")
-        try:  # so that every model that reads writes back
-            canonical_json(raw["metadata"])
-        except ValueError:
-            raise ValueError("metadata must not hold NaN or an infinity") from None
-        return SemiMarkovModel(transitions=tm, dwell=dwell, metadata=dict(raw["metadata"]))
+        return SemiMarkovModel(transitions=tm, dwell=dwell, metadata=raw["metadata"])
 
 
 def write_model_json(model: SemiMarkovModel, path) -> None:
@@ -571,6 +628,7 @@ def read_model_json(path) -> SemiMarkovModel:
 # --- histograms --------------------------------------------------------------
 
 MAX_HISTOGRAM_BINS = 10**6  # rows of one histogram CSV
+_ROWS_PER_BLOCK = 1 << 16  # histogram rows formatted at once
 
 
 def histogram_bin_count(max_duration_s: float, bin_width_s: float) -> int:
@@ -616,10 +674,16 @@ def emit_histogram_csv(durations, bin_width_s: float, path, overlay: DwellFit, c
     log_density = log_pdf(overlay, 0.5 * (edges[:-1] + edges[1:]))
     columns = [edges[:-1].tolist(), edges[1:].tolist(), density.tolist(),
                [math.exp(v) for v in log_density.tolist()]]
+    for column in columns:  # float_text's check, once per column, before any write
+        finite = np.isfinite(column)
+        if not finite.all():
+            float_text(column[int(finite.argmin())])  # raises, naming the value
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("bin_left_s,bin_right_s,density,overlay_pdf\n")
-        for row in zip(*columns):
-            fh.write(",".join(map(float_text, row)) + "\n")
+        # each value as float_text prints it, by one repr per column and block
+        for lo in range(0, n_bins, _ROWS_PER_BLOCK):
+            texts = [repr(c[lo:lo + _ROWS_PER_BLOCK])[1:-1].split(", ") for c in columns]
+            fh.writelines(map("{},{},{},{}\n".format, *texts))
 
 
 # --- comparison reports ------------------------------------------------------

@@ -23,7 +23,7 @@ from semimarkov.fitting import (
     fit_semi_markov,
     fit_semi_markov_transitions,
 )
-from semimarkov.io import document_to_dict
+from semimarkov.io import document_to_dict, write_model_json
 from semimarkov.presets import PATTERNS, success_model
 from semimarkov.sequences import (
     LabeledSequence,
@@ -260,6 +260,28 @@ class TestSemiMarkovModel:
         assert document_to_dict(back) == document_to_dict(m)
         with pytest.raises(TypeError):
             back.dwell["XYZ"] = back.dwell["PAU"]
+        with pytest.raises(TypeError):
+            back.metadata["x"] = 1
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), [1.0, -float("inf")],
+                                       {"y": float("nan")}],
+                             ids=["nan", "inf", "list-minus-inf", "nested-nan"])
+    def test_metadata_a_model_file_cannot_hold_is_refused(self, value):
+        tm = TransitionMatrix.from_probabilities([(0.0, 1.0), (1.0, 0.0)], AB)
+        with pytest.raises(ValueError, match="metadata must not hold NaN or an infinity"):
+            SemiMarkovModel(tm, {}, {"x": value})
+
+    def test_metadata_is_read_only_and_copied_when_built(self, tmp_path):
+        tm = TransitionMatrix.from_probabilities([(0.0, 1.0), (1.0, 0.0)], AB)
+        metadata = {"cohort": "a"}
+        m = SemiMarkovModel(tm, {}, metadata)
+        metadata["x"] = float("nan")  # changing the caller's dict changes no model
+        fitted = fit_semi_markov([seq([0, 0, 1, 1, 1, 0, 0, 1])], AB)
+        for model in (m, fitted):
+            with pytest.raises(TypeError):
+                model.metadata["x"] = float("nan")
+            write_model_json(model, tmp_path / "m.json")  # so the model still writes
+        assert dict(m.metadata) == {"cohort": "a"}
 
 
 def flip_flop(alphabet=AB):
