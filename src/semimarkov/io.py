@@ -34,7 +34,6 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .compare import SMOOTHING_EPSILON
 from .dwell import DwellFit, log_pdf
@@ -275,21 +274,19 @@ def _read_rows(path, header: tuple[str, str]):
         raise MalformedCsvError(
             f"{path}: expected header {','.join(header)!r}, got {first!r}"
         )
+    if not data.endswith(b"\n"):
+        data += b"\n"  # every line ends in "\n", the last one too
     # "\n" and "," are one byte each in UTF-8 and never part of another
-    # character.  Line 0 is the header, which holds one comma; a final "\n"
-    # ends the last row and opens no blank line.
-    buf = np.frombuffer(data, np.uint8)[: len(data) - data.endswith(b"\n")]
-    newlines = np.flatnonzero(buf == 10)
-    commas = np.flatnonzero(buf == 44)
-    ends = np.append(newlines, buf.size)
-    starts = np.append(0, newlines + 1)
-    # the common case needs no search: one comma on every line, none blank
-    if (commas.size == ends.size > 1 and (commas < ends).all()
-            and (commas[1:] > newlines).all()):
-        return data, starts[1:], commas[1:], ends[1:], lambda i: f"{path}:{i + 2}", None
-    ahead = np.searchsorted(commas, ends)  # the commas ahead of each line's end
-    fields = np.diff(ahead, prepend=0) + 1
-    lines = np.flatnonzero(ends > starts)[1:]  # the data lines that are not blank
+    # character.  Line 0 is the header, which holds one comma.
+    buf = np.frombuffer(data, np.uint8)
+    is_mark = buf == 10
+    is_mark |= buf == 44
+    marks = np.flatnonzero(is_mark)  # the commas and line ends
+    last = np.flatnonzero(buf[marks] == 10)  # the marks that end a line
+    ends = marks[last]
+    # line k >= 1 is blank when it ends one byte after line k - 1, and its
+    # fields are the marks after line k - 1's end: its commas and its own end
+    lines = np.flatnonzero(np.diff(ends) > 1) + 1  # the data lines that are not blank
     if not lines.size:
         raise MalformedCsvError(f"{path}: no data rows")
 
@@ -297,12 +294,13 @@ def _read_rows(path, header: tuple[str, str]):
         return f"{path}:{int(lines[i]) + 1}"
 
     fault = None
-    bad = np.flatnonzero(fields[lines] != 2)
+    fields = np.diff(last)[lines - 1]
+    bad = np.flatnonzero(fields != 2)
     n = int(bad[0]) if bad.size else lines.size
     if bad.size:
-        fault = MalformedCsvError(f"{at(n)}: expected 2 fields, got {fields[lines[n]]}")
+        fault = MalformedCsvError(f"{at(n)}: expected 2 fields, got {fields[n]}")
     rows = lines[:n]
-    return data, starts[rows], commas[ahead[rows] - 1], ends[rows], at, fault
+    return data, ends[rows - 1] + 1, marks[last[rows] - 1], ends[rows], at, fault
 
 
 def _texts(data: bytes, lo: np.ndarray, hi: np.ndarray) -> list[str]:
@@ -342,30 +340,24 @@ def _time_column(path, data: bytes, starts, commas, whole: bool) -> tuple[np.nda
     return np.array(times, float), len(times)
 
 
-# the top w bytes of a little-endian word, for w = 0..8
-_HIGH_BYTES = np.array([(1 << 64) - (1 << 8 * (8 - w)) for w in range(9)], np.uint64)
-
-
 def _run_heads(data: bytes, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The rows whose field ``data[lo:hi]`` differs from the row before's,
-    row 0 included.
+    row 0 and every empty field included.
 
-    Fields are compared by length and by their last 8 bytes, read as one
-    word that ends where the field does (the header line stands before every
-    field, so the word starts inside the file); longer fields that still
-    agree are compared in full, one group per length, so no array holds more
-    than those fields' own bytes.
+    The rows are grouped by field length, and each group's fields are
+    gathered once as byte strings of that length, so no array holds more than
+    those fields' own bytes.  numpy compares byte strings of one length byte
+    for byte.
     """
-    words = np.ndarray(len(data) - 7, "<u8", data, strides=(1,))
     lens = hi - lo
-    key = words[hi - 8] & _HIGH_BYTES[np.minimum(lens, 8)]
+    order = np.argsort(lens, kind="stable")  # the rows of each length, in file order
     head = np.ones(lens.size, bool)
-    head[1:] = (key[1:] != key[:-1]) | (lens[1:] != lens[:-1])
-    tied = np.flatnonzero(~head & (lens > 8))
-    for width in np.unique(lens[tied]).tolist():
-        rows = tied[lens[tied] == width]
-        fields = sliding_window_view(np.frombuffer(data, np.uint8), width)
-        head[rows] = (fields[lo[rows]] != fields[lo[rows - 1]]).any(axis=1)
+    for rows in np.split(order, np.flatnonzero(np.diff(lens[order])) + 1):
+        width = int(lens[rows[0]]) if rows.size else 0  # a file of no rows
+        if width:
+            fields = np.ndarray(len(data) - width + 1, f"S{width}", data, strides=(1,))
+            fields = fields[lo[rows]]
+            head[rows[1:]] = (np.diff(rows) != 1) | (fields[1:] != fields[:-1])
     return np.flatnonzero(head)
 
 

@@ -4,8 +4,8 @@
 reference on files of at most 8 rows.  Here the files are what
 ``write_label_csv`` writes for a simulated 50 Hz cohort, 21 k rows each, and
 each variant changes one thing about them: the line ends, a blank line, state
-names longer than one 8-byte word, times that only ``float()`` reads, or one
-faulty row deep in the file.  Both readers must give the same sequence or the
+names longer than 64 bytes, times that only ``float()`` reads, or one faulty
+row deep in the file.  Both readers must give the same sequence or the
 same error.
 """
 
@@ -19,10 +19,10 @@ from test_fuzz_readers import _outcome, reference_label_csv
 
 RATE_HZ = 50.0
 ALPHABET = presets.PATTERNS
-# names that share their last 8 bytes: two whose lengths differ by one, and
-# two of one length that differ in their first byte only
+# names that share their first and last 8 bytes: two whose lengths differ by
+# one, and two of one length that differ in a middle byte only
 LONG = "L" * 70
-LONG_ALPHABET = build_alphabet((LONG, "L" + LONG, "K" + LONG[1:], "SYB", "UNK"))
+LONG_ALPHABET = build_alphabet((LONG, "L" + LONG, LONG[:35] + "K" + LONG[36:], "SYB", "UNK"))
 FULL_WIDTH = str.maketrans("0123456789", "".join(map(chr, range(0xFF10, 0xFF1A))))
 
 
