@@ -32,6 +32,10 @@ from .sequences import LabeledSequence, StateAlphabet, encode_runs
 #: state and replicate, so a mistyped count fails before it allocates.
 MAX_REPLICATES = 10**6
 
+#: Patient indices a bootstrap draws per block of replicates, so the index
+#: table never holds every replicate at once.
+_BOOTSTRAP_BLOCK = 2**16
+
 #: Added to every entry of both rows when either holds an incidental zero.
 SMOOTHING_EPSILON = 1e-9
 
@@ -158,10 +162,11 @@ def bootstrap_group_fractions(
     """Bootstrap mean and standard deviation of cohort time fractions.
 
     Each replicate resamples patients with replacement (same cohort size)
-    and takes the unweighted mean of per-patient time_fractions.  Replicate
-    r draws from its own stream seeded seed + r, so results are identical
-    regardless of evaluation order.  Reported std is the population standard
-    deviation over replicates.  At most MAX_REPLICATES replicates are drawn.
+    and takes the unweighted mean of per-patient time_fractions.  One numpy
+    Generator seeded from ``seed`` draws every replicate's patient indices,
+    a block of replicates at a time, so the result depends only on the
+    inputs.  Reported std is the population standard deviation over
+    replicates.  At most MAX_REPLICATES replicates are drawn.
     """
     if not patients:
         raise EmptyInputError("no patients supplied")
@@ -173,11 +178,13 @@ def bootstrap_group_fractions(
     # time_fractions keys its map by alphabet.states, in that order
     per_patient = np.array([list(time_fractions(p, alphabet).values()) for p in patients])
     n_pat = len(patients)
+    rng = np.random.default_rng(seed)
+    block = max(1, _BOOTSTRAP_BLOCK // n_pat)
     reps = np.empty((n_replicates, len(names)))
-    for r in range(n_replicates):
-        rng = np.random.default_rng(seed + r)
-        idx = rng.integers(0, n_pat, size=n_pat)
-        reps[r] = per_patient[idx].mean(axis=0)
+    for start in range(0, n_replicates, block):
+        stop = min(start + block, n_replicates)
+        idx = rng.integers(0, n_pat, size=(stop - start, n_pat))
+        reps[start:stop] = per_patient[idx].mean(axis=1)
     means = reps.mean(axis=0)
     stds = reps.std(axis=0)
     return {

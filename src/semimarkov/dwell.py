@@ -95,6 +95,8 @@ _BRACKET_TOL = 1e-12
 # of theta, so it changes sign at most once there and one cell spans it.
 _GPD_GRID = np.geomspace(1e-2, 20.0, 24)
 _GPD_GRID = np.concatenate([-_GPD_GRID[::-1], _GPD_GRID])
+# Attempts sample_dwell makes per draw before it returns the minimum.
+_ATTEMPTS = 1000
 _EULER_GAMMA = 0.5772156649015329
 
 
@@ -185,30 +187,47 @@ def cdf(fit: DwellFit, x: float) -> float:
     return float(ndtr(a) + math.exp(2.0 * lam / mu + log_ndtr(-b)))
 
 
-def quantile(fit: DwellFit, u: float) -> float:
-    """Inverse CDF at u in (0, 1).
+def quantile(fit: DwellFit, u):
+    """Inverse CDF at u in (0, 1): a float for a float level, an array for an
+    array of levels.
 
-    Closed form for Exponential, GEV, and GPD; numerical inversion of the
-    CDF for InverseGaussian.
+    Closed form for Exponential, GEV, and GPD, written once and evaluated
+    with ``math`` for a float and ``numpy`` for an array; numerical
+    inversion of the CDF, one level at a time, for InverseGaussian.
     """
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"quantile level must be in (0, 1), got {u}")
+    scalar = np.ndim(u) == 0
+    xp = math if scalar else np
+    if scalar:
+        u = float(u)
+        valid = 0.0 < u < 1.0
+    else:
+        u = np.asarray(u, dtype=float)
+        valid = ((u > 0.0) & (u < 1.0)).all()
+    if not valid:
+        raise ValueError(f"quantile levels must be in (0, 1), got {u}")
     family, params = fit.family, fit.params
     if family == EXPONENTIAL:
-        return -params["mu"] * math.log1p(-u)
+        return -params["mu"] * xp.log1p(-u)
     if family == GEV:
         k, sigma, mu = params["k"], params["sigma"], params["mu"]
-        g = math.log(-math.log(u))  # ln(-ln u)
+        g = xp.log(-xp.log(u))  # ln(-ln u)
         if abs(k) < _SHAPE_EPS:
             return mu - sigma * g
-        return mu + sigma * math.expm1(-k * g) / k
+        return mu + sigma * xp.expm1(-k * g) / k
     if family == GPD:
         k, sigma = params["k"], params["sigma"]
         if abs(k) < _SHAPE_EPS:
-            return -sigma * math.log1p(-u)
-        return sigma * math.expm1(-k * math.log1p(-u)) / k
-    # InverseGaussian: strictly increasing CDF, bracket then root-find
-    mu = params["mu"]
+            return -sigma * xp.log1p(-u)
+        return sigma * xp.expm1(-k * xp.log1p(-u)) / k
+    if scalar:
+        return _inverse_gaussian_quantile(fit, u)
+    return np.array([_inverse_gaussian_quantile(fit, v) for v in u.ravel().tolist()]
+                    ).reshape(u.shape)
+
+
+def _inverse_gaussian_quantile(fit: DwellFit, u: float) -> float:
+    # strictly increasing CDF: bracket, then root-find
+    mu = fit.params["mu"]
     lo, hi = mu * 1e-12, mu
     while cdf(fit, hi) < u:
         hi *= 2.0
@@ -684,39 +703,55 @@ def select_family(xs, counts=None) -> DwellFit:
 # --- sampling ----------------------------------------------------------------
 
 
-def _sample_inverse_gaussian(mu: float, lam: float, rng) -> float:
+def _sample_inverse_gaussian(mu: float, lam: float, rng, n: int) -> np.ndarray:
     # transformation with root selection (chi-square of a standard normal)
-    nu = rng.standard_normal()
-    y = nu * nu
-    x = mu + (mu * mu * y) / (2.0 * lam) - (mu / (2.0 * lam)) * math.sqrt(
+    y = rng.standard_normal(n) ** 2
+    x = mu + (mu * mu * y) / (2.0 * lam) - (mu / (2.0 * lam)) * np.sqrt(
         4.0 * mu * lam * y + (mu * y) ** 2
     )
-    if rng.random() <= mu / (mu + x):
-        return x
-    return mu * mu / x
+    with np.errstate(divide="ignore", invalid="ignore"):  # x <= 0 is rejected later
+        return np.where(rng.random(n) <= mu / (mu + x), x, mu * mu / x)
 
 
-def sample_dwell(fit: DwellFit, rng, min_seconds: float = 0.0) -> float:
-    """Draw one dwell time (seconds) from a fitted distribution.
+def _draw(fit: DwellFit, rng, n: int) -> np.ndarray:
+    """n unchecked dwell draws: the transformation method for InverseGaussian,
+    the module-level ``quantile`` of n uniforms for the other families."""
+    if fit.family == INVERSE_GAUSSIAN:
+        return _sample_inverse_gaussian(fit.params["mu"], fit.params["lambda"], rng, n)
+    u = rng.random(n)
+    if u.all():
+        return quantile(fit, u)
+    inside = u > 0.0  # a uniform of exactly 0 lies outside quantile's (0, 1)
+    x = np.zeros(n)  # and its draw is rejected
+    x[inside] = quantile(fit, u[inside])
+    return x
+
+
+def sample_dwell(fit: DwellFit, rng, min_seconds: float = 0.0, size: int | None = None):
+    """Draw dwell times (seconds) from a fitted distribution: one float when
+    ``size`` is None, else an array of ``size`` draws.
 
     Inverse-CDF sampling for the closed-form families; the transformation
     method for InverseGaussian.  Draws that are non-positive or below
     ``min_seconds`` (one sample period, during simulation) are rejected and
-    redrawn; after 1000 attempts the minimum is returned with a warning.
+    redrawn, all of a round's rejected draws in one vector draw; a draw
+    still rejected after 1000 attempts is set to the minimum, with a warning.
     """
-    attempts = 1000
-    for _ in range(attempts):
-        if fit.family == INVERSE_GAUSSIAN:
-            x = _sample_inverse_gaussian(fit.params["mu"], fit.params["lambda"], rng)
-        else:
-            x = quantile(fit, rng.random())
-        if x > 0.0 and x >= min_seconds:
-            return x
-    floor = min_seconds if min_seconds > 0.0 else 1e-12
-    warnings.warn(
-        f"dwell sampling for {fit.family} hit the rejection bound; "
-        f"returning minimum {floor} s",
-        MinimumDwellWarning,
-        stacklevel=2,
-    )
-    return floor
+    x = _draw(fit, rng, 1 if size is None else size)
+    for attempt in range(1, _ATTEMPTS + 1):
+        kept = x >= min_seconds if min_seconds > 0.0 else x > 0.0  # NaN fails both
+        if kept.all():
+            break
+        rejected = np.flatnonzero(~kept)
+        if attempt < _ATTEMPTS:
+            x[rejected] = _draw(fit, rng, rejected.size)
+    else:
+        floor = min_seconds if min_seconds > 0.0 else 1e-12
+        x[rejected] = floor
+        warnings.warn(
+            f"dwell sampling for {fit.family} hit the rejection bound on "
+            f"{rejected.size} of {x.size} draws; returning minimum {floor} s",
+            MinimumDwellWarning,
+            stacklevel=2,
+        )
+    return float(x[0]) if size is None else x

@@ -144,6 +144,40 @@ class TransitionMatrix:
         return cls(probs=arr, alphabet=alphabet, kind=kind)
 
 
+def _plain(value):
+    """A deep copy of JSON-like data with every mapping a dict and every
+    list or tuple a list."""
+    if isinstance(value, Mapping):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
+
+
+class _ReadOnlyDict(dict):
+    """A dict that refuses every change, so JSON writers still take it as a
+    dict: model metadata at every depth."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("model metadata is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):  # pickle and copy would otherwise set items one by one
+        return _ReadOnlyDict, (dict(self),)
+
+
+def _read_only(value):
+    """A deep read-only copy of plain JSON data: dicts become read-only dicts
+    and lists tuples."""
+    if isinstance(value, dict):
+        return _ReadOnlyDict({key: _read_only(item) for key, item in value.items()})
+    if isinstance(value, list):
+        return tuple(_read_only(item) for item in value)
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class SemiMarkovModel:
     """Run-level transition matrix plus per-state dwell-time distributions.
@@ -153,9 +187,10 @@ class SemiMarkovModel:
     ``metadata`` carries bookkeeping only (per-state run counts, cohort label,
     1-based segment index) and never influences simulation or comparison; it
     must be JSON that a model file can hold (no NaN or infinity) and is stored
-    read-only too.  A model with a ``dtmc`` matrix is a per-sample Markov
-    chain, as a model file holds it: its dwell is implied by its
-    self-transitions, so it carries no dwell fits.
+    as a deep read-only copy: objects as read-only dicts, arrays as tuples.
+    A model with a ``dtmc`` matrix is a per-sample Markov chain, as a model
+    file holds it: its dwell is implied by its self-transitions, so it
+    carries no dwell fits.
     """
 
     transitions: TransitionMatrix
@@ -171,16 +206,20 @@ class SemiMarkovModel:
             raise ValueError(f"dwell states {unknown} not in alphabet")
         if not isinstance(self.metadata, Mapping):
             raise TypeError("metadata must be a JSON object")
-        metadata = dict(self.metadata)
+        metadata = _plain(self.metadata)
         try:  # as a model file writes it, so that every model built writes
             json.dumps(metadata, sort_keys=True, allow_nan=False)
         except ValueError:
             raise ValueError("metadata must not hold NaN or an infinity") from None
         object.__setattr__(self, "dwell", MappingProxyType(dwell))
-        object.__setattr__(self, "metadata", MappingProxyType(metadata))
+        object.__setattr__(self, "metadata", _read_only(metadata))
 
     def __reduce__(self):  # a mappingproxy does not pickle; its dict does
-        return SemiMarkovModel, (self.transitions, dict(self.dwell), dict(self.metadata))
+        return SemiMarkovModel, (self.transitions, dict(self.dwell), self.plain_metadata())
+
+    def plain_metadata(self) -> dict[str, Any]:
+        """A mutable copy of ``metadata``: dicts and lists, as JSON holds it."""
+        return _plain(self.metadata)
 
     @property
     def alphabet(self) -> StateAlphabet:

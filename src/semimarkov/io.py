@@ -582,7 +582,7 @@ def document_to_dict(model: SemiMarkovModel) -> dict[str, Any]:
         "transitions": tm.probs.tolist(),
         "row_fitted": tm.row_fitted.tolist(),
         "dwell": {name: _dwell_to_dict(fit) for name, fit in model.dwell.items()},
-        "metadata": dict(model.metadata),
+        "metadata": model.plain_metadata(),
     }
 
 

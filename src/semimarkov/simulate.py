@@ -7,11 +7,15 @@ models simulate: a DTMC read from a model file has no dwell fits to draw from.
 
 The generator alternates dwell draws and categorical next-state draws,
 quantizing each dwell onto the output sampling grid (round half-up, one
-sample minimum) so the result is a valid RunSequence.  Each segment's
-cumulative transition rows are built once per sequence, as Python lists, so a
-next-state draw is one uniform and one ``bisect``.  All randomness comes from
-one numpy Generator seeded from the config, so identical inputs give
-bit-identical output; cohorts derive per-patient seeds as base_seed + i.
+sample minimum) so the result is a valid RunSequence.  All randomness comes
+from vector draws in blocks: each distinct dwell fit has a pool of run
+lengths, drawn and quantized in blocks that double from 16 to 256 values,
+and one more pool holds next-state uniforms.  The per-run loop only pops a
+run length, pops a uniform and makes one ``bisect`` on a cumulative
+transition row built once per simulation.  Patient i of a cohort draws from
+its own numpy Generator, child i of ``np.random.SeedSequence(seed)``, so
+identical inputs give bit-identical output and every patient can be
+regenerated alone.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from __future__ import annotations
 import bisect
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -31,6 +36,11 @@ from .errors import (
 )
 from .fitting import SEMI_MARKOV, MultiChainModel, SemiMarkovModel
 from .sequences import RunSequence, _run_samples
+
+#: Values a pool draws at once, first and at most: run lengths from one
+#: dwell fit, or next-state uniforms.
+_FIRST_BLOCK = 16
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -101,84 +111,150 @@ def _check_reachability(
                 queue.append(t)
 
 
-def _draw_categorical(cum: list[float], rng: np.random.Generator) -> int:
-    """Index drawn from one cumulative transition row (first entry above u * total)."""
-    i = bisect.bisect_right(cum, rng.random() * cum[-1])
-    return min(i, len(cum) - 1)
-
-
-def _resolve_initial(
-    first_model: SemiMarkovModel,
-    config: SimulationConfig,
-    rng: np.random.Generator,
-) -> int:
+def _start_states(first_model: SemiMarkovModel, config: SimulationConfig) -> list[int]:
+    """The states a run may start from: the pinned initial state, or every
+    startable state when none is pinned."""
     alphabet = first_model.alphabet
-    if config.initial_state is not None:
-        try:
-            idx = alphabet.index(config.initial_state)
-        except KeyError:
-            raise InvalidInitialStateError(
-                f"initial state {config.initial_state!r} not in alphabet"
-            ) from None
-        if not first_model.transitions.row_fitted[idx]:
-            raise InvalidInitialStateError(
-                f"initial state {config.initial_state!r} has no fitted transition row"
-            )
-        if config.initial_state not in first_model.dwell:
-            raise InvalidInitialStateError(
-                f"initial state {config.initial_state!r} has no dwell distribution"
-            )
-        return idx
-    candidates = _startable_states(first_model)
-    if not candidates:
-        raise InvalidInitialStateError("model has no startable states")
-    return candidates[int(rng.integers(len(candidates)))]
-
-
-def _simulate_runs(
-    chain: MultiChainModel, config: SimulationConfig
-) -> tuple[list[int], list[int]]:
-    for seg in chain.segments:
-        if seg.transitions.kind != SEMI_MARKOV:
-            raise KindMismatchError(
-                f"cannot simulate a {seg.transitions.kind!r} model, only semi_markov"
-            )
-    rate = config.output_sampling_rate_hz
-    if config.duration_s * rate + 0.5 < 1.0:
-        raise ValueError("duration_s is shorter than half a sample period")
-    n_total = _run_samples(config.duration_s, rate)
-    segments = chain.segments
-    rng = np.random.default_rng(config.seed)
-    state = _resolve_initial(segments[0], config, rng)
     if config.initial_state is None:
+        candidates = _startable_states(first_model)
+        if not candidates:
+            raise InvalidInitialStateError("model has no startable states")
+        return candidates
+    try:
+        idx = alphabet.index(config.initial_state)
+    except KeyError:
+        raise InvalidInitialStateError(
+            f"initial state {config.initial_state!r} not in alphabet"
+        ) from None
+    if not first_model.transitions.row_fitted[idx]:
+        raise InvalidInitialStateError(
+            f"initial state {config.initial_state!r} has no fitted transition row"
+        )
+    if config.initial_state not in first_model.dwell:
+        raise InvalidInitialStateError(
+            f"initial state {config.initial_state!r} has no dwell distribution"
+        )
+    return [idx]
+
+
+class _Pool(list):
+    """Values drawn in blocks by ``draw(size)`` and popped one at a time, in
+    draw order.  Blocks double from ``_FIRST_BLOCK`` to ``_BLOCK`` values, so
+    a short recording draws few values and a long one draws few blocks."""
+
+    __slots__ = ("draw", "drawn")
+
+    def __init__(self, draw) -> None:
+        super().__init__()
+        self.draw, self.drawn = draw, 0
+
+    def refill(self) -> None:
+        size = min(_BLOCK, _FIRST_BLOCK + self.drawn)
+        self.drawn += size
+        self.extend(self.draw(size)[::-1].tolist())
+
+
+class _Plan:
+    """What every recording of one simulation shares, checked and built once:
+    the start states, each segment's cumulative transition rows, and each
+    state's dwell fit, keyed by its distribution."""
+
+    def __init__(self, model: SemiMarkovModel | MultiChainModel,
+                 config: SimulationConfig) -> None:
+        if isinstance(model, SemiMarkovModel):
+            model = MultiChainModel(segments=(model,), boundaries=())
+        for seg in model.segments:
+            if seg.transitions.kind != SEMI_MARKOV:
+                raise KindMismatchError(
+                    f"cannot simulate a {seg.transitions.kind!r} model, only semi_markov"
+                )
+        rate = config.output_sampling_rate_hz
+        if config.duration_s * rate + 0.5 < 1.0:
+            raise ValueError("duration_s is shorter than half a sample period")
+        self.chain, self.config = model, config
+        self.n_total = _run_samples(config.duration_s, rate)
+        self.candidates = _start_states(model.segments[0], config)
         # validity must not depend on which start the seed happened to pick
-        _check_reachability(segments, _startable_states(segments[0]))
-    else:
-        _check_reachability(segments, [state])
-    cum_rows = [np.cumsum(seg.transitions.probs, axis=1).tolist() for seg in segments]
-    states: list[int] = []
-    durations: list[int] = []
-    elapsed = 0  # samples emitted so far
-    min_dwell = 1.0 / rate
-    while elapsed < n_total:
-        model = segments[chain.segment_at(elapsed / rate)]
-        name = model.alphabet.states[state]
-        dwell_s = sample_dwell(model.dwell[name], rng, min_seconds=min_dwell)
-        n = _run_samples(dwell_s, rate)
-        n = min(n, n_total - elapsed)  # truncate the final run
-        states.append(state)
-        durations.append(n)
-        elapsed += n
-        if elapsed >= n_total:
-            break
-        state = _draw_categorical(cum_rows[chain.segment_at(elapsed / rate)][state], rng)
-    return states, durations
+        _check_reachability(model.segments, self.candidates)
+        # per segment and from-state: the cumulative row without its last
+        # entry, so one bisect lands on a state index, and the row total
+        self.cum_rows = [
+            [(row[:-1], row[-1]) for row in np.cumsum(seg.transitions.probs, axis=1).tolist()]
+            for seg in model.segments
+        ]
+        # equal fits, in any segment or state, draw from one pool of run
+        # lengths: each distinct fit by its key, and each segment's states'
+        # keys (None where a state has no fit)
+        self.fits = {_fit_key(fit): fit for seg in model.segments for fit in seg.dwell.values()}
+        self.keys = [
+            [_fit_key(seg.dwell[name]) if name in seg.dwell else None
+             for name in seg.alphabet.states]
+            for seg in model.segments
+        ]
+
+    def recording(self, patient: int, sequence_id: str) -> RunSequence:
+        states, durations = self._runs(patient)
+        return RunSequence(
+            states=np.array(states, dtype=np.int64),
+            durations=np.array(durations, dtype=np.int64),
+            sampling_rate_hz=self.config.output_sampling_rate_hz,
+            id=sequence_id,
+        )
+
+    def _runs(self, patient: int) -> tuple[list[int], list[int]]:
+        chain, rate, n_total = self.chain, self.config.output_sampling_rate_hz, self.n_total
+        # the patient's own stream: child `patient` of the seed's SeedSequence
+        rng = np.random.default_rng(
+            np.random.SeedSequence(self.config.seed, spawn_key=(patient,)))
+        min_dwell, cap = 1.0 / rate, float(n_total)
+
+        def run_lengths(fit, size: int) -> np.ndarray:
+            """size run lengths in samples: round half-up, one sample minimum,
+            at most the whole recording."""
+            x = sample_dwell(fit, rng, min_dwell, size=size)
+            return np.maximum(np.floor(np.minimum(x * rate + 0.5, cap)), 1.0).astype(np.int64)
+
+        pools = {key: _Pool(partial(run_lengths, fit)) for key, fit in self.fits.items()}
+        lengths_of = [[None if key is None else pools[key] for key in row] for row in self.keys]
+        uniforms = _Pool(rng.random)  # next-state uniforms
+        cum_rows, candidates = self.cum_rows, self.candidates
+        if self.config.initial_state is None:
+            uniforms.refill()
+            state = candidates[min(int(uniforms.pop() * len(candidates)), len(candidates) - 1)]
+        else:
+            state = candidates[0]
+        states: list[int] = []
+        durations: list[int] = []
+        elapsed = 0  # samples emitted so far
+        segment = chain.segment_at(0.0)
+        while True:
+            lengths = lengths_of[segment][state]
+            if not lengths:
+                lengths.refill()
+            n = lengths.pop()
+            states.append(state)
+            elapsed += n
+            if elapsed >= n_total:
+                durations.append(n - (elapsed - n_total))  # truncate the final run
+                return states, durations
+            durations.append(n)
+            segment = chain.segment_at(elapsed / rate)
+            if not uniforms:
+                uniforms.refill()
+            below, total = cum_rows[segment][state]
+            state = bisect.bisect_right(below, uniforms.pop() * total)
+
+
+def _fit_key(fit) -> tuple:
+    """A dwell fit's distribution: equal keys draw from one pool."""
+    return fit.family, tuple(sorted(fit.params.items()))
 
 
 def simulate_sequence(
     model: SemiMarkovModel | MultiChainModel,
     config: SimulationConfig,
     sequence_id: str = "",
+    patient: int = 0,
 ) -> RunSequence:
     """Simulate one recording from a semi-Markov or multi-chain model.
 
@@ -187,17 +263,11 @@ def simulate_sequence(
     is simulated as a one-segment chain.  Every stochastic choice made at
     time t (dwell draw at a run's start, next-state draw at a transition)
     consults the segment owning t, and a run in progress at a boundary
-    persists.  Deterministic for a fixed config.
+    persists.  Deterministic for a fixed config and ``patient``: the
+    recording is patient ``patient`` of ``simulate_cohort`` with the same
+    config, so any one patient of a cohort can be regenerated alone.
     """
-    if isinstance(model, SemiMarkovModel):
-        model = MultiChainModel(segments=(model,), boundaries=())
-    states, durations = _simulate_runs(model, config)
-    return RunSequence(
-        states=np.array(states, dtype=np.int64),
-        durations=np.array(durations, dtype=np.int64),
-        sampling_rate_hz=config.output_sampling_rate_hz,
-        id=sequence_id,
-    )
+    return _Plan(model, config).recording(patient, sequence_id)
 
 
 def simulate_cohort(
@@ -207,14 +277,12 @@ def simulate_cohort(
 ) -> list[RunSequence]:
     """Simulate n_patients independent recordings.
 
-    Patient i uses seed config.seed + i and id ``sim`` + i in three digits,
-    so the cohort is reproducible and any subset of patients can be
-    regenerated independently.
+    Patient i draws from its own stream, child i of
+    ``np.random.SeedSequence(config.seed)``, and gets id ``sim`` + i in three
+    digits.  So the cohort is reproducible, any patient can be regenerated
+    alone, and cohorts from different base seeds share no stream.
     """
     if n_patients < 1:
         raise ValueError("n_patients must be at least 1")
-    out = []
-    for i in range(n_patients):
-        cfg = replace(config, seed=config.seed + i)
-        out.append(simulate_sequence(model, cfg, sequence_id=f"sim{i:03d}"))
-    return out
+    plan = _Plan(model, config)
+    return [plan.recording(i, f"sim{i:03d}") for i in range(n_patients)]

@@ -1,3 +1,4 @@
+import json
 import pickle
 
 import numpy as np
@@ -23,7 +24,7 @@ from semimarkov.fitting import (
     fit_semi_markov,
     fit_semi_markov_transitions,
 )
-from semimarkov.io import document_to_dict, write_model_json
+from semimarkov.io import document_to_dict, read_model_json, write_model_json
 from semimarkov.presets import PATTERNS, success_model
 from semimarkov.sequences import (
     LabeledSequence,
@@ -282,6 +283,24 @@ class TestSemiMarkovModel:
                 model.metadata["x"] = float("nan")
             write_model_json(model, tmp_path / "m.json")  # so the model still writes
         assert dict(m.metadata) == {"cohort": "a"}
+
+    def test_nested_metadata_is_read_only(self, tmp_path):
+        fitted = fit_semi_markov([seq([0, 0, 1, 1, 1, 0, 0, 1])], AB)
+        with pytest.raises(TypeError):
+            fitted.metadata["sample_counts"]["A"] = float("nan")
+        tm = TransitionMatrix.from_probabilities([(0.0, 1.0), (1.0, 0.0)], AB)
+        nested = {"runs": {"A": [1, 2]}}
+        m = SemiMarkovModel(tm, {}, nested)
+        nested["runs"]["A"].append(float("nan"))  # changes the caller's copy only
+        with pytest.raises(AttributeError):
+            m.metadata["runs"]["A"].append(float("nan"))
+        for model in (m, fitted, pickle.loads(pickle.dumps(fitted))):
+            write_model_json(model, tmp_path / "m.json")
+            assert read_model_json(tmp_path / "m.json").plain_metadata() == (
+                model.plain_metadata())
+        assert m.plain_metadata() == {"runs": {"A": [1, 2]}}
+        # still JSON to a plain json.dumps, at every depth
+        assert json.loads(json.dumps(fitted.metadata)) == fitted.plain_metadata()
 
 
 def flip_flop(alphabet=AB):

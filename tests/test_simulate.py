@@ -1,13 +1,15 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 import semimarkov.simulate as simulate_mod
-from semimarkov.dwell import EXPONENTIAL, DwellFit
+from semimarkov.dwell import EXPONENTIAL, DwellFit, cdf
 from semimarkov.errors import (
     InvalidInitialStateError,
     KindMismatchError,
@@ -74,7 +76,8 @@ def test_config_requires_finite_positive_values(duration_s, rate_hz):
 
 def test_forced_alternation(monkeypatch):
     # pin every dwell draw to exactly 1.0 s so only the transition logic runs
-    monkeypatch.setattr(simulate_mod, "sample_dwell", lambda fit, rng, min_seconds=0.0: 1.0)
+    monkeypatch.setattr(simulate_mod, "sample_dwell",
+                        lambda fit, rng, min_seconds=0.0, size=None: np.full(size, 1.0))
     cfg = SimulationConfig(duration_s=4.0, seed=0, output_sampling_rate_hz=1.0, initial_state="A")
     out = simulate_sequence(two_state_model(), cfg)
     assert out.runs == [(0, 1), (1, 1), (0, 1), (1, 1)]
@@ -238,16 +241,34 @@ class TestCohort:
         assert not runs_equal(a, b)
         assert a.id == "sim000" and b.id == "sim001"
 
+    def test_adjacent_base_seeds_share_no_stream(self):
+        # with per-patient seeds base + i, patient i + 1 of seed 71 was
+        # patient i of seed 72
+        m = success_model()
+        cfg = SimulationConfig(duration_s=120.0, seed=71, output_sampling_rate_hz=2.0)
+        a = simulate_cohort(m, 30, cfg)
+        b = simulate_cohort(m, 30, replace(cfg, seed=72))
+        assert not any(runs_equal(x, y) for x in a for y in b)
+
+    def test_one_patient_regenerates_alone(self):
+        m = failure_model()
+        cfg = SimulationConfig(duration_s=60.0, seed=9, output_sampling_rate_hz=2.0)
+        cohort = simulate_cohort(m, 5, cfg)
+        for i in (0, 3):
+            assert runs_equal(simulate_sequence(m, cfg, patient=i), cohort[i])
+
 
 class TestPinnedCohorts:
-    # Any change to the draw order, the categorical draw, the dwell sampler
-    # or the quantization changes these digests.
+    # Any change to the per-patient streams, the pools' block size or draw
+    # schedule, the categorical draw, the dwell sampler or the quantization
+    # changes these digests.  TestDistribution checks the same draws against
+    # the model.
 
     def test_success_cohort_is_pinned(self):
         # all four dwell families, including the inverse-Gaussian draw
         cfg = SimulationConfig(duration_s=3600.0, seed=20180823, output_sampling_rate_hz=50.0)
         assert cohort_digest(simulate_cohort(success_model(), 10, cfg)) == (
-            "d42169df20128c639a17e6db821e0caf82b36c42107159a2801d4c1050810031"
+            "521b57dcab103a605587af5b72c8a5e13702058d6ec734fd92d70aec8f5e0a5d"
         )
 
     def test_failure_cohort_from_pinned_state_is_pinned(self):
@@ -256,8 +277,60 @@ class TestPinnedCohorts:
             initial_state="PAU",
         )
         assert cohort_digest(simulate_cohort(failure_model(), 10, cfg)) == (
-            "b41f77d3d5c9d1542b5ccaa29a8a0fb3d570dfd01f356a9c72890a1b852f96e7"
+            "d29d5b502b18f430292044d944edde8e467c06cb31839bb9ab3283c23431ee43"
         )
+
+
+class TestDistribution:
+    """The draws against the model they come from, on one large seeded
+    cohort: 40 patients x 1 h at 2 Hz from the success preset, whose dwell
+    fits cover all four families.  Each of the ten chi-square tests is at
+    level 0.001, so together they fail falsely on at most 1% of seeds."""
+
+    LEVEL = 0.001
+    RATE_HZ = 2.0
+
+    @pytest.fixture(scope="class")
+    def cohort(self):
+        cfg = SimulationConfig(duration_s=3600.0, seed=20180823,
+                               output_sampling_rate_hz=self.RATE_HZ)
+        return simulate_cohort(success_model(), 40, cfg)
+
+    @pytest.mark.parametrize("state", success_model().alphabet.states)
+    def test_run_pairs_follow_the_matrix(self, cohort, state):
+        model = success_model()
+        i = model.alphabet.index(state)
+        pairs = np.zeros(len(model.alphabet))
+        for runs in cohort:
+            np.add.at(pairs, runs.states[1:][runs.states[:-1] == i], 1)
+        others = np.arange(len(pairs)) != i  # the diagonal is a structural zero
+        assert pairs[i] == 0
+        expected = pairs.sum() * model.transitions.probs[i, others]
+        assert expected.min() >= 5
+        assert stats.chisquare(pairs[others], expected).pvalue > self.LEVEL
+
+    @pytest.mark.parametrize("state", success_model().alphabet.states)
+    def test_run_lengths_follow_the_discretised_dwell(self, cohort, state):
+        # a dwell x is redrawn below one sample period and kept as
+        # floor(x * rate + 1/2) samples, so P(n = k) is the fit's mass on
+        # [(k - 1/2) / rate, (k + 1/2) / rate) above 1/rate, over its mass
+        # above 1/rate; each recording's last run is truncated, so left out
+        model = success_model()
+        i = model.alphabet.index(state)
+        fit, rate = model.dwell[state], self.RATE_HZ
+        n = np.concatenate([r.durations[:-1][r.states[:-1] == i] for r in cohort])
+        floor = cdf(fit, 1.0 / rate)
+        upper = [cdf(fit, (k + 0.5) / rate) for k in range(1, n.max() + 1)]
+        probs = np.diff([floor, *upper]) / (1.0 - floor)  # P(n = k), k = 1, 2, ...
+        expected = len(n) * probs
+        bins = int(np.argmax(expected < 5)) if (expected < 5).any() else len(expected)
+        while len(n) - expected[:bins].sum() < 5:  # the merged tail needs 5 too
+            bins -= 1
+        observed = np.bincount(n, minlength=bins + 1)[1:bins + 1]
+        observed = np.append(observed, len(n) - observed.sum())
+        expected = np.append(expected[:bins], len(n) - expected[:bins].sum())
+        assert bins >= 5
+        assert stats.chisquare(observed, expected).pvalue > self.LEVEL
 
 
 class TestMultiChain:
@@ -282,13 +355,13 @@ class TestMultiChain:
 
     def test_three_segment_cohort_is_pinned(self):
         # success/failure/success; 211.3 s falls between samples at 2 Hz.
-        # Any change to the draw order, the segment lookup at a run start or
-        # transition, or the quantization changes this digest.
+        # Any change to the streams or pools, the segment lookup at a run
+        # start or transition, or the quantization changes this digest.
         succ, fail = success_model(), failure_model()
         mc = MultiChainModel(segments=(succ, fail, succ), boundaries=(100.0, 211.3))
         cfg = SimulationConfig(duration_s=300.0, seed=4242, output_sampling_rate_hz=2.0)
         assert cohort_digest(simulate_cohort(mc, 50, cfg)) == (
-            "c9c2e40493ca159cd2d25b9b515b988f33ea4b1dc9335b8cbdb7e4f7842a0a89"
+            "d65c805ddbae6bc71d6e7e3580850e38870ddc6eb255dfef7d2feae3c816c381"
         )
 
     def test_boundary_validation(self):
