@@ -169,11 +169,11 @@ class _ReadOnlyDict(dict):
 
 
 def _read_only(value):
-    """A deep read-only copy of plain JSON data: dicts become read-only dicts
-    and lists tuples."""
-    if isinstance(value, dict):
+    """A deep read-only copy of JSON-like data: every mapping becomes a
+    read-only dict and every list or tuple a tuple."""
+    if isinstance(value, Mapping):
         return _ReadOnlyDict({key: _read_only(item) for key, item in value.items()})
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return tuple(_read_only(item) for item in value)
     return value
 
@@ -206,13 +206,13 @@ class SemiMarkovModel:
             raise ValueError(f"dwell states {unknown} not in alphabet")
         if not isinstance(self.metadata, Mapping):
             raise TypeError("metadata must be a JSON object")
-        metadata = _plain(self.metadata)
+        metadata = _read_only(self.metadata)
         try:  # as a model file writes it, so that every model built writes
             json.dumps(metadata, sort_keys=True, allow_nan=False)
         except ValueError:
             raise ValueError("metadata must not hold NaN or an infinity") from None
         object.__setattr__(self, "dwell", MappingProxyType(dwell))
-        object.__setattr__(self, "metadata", _read_only(metadata))
+        object.__setattr__(self, "metadata", metadata)
 
     def __reduce__(self):  # a mappingproxy does not pickle; its dict does
         return SemiMarkovModel, (self.transitions, dict(self.dwell), self.plain_metadata())

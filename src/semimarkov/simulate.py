@@ -193,15 +193,7 @@ class _Plan:
         ]
 
     def recording(self, patient: int, sequence_id: str) -> RunSequence:
-        states, durations = self._runs(patient)
-        return RunSequence(
-            states=np.array(states, dtype=np.int64),
-            durations=np.array(durations, dtype=np.int64),
-            sampling_rate_hz=self.config.output_sampling_rate_hz,
-            id=sequence_id,
-        )
-
-    def _runs(self, patient: int) -> tuple[list[int], list[int]]:
+        """Patient ``patient``'s recording, drawn from its own stream."""
         chain, rate, n_total = self.chain, self.config.output_sampling_rate_hz, self.n_total
         # the patient's own stream: child `patient` of the seed's SeedSequence
         rng = np.random.default_rng(
@@ -236,13 +228,19 @@ class _Plan:
             elapsed += n
             if elapsed >= n_total:
                 durations.append(n - (elapsed - n_total))  # truncate the final run
-                return states, durations
+                break
             durations.append(n)
             segment = chain.segment_at(elapsed / rate)
             if not uniforms:
                 uniforms.refill()
             below, total = cum_rows[segment][state]
             state = bisect.bisect_right(below, uniforms.pop() * total)
+        return RunSequence(
+            states=np.array(states, dtype=np.int64),
+            durations=np.array(durations, dtype=np.int64),
+            sampling_rate_hz=rate,
+            id=sequence_id,
+        )
 
 
 def _fit_key(fit) -> tuple:
