@@ -188,12 +188,12 @@ def cdf(fit: DwellFit, x: float) -> float:
 
 
 def quantile(fit: DwellFit, u):
-    """Inverse CDF at u in (0, 1): a float for a float level, an array for an
-    array of levels.
+    """Inverse CDF at u in (0, 1): a float for a float level, and for the
+    closed-form families an array for an array of levels.
 
     Closed form for Exponential, GEV, and GPD, written once and evaluated
     with ``math`` for a float and ``numpy`` for an array; numerical
-    inversion of the CDF, one level at a time, for InverseGaussian.
+    inversion of the CDF for InverseGaussian, one float level only.
     """
     scalar = np.ndim(u) == 0
     xp = math if scalar else np
@@ -219,15 +219,10 @@ def quantile(fit: DwellFit, u):
         if abs(k) < _SHAPE_EPS:
             return -sigma * xp.log1p(-u)
         return sigma * xp.expm1(-k * xp.log1p(-u)) / k
-    if scalar:
-        return _inverse_gaussian_quantile(fit, u)
-    return np.array([_inverse_gaussian_quantile(fit, v) for v in u.ravel().tolist()]
-                    ).reshape(u.shape)
-
-
-def _inverse_gaussian_quantile(fit: DwellFit, u: float) -> float:
-    # strictly increasing CDF: bracket, then root-find
-    mu = fit.params["mu"]
+    if not scalar:
+        raise TypeError("the InverseGaussian quantile takes one float level")
+    # InverseGaussian: strictly increasing CDF, bracket then root-find
+    mu = params["mu"]
     lo, hi = mu * 1e-12, mu
     while cdf(fit, hi) < u:
         hi *= 2.0
@@ -718,13 +713,18 @@ def _draw(fit: DwellFit, rng, n: int) -> np.ndarray:
     the module-level ``quantile`` of n uniforms for the other families."""
     if fit.family == INVERSE_GAUSSIAN:
         return _sample_inverse_gaussian(fit.params["mu"], fit.params["lambda"], rng, n)
-    u = rng.random(n)
-    if u.all():
-        return quantile(fit, u)
-    inside = u > 0.0  # a uniform of exactly 0 lies outside quantile's (0, 1)
-    x = np.zeros(n)  # and its draw is rejected
-    x[inside] = quantile(fit, u[inside])
-    return x
+    # random() lies in [0, 1) on a grid of spacing 2**-53; a quarter of that
+    # spacing moves every level off 0 and rounds away near 1, so each lies in
+    # quantile's open interval (0, 1)
+    return quantile(fit, rng.random(n) + 2.0**-55)
+
+
+def _round_size(need: int, kept: float) -> int:
+    """Raw draws for a round that should keep ``need`` of them when a share
+    ``kept`` of draws is kept: the mean plus about four standard deviations,
+    at most ``_ATTEMPTS`` per draw and at most max(need, 2**16) at once."""
+    want = (need + 4.0 * math.sqrt(need * (1.0 - kept))) / kept if kept > 0.0 else math.inf
+    return math.ceil(min(want, _ATTEMPTS * need, max(need, 1 << 16)))
 
 
 def sample_dwell(fit: DwellFit, rng, min_seconds: float = 0.0, size: int | None = None):
@@ -732,26 +732,43 @@ def sample_dwell(fit: DwellFit, rng, min_seconds: float = 0.0, size: int | None 
     ``size`` is None, else an array of ``size`` draws.
 
     Inverse-CDF sampling for the closed-form families; the transformation
-    method for InverseGaussian.  Draws that are non-positive or below
-    ``min_seconds`` (one sample period, during simulation) are rejected and
-    redrawn, all of a round's rejected draws in one vector draw; a draw
-    still rejected after 1000 attempts is set to the minimum, with a warning.
+    method for InverseGaussian.  A raw draw that is non-positive, NaN or
+    below ``min_seconds`` (one sample period, during simulation) is rejected
+    and the next one tried, in draw order; a draw that meets 1000 straight
+    rejections is set to the minimum instead, with a warning.  Raw draws come
+    in rounds sized from the fit's share of kept draws, so one round
+    usually yields all ``size`` draws.
     """
-    x = _draw(fit, rng, 1 if size is None else size)
-    for attempt in range(1, _ATTEMPTS + 1):
-        kept = x >= min_seconds if min_seconds > 0.0 else x > 0.0  # NaN fails both
-        if kept.all():
-            break
-        rejected = np.flatnonzero(~kept)
-        if attempt < _ATTEMPTS:
-            x[rejected] = _draw(fit, rng, rejected.size)
-    else:
-        floor = min_seconds if min_seconds > 0.0 else 1e-12
-        x[rejected] = floor
+    n = 1 if size is None else size
+    floor = min_seconds if min_seconds > 0.0 else 1e-12
+    kept = 1.0 - cdf(fit, max(min_seconds, 0.0))  # share of raw draws kept
+    out = np.empty(n)
+    have = misses = hit = 0  # misses: the draw in progress's rejections so far
+    while have < n:
+        need = n - have
+        m = _round_size(need, kept)
+        x = _draw(fit, rng, m)
+        keep = x >= min_seconds if min_seconds > 0.0 else x > 0.0  # NaN fails both
+        got = x[keep]
+        if misses + m - got.size < _ATTEMPTS:  # too few rejections for any draw to hit the bound
+            misses = int(keep[::-1].argmax()) if got.size else misses + m
+            got = got[:need]
+        else:  # walk the round in draw order
+            idx, last = [], -1 - misses
+            for i in np.flatnonzero(keep).tolist() + [m]:  # each kept draw, then the round's end
+                lost, misses = divmod(i - last - 1, _ATTEMPTS)
+                idx += [m] * lost + [i]  # index m: a draw set to the minimum
+                last = i
+            idx = idx[:-1][:need]
+            hit += idx.count(m)
+            got = np.append(x, floor)[idx]
+        out[have:have + got.size] = got
+        have += got.size
+    if hit:
         warnings.warn(
             f"dwell sampling for {fit.family} hit the rejection bound on "
-            f"{rejected.size} of {x.size} draws; returning minimum {floor} s",
+            f"{hit} of {n} draws; returning minimum {floor} s",
             MinimumDwellWarning,
             stacklevel=2,
         )
-    return float(x[0]) if size is None else x
+    return float(out[0]) if size is None else out

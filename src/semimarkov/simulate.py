@@ -201,10 +201,10 @@ class _Plan:
         min_dwell, cap = 1.0 / rate, float(n_total)
 
         def run_lengths(fit, size: int) -> np.ndarray:
-            """size run lengths in samples: round half-up, one sample minimum,
-            at most the whole recording."""
+            """size run lengths in samples: round half-up, at most the whole
+            recording, and at least one sample, as no draw is below min_dwell."""
             x = sample_dwell(fit, rng, min_dwell, size=size)
-            return np.maximum(np.floor(np.minimum(x * rate + 0.5, cap)), 1.0).astype(np.int64)
+            return np.minimum(x * rate + 0.5, cap).astype(np.int64)  # truncation floors x > 0
 
         pools = {key: _Pool(partial(run_lengths, fit)) for key, fit in self.fits.items()}
         lengths_of = [[None if key is None else pools[key] for key in row] for row in self.keys]

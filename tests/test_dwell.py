@@ -195,6 +195,20 @@ def test_quantile_domain():
         quantile(DwellFit(EXPONENTIAL, {"mu": 1.0}), 1.0)
 
 
+@pytest.mark.parametrize("family,params", PARAM_SETS)
+def test_quantile_takes_an_array_of_levels(family, params):
+    fit = DwellFit(family, params)
+    u = np.linspace(0.01, 0.99, 99)
+    if family == INVERSE_GAUSSIAN:
+        with pytest.raises(TypeError):
+            quantile(fit, u)
+        return
+    xs = quantile(fit, u)
+    assert xs == pytest.approx([quantile(fit, float(v)) for v in u], rel=1e-12)
+    with pytest.raises(ValueError):
+        quantile(fit, np.array([0.5, 1.0]))
+
+
 def test_param_validation():
     with pytest.raises(ValueError):
         log_pdf(DwellFit(EXPONENTIAL, {"mu": -1.0}), 1.0)
@@ -563,7 +577,8 @@ def test_bundled_cohorts_fit_without_the_simplex(monkeypatch, label):
     monkeypatch.setattr(dwell, "minimize", no_simplex)
     manifest = read_manifest(DATA / f"{label}_manifest.json")
     seqs = load_sequences(manifest)
-    fit_semi_markov(seqs, manifest.alphabet)
+    model = fit_semi_markov(seqs, manifest.alphabet)
+    assert {f.family for f in model.dwell.values()} & {GEV, GPD}
     # every state's GEV and GPD fit converges, whichever family BIC selects
     for values, counts in durations_by_state([encode_runs(s) for s in seqs]).values():
         fits, skipped = fit_all_families(values, counts)
@@ -646,6 +661,12 @@ def test_sample_exponential_fixed_draw():
     assert x == pytest.approx(-2.0 * math.log(0.5), abs=1e-12)
 
 
+def test_sample_takes_a_uniform_of_zero():
+    # random() can return exactly 0, which lies outside quantile's (0, 1)
+    x = sample_dwell(DwellFit(EXPONENTIAL, {"mu": 2.0}), FixedUniform(0.0))
+    assert 0.0 < x < 1e-15
+
+
 def test_sample_determinism():
     fit = DwellFit(GEV, {"k": 0.63, "sigma": 1.30, "mu": 1.85})
     a = [sample_dwell(fit, np.random.default_rng(77)) for _ in range(3)]
@@ -683,6 +704,39 @@ def test_rejection_bound_warns():
     with pytest.warns(MinimumDwellWarning):
         x = sample_dwell(fit, rng, min_seconds=1.0)
     assert x == 1.0
+
+
+class ScriptedUniform:
+    """Duck-typed stand-in for a Generator whose k-th uniform draw is 0.9
+    for k in kept or k >= kept_from, and 0.1 otherwise."""
+
+    def __init__(self, kept, kept_from):
+        self.kept, self.kept_from, self.drawn = kept, kept_from, 0
+
+    def random(self, size):
+        k = np.arange(self.drawn, self.drawn + size)
+        self.drawn += size
+        return np.where(np.isin(k, self.kept) | (k >= self.kept_from), 0.9, 0.1)
+
+
+def test_rejection_bound_counts_each_draw_in_order():
+    # Exponential(1) keeps a draw of at least 1 s for u = 0.9, not for 0.1.
+    # The first draw is kept at its 1000th attempt, the second meets 1000
+    # straight rejections and is set to the minimum, the third is kept at
+    # its first attempt
+    fit = DwellFit(EXPONENTIAL, {"mu": 1.0})
+    kept = -math.log(0.1)
+    with pytest.warns(MinimumDwellWarning, match="on 1 of 3 draws"):
+        xs = sample_dwell(fit, ScriptedUniform([999], 2000), min_seconds=1.0, size=3)
+    assert xs.tolist() == pytest.approx([kept, 1.0, kept], abs=1e-12)
+
+
+def test_sized_draws_keep_the_minimum():
+    fit = DwellFit(EXPONENTIAL, {"mu": 1.0})
+    xs = sample_dwell(fit, np.random.default_rng(4), min_seconds=0.7, size=5000)
+    assert xs.shape == (5000,) and xs.min() >= 0.7
+    # memoryless: the kept draws are 0.7 s plus an Exponential(1)
+    assert stats.kstest(xs - 0.7, stats.expon().cdf).pvalue > 0.001
 
 
 @given(st.floats(0.01, 0.99), st.floats(0.01, 0.99))

@@ -268,7 +268,7 @@ class TestPinnedCohorts:
         # all four dwell families, including the inverse-Gaussian draw
         cfg = SimulationConfig(duration_s=3600.0, seed=20180823, output_sampling_rate_hz=50.0)
         assert cohort_digest(simulate_cohort(success_model(), 10, cfg)) == (
-            "521b57dcab103a605587af5b72c8a5e13702058d6ec734fd92d70aec8f5e0a5d"
+            "31d829202429849d30f64a7e7e798b9fce27a6a1a5702aade7dd4fed5a475916"
         )
 
     def test_failure_cohort_from_pinned_state_is_pinned(self):
@@ -277,7 +277,7 @@ class TestPinnedCohorts:
             initial_state="PAU",
         )
         assert cohort_digest(simulate_cohort(failure_model(), 10, cfg)) == (
-            "d29d5b502b18f430292044d944edde8e467c06cb31839bb9ab3283c23431ee43"
+            "e5fa67c30913ab33b11208617569361cbce2b0f5b5f2b4457869cd787abd643d"
         )
 
 
@@ -361,7 +361,7 @@ class TestMultiChain:
         mc = MultiChainModel(segments=(succ, fail, succ), boundaries=(100.0, 211.3))
         cfg = SimulationConfig(duration_s=300.0, seed=4242, output_sampling_rate_hz=2.0)
         assert cohort_digest(simulate_cohort(mc, 50, cfg)) == (
-            "d65c805ddbae6bc71d6e7e3580850e38870ddc6eb255dfef7d2feae3c816c381"
+            "92e420482f82f545f181619312d02bc5b1e0d53e5018a27c96ea927f9a3471ea"
         )
 
     def test_boundary_validation(self):
