@@ -38,6 +38,11 @@ from .io import (
 from .sequences import durations_by_state, encode_runs
 from .simulate import SimulationConfig, simulate_cohort
 
+#: Most samples one ``simulate`` command covers, patients x duration x rate,
+#: checked before any draw.  A run takes at least one sample, so this also
+#: caps the rows the command writes.
+MAX_SIMULATED_SAMPLES = 10**9
+
 
 def _cmd_fit(args) -> int:
     manifest = read_manifest(args.manifest)
@@ -105,6 +110,12 @@ def _cmd_simulate(args) -> int:
         output_sampling_rate_hz=args.rate_hz,
         initial_state=args.initial_state,
     )
+    samples = args.patients * config.duration_s * config.output_sampling_rate_hz
+    if samples > MAX_SIMULATED_SAMPLES:
+        raise ValueError(
+            f"--patients x --duration-s x --rate-hz must come to at most "
+            f"{MAX_SIMULATED_SAMPLES} samples, got {samples:.6g}"
+        )
     cohort = simulate_cohort(model, args.patients, config)
     prefix = Path(args.out_prefix)
     files = [f"{prefix.name}{i:03d}.csv" for i in range(len(cohort))]

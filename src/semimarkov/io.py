@@ -21,17 +21,28 @@ it fails as a bad time or duration, an unknown state or a wrong field count,
 and the error names its ``path:line`` instead of the field being misparsed.
 For the same reason no field length limit applies, and a NUL character fails
 the time or state check like any other stray character.
+
+Memory grows with a file's bytes and its runs, not with per-row objects.  The
+sequence readers hold the file's bytes and scan them in blocks of about
+256 KiB, each cut after a line end, keeping only per-run state from block to
+block: ``parse_label_csv`` takes about the file's bytes, plus 8 bytes per row
+for its time column, plus one block; ``parse_runlength_csv`` the file's bytes,
+one block and its runs.  ``write_label_csv`` and ``emit_histogram_csv`` format
+4096 rows at a time, so beyond their input they hold one block of text.
 """
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
+import re
 import warnings
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -69,6 +80,11 @@ _SPACING_TOL_S = 1e-6
 _RATE_REL_TOL = 1e-6
 # Run-length durations must quantize to a sample count that fits in int64.
 _INT64_LIMIT = 2.0**63
+# Bytes of a sequence CSV scanned at once (about 23 k rows of a 50 Hz label
+# file), and rows of a label or histogram CSV formatted at once.
+_BLOCK_BYTES = 1 << 18
+_ROWS_PER_BLOCK = 1 << 12
+_LINE_END = re.compile(rb"[\r\n]")
 
 
 # --- canonical JSON ----------------------------------------------------------
@@ -246,61 +262,149 @@ def _header(line: str) -> tuple[str, ...]:
     return tuple(h.strip() for h in line.split(","))
 
 
-def _read_rows(path, header: tuple[str, str]):
-    """The data rows of a sequence CSV, as byte offsets into the file.
+def _after_line_end(data: bytes, k: int) -> int:
+    """The offset just past the line end at ``data[k]``, a CRLF pair whole."""
+    return k + 1 + (data[k:k + 2] == b"\r\n")
 
-    Returns ``(data, starts, commas, ends, at, fault)``: ``data``, the file's
-    UTF-8 bytes with every line end made ``"\\n"``; the offsets of each data
-    row's start, its one comma and its end in ``data``; ``at(i)``, the
-    ``path:line`` of data row i (blank lines are skipped but counted); and
-    ``fault``, the error for the first row that does not hold exactly two
-    fields, or None.  The rows stop before that row, so the caller checks the
-    rows ahead of it first and raises ``fault`` only if they pass, as a
-    row-by-row reader would.  No per-row object is built.
-    """
-    data = Path(path).read_bytes()
-    if not data.isascii():
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedCsvError(_not_utf8(path, exc)) from None
-    if not data:
-        raise MalformedCsvError(f"{path}: empty file")
-    if b"\r" in data:  # lines end in LF, CRLF or CR
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    header_end = data.find(b"\n")
-    first = (data if header_end < 0 else data[:header_end]).decode()
-    if _header(first) != header:
-        raise MalformedCsvError(
-            f"{path}: expected header {','.join(header)!r}, got {first!r}"
-        )
-    if not data.endswith(b"\n"):
-        data += b"\n"  # every line ends in "\n", the last one too
+
+def _block_end(data: bytes, pos: int) -> int:
+    """Where the block of ``data`` that starts at ``pos`` ends: just past its
+    last line end within _BLOCK_BYTES, else past the first line end beyond
+    them, else at the end of the data."""
+    stop = pos + _BLOCK_BYTES
+    if stop >= len(data):
+        return len(data)
+    k = max(data.rfind(b"\n", pos, stop), data.rfind(b"\r", pos, stop))
+    if k < 0:
+        found = _LINE_END.search(data, stop)
+        if found is None:
+            return len(data)
+        k = found.start()
+    return _after_line_end(data, k)
+
+
+def _check_utf8(path, data: bytes) -> None:
+    """MalformedCsvError naming the line of the first byte that is not UTF-8;
+    a block is decoded at a time."""
+    if data.isascii():
+        return
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    view = memoryview(data)
+    try:
+        for lo in range(0, len(data), _BLOCK_BYTES):
+            decoder.decode(view[lo:lo + _BLOCK_BYTES], final=lo + _BLOCK_BYTES >= len(data))
+    except UnicodeDecodeError as exc:
+        raise MalformedCsvError(_not_utf8(path, exc)) from None
+
+
+class _Block(NamedTuple):
+    """The data rows of one block of a sequence CSV: bytes that hold the
+    block from offset ``begin`` on, with every line end ``"\\n"``; the offsets
+    of each row's start, its one comma and its end in them; the index in the
+    file of the block's first row; and the file's lines ahead of the block."""
+
+    path: Any
+    data: bytes
+    begin: int
+    starts: np.ndarray
+    commas: np.ndarray
+    ends: np.ndarray
+    first: int
+    line: int
+
+    def at(self, i: int) -> str:
+        """The ``path:line`` of the block's row i."""
+        line = self.line + 1 + self.data.count(b"\n", self.begin, self.starts[i])
+        return f"{self.path}:{line}"
+
+
+def _scan(data: bytes, begin: int, end: int):
+    """The rows of ``data[begin:end]``, whose lines all end in ``"\\n"``, up
+    to the first that does not hold two fields: their starts, commas and ends
+    in ``data``, the line count, and that row's line index and field count
+    (None if every row holds two fields)."""
     # "\n" and "," are one byte each in UTF-8 and never part of another
-    # character.  Line 0 is the header, which holds one comma.
-    buf = np.frombuffer(data, np.uint8)
-    is_mark = buf == 10
-    is_mark |= buf == 44
-    marks = np.flatnonzero(is_mark)  # the commas and line ends
-    last = np.flatnonzero(buf[marks] == 10)  # the marks that end a line
-    ends = marks[last]
-    # line k >= 1 is blank when it ends one byte after line k - 1, and its
-    # fields are the marks after line k - 1's end: its commas and its own end
-    lines = np.flatnonzero(np.diff(ends) > 1) + 1  # the data lines that are not blank
-    if not lines.size:
-        raise MalformedCsvError(f"{path}: no data rows")
+    # character
+    buf = np.frombuffer(data, np.uint8, end - begin, begin)
+    ends = np.flatnonzero(buf == 10)
+    ends += begin
+    commas = np.flatnonzero(buf == 44)
+    commas += begin
+    starts = np.empty_like(ends)
+    starts[0] = begin  # the block starts after a line end
+    np.add(ends[:-1], 1, out=starts[1:])
+    # the common block, whose k-th comma is in line k for every k: every line
+    # holds one comma, so none is blank or faulty and no array is gathered
+    if commas.size == ends.size and (commas < ends).all() and (commas >= starts).all():
+        return starts, commas, ends, ends.size, None
+    before = np.searchsorted(commas, ends)  # the commas ahead of each line's end
+    count = np.diff(before, prepend=0)  # each line's commas
+    bad = np.flatnonzero((count != 1) & (ends > starts))  # blank lines hold none
+    cut = int(bad[0]) if bad.size else ends.size
+    rows = np.flatnonzero(count[:cut] == 1)
+    fault = (cut, int(count[cut]) + 1) if bad.size else None
+    return starts[rows], commas[before[rows] - 1], ends[rows], ends.size, fault
 
-    def at(i: int) -> str:
-        return f"{path}:{int(lines[i]) + 1}"
 
-    fault = None
-    fields = np.diff(last)[lines - 1]
-    bad = np.flatnonzero(fields != 2)
-    n = int(bad[0]) if bad.size else lines.size
-    if bad.size:
-        fault = MalformedCsvError(f"{at(n)}: expected 2 fields, got {fields[n]}")
-    rows = lines[:n]
-    return data, ends[rows - 1] + 1, marks[last[rows] - 1], ends[rows], at, fault
+class _Rows:
+    """The data rows of a sequence CSV, scanned in blocks of about
+    _BLOCK_BYTES bytes, each cut after a line end.
+
+    Building one checks the file: valid UTF-8, not empty, the expected
+    header.  Iterating yields each block's rows as a ``_Block``; blank lines
+    are skipped but counted.  The rows stop before the first row that does
+    not hold exactly two fields, whose error is then ``fault`` (None if there
+    is none), so the caller checks the rows ahead of it first and raises
+    ``fault`` only if they pass, as a row-by-row reader would.  A file with
+    no data rows raises when the scan ends.  Beyond the file's bytes, no
+    array spans more than one block and no per-row object is built: a block
+    is copied only to make its line ends ``"\\n"``.
+    """
+
+    def __init__(self, path, header: tuple[str, str]) -> None:
+        self.path, self.fault = path, None
+        self.data = data = Path(path).read_bytes()
+        _check_utf8(path, data)
+        if not data:
+            raise MalformedCsvError(f"{path}: empty file")
+        found = _LINE_END.search(data)  # lines end in LF, CRLF or CR
+        self.body = len(data) if found is None else _after_line_end(data, found.start())
+        first = data[:len(data) if found is None else found.start()].decode()
+        if _header(first) != header:
+            raise MalformedCsvError(
+                f"{path}: expected header {','.join(header)!r}, got {first!r}"
+            )
+
+    def __iter__(self) -> Iterator[_Block]:
+        data, path = self.data, self.path
+        pos, line, row = self.body, 1, 0  # line: the file's lines ahead of the block
+        while pos < len(data):
+            block, begin, end = data, pos, _block_end(data, pos)
+            pos = end
+            if data.find(b"\r", begin, end) >= 0 or data[end - 1] != 10:
+                block = data[begin:end].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+                if not block.endswith(b"\n"):
+                    block += b"\n"  # every line ends in "\n", the last one too
+                begin, end = 0, len(block)
+            starts, commas, ends, n_lines, fault = _scan(block, begin, end)
+            n = starts.size
+            if n:
+                yield _Block(path, block, begin, starts, commas, ends, row, line)
+            if fault is not None:
+                self.fault = MalformedCsvError(
+                    f"{path}:{line + 1 + fault[0]}: expected 2 fields, got {fault[1]}")
+                return
+            line, row = line + n_lines, row + n
+        if not row:
+            raise MalformedCsvError(f"{path}: no data rows")
+
+    def first_field(self, i: int) -> tuple[str, str]:
+        """The ``path:line`` of data row i (one the scan yields) and the text
+        of its first field."""
+        for block in self:
+            j = i - block.first
+            if j < block.starts.size:
+                return block.at(j), block.data[block.starts[j]:block.commas[j]].decode()
 
 
 def _texts(data: bytes, lo: np.ndarray, hi: np.ndarray) -> list[str]:
@@ -312,32 +416,33 @@ def _texts(data: bytes, lo: np.ndarray, hi: np.ndarray) -> list[str]:
 _NUMPY_STRIPS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _time_column(path, data: bytes, starts, commas, whole: bool) -> tuple[np.ndarray, int]:
-    """The rows' times, and the index of the first row whose time ``float()``
-    refuses (the row count if none); only the times ahead of that row are
-    returned.
+def _time_column(rows: _Rows, n: int) -> np.ndarray:
+    """The times of the ``n`` rows, up to the first one that ``float()``
+    refuses: the result is shorter than ``n`` exactly when one does.
 
-    ``float()`` is the grammar.  When the rows are ``whole`` (none has a wrong
-    field count), numpy parses the column in C with the conversion ``float()``
-    uses; where it refuses a time that ``float()`` may read, such as ``1_0``
-    or digits of other scripts, the rows are read one by one.
+    ``float()`` is the grammar.  When the rows are whole (none has a wrong
+    field count), numpy parses the column from the file in C with the
+    conversion ``float()`` uses; where it refuses a time that ``float()`` may
+    read, such as ``1_0`` or digits of other scripts, each block's rows are
+    read one by one.
     """
-    if whole and not any(c in data for c in _NUMPY_STRIPS):
+    if rows.fault is None and not any(c in rows.data for c in _NUMPY_STRIPS):
         try:
-            times = np.loadtxt(path, delimiter=",", usecols=0, skiprows=1, comments=None,
-                               quotechar=None, encoding="utf-8", ndmin=1)
+            times = np.loadtxt(rows.path, delimiter=",", usecols=0, skiprows=1,
+                               comments=None, quotechar=None, encoding="utf-8", ndmin=1)
         except ValueError:
             pass
         else:
-            if times.size == starts.size:  # numpy skips the same blank lines
-                return times, times.size
-    times = []
-    for text in _texts(data, starts, commas):
-        try:
-            times.append(float(text))
-        except ValueError:
-            break
-    return np.array(times, float), len(times)
+            if times.size == n:  # numpy skips the same blank lines
+                return times
+    times = np.empty(n)
+    for block in rows:
+        for i, text in enumerate(_texts(block.data, block.starts, block.commas), block.first):
+            try:
+                times[i] = float(text)
+            except ValueError:
+                return times[:i]
+    return times
 
 
 def _run_heads(data: bytes, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -361,6 +466,33 @@ def _run_heads(data: bytes, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.flatnonzero(head)
 
 
+def _label_runs(rows: _Rows, alphabet: StateAlphabet):
+    """The runs of a label CSV's rows, block by block: the rows where the state
+    field's text changes (each a run's first row) and their state ids (-1 for
+    a name not in ``alphabet``); the first of those rows with an unknown state
+    as its index, ``path:line`` and name (None if there is none); and the
+    row count."""
+    index = {name: i for i, name in enumerate(alphabet.states)}
+    heads, states = [np.empty(0, np.int64)], [np.empty(0, np.int64)]  # per block
+    unknown = last = None  # last: the state field of the last row scanned
+    n = 0
+    for block in rows:
+        lo, hi = block.commas + 1, block.ends
+        block_heads = _run_heads(block.data, lo, hi)
+        if block.data[lo[0]:hi[0]] == last:
+            block_heads = block_heads[1:]  # the run goes on from the block before
+        names = [name.strip() for name in _texts(block.data, lo[block_heads], hi[block_heads])]
+        block_states = np.array([index.get(name, -1) for name in names], np.int64)
+        if unknown is None and (block_states < 0).any():
+            k = int(np.argmax(block_states < 0))
+            unknown = (block.first + int(block_heads[k]), block.at(block_heads[k]), names[k])
+        heads.append(block_heads + block.first)
+        states.append(block_states)
+        last = block.data[lo[-1]:hi[-1]]
+        n = block.first + lo.size
+    return np.concatenate(heads), np.concatenate(states), unknown, n
+
+
 def parse_label_csv(path, alphabet: StateAlphabet, sampling_rate_hz: float) -> LabeledSequence:
     """Read a per-sample label CSV (header ``time_s,state``), whose id is the
     file's stem.
@@ -369,34 +501,27 @@ def parse_label_csv(path, alphabet: StateAlphabet, sampling_rate_hz: float) -> L
     rate that spacing implies must match ``sampling_rate_hz`` (the manifest's)
     to a relative 1e-6.  The sequence carries ``sampling_rate_hz``, which is
     exact where the text timestamps are rounded.  Each state name is looked
-    up once per run of rows that spell it alike.
+    up once per run of rows that spell it alike.  Memory beyond the file's
+    bytes is one block, 8 bytes per row for the times, and the runs.
     """
-    data, starts, commas, ends, at, fault = _read_rows(path, _LABEL_HEADER)
-    n = starts.size
-    times, bad_time = _time_column(path, data, starts, commas, fault is None)
-    heads = _run_heads(data, commas + 1, ends)
-    index = {name: i for i, name in enumerate(alphabet.states)}
-    names = [name.strip() for name in _texts(data, commas[heads] + 1, ends[heads])]
-    states = np.array([index.get(name, -1) for name in names], np.int64)
+    rows = _Rows(path, _LABEL_HEADER)
+    heads, states, unknown, n = _label_runs(rows, alphabet)
+    times = _time_column(rows, n)
     # the first faulty row, as a row-by-row reader meets it: time, then state
-    unknown = np.flatnonzero(states < 0)
-    bad_state = int(heads[unknown[0]]) if unknown.size else n
-
-    def time_text(i: int) -> str:
-        return data[starts[i]:commas[i]].decode()
-
-    if bad_time < n and bad_time <= bad_state:
-        raise MalformedCsvError(f"{at(bad_time)}: bad time {time_text(bad_time)!r}")
-    if bad_state < n:
-        name = names[unknown[0]]
-        raise UnknownStateError(f"{at(bad_state)}: state {name!r} not in alphabet")
-    if fault is not None:
-        raise fault
+    bad_state = n if unknown is None else unknown[0]
+    if times.size < n and times.size <= bad_state:
+        at, text = rows.first_field(times.size)
+        raise MalformedCsvError(f"{at}: bad time {text!r}")
+    if unknown is not None:
+        raise UnknownStateError(f"{unknown[1]}: state {unknown[2]!r} not in alphabet")
+    if rows.fault is not None:
+        raise rows.fault
     # NaN compares false, so the spacing checks below would not catch it
     bad = np.flatnonzero(~np.isfinite(times))
     if bad.size:
-        i = int(bad[0])
-        raise MalformedCsvError(f"{at(i)}: non-finite time {time_text(i)!r}")
+        at, text = rows.first_field(int(bad[0]))
+        raise MalformedCsvError(f"{at}: non-finite time {text!r}")
+    del rows  # the file's bytes, before the spacing takes 8 bytes a row
     if n >= 2:
         spacing = np.diff(times)
         if spacing.min() <= 0:
@@ -425,47 +550,51 @@ def parse_runlength_csv(path, alphabet: StateAlphabet, sampling_rate_hz: float) 
 
     Durations are quantized to samples by rounding half-up with a one-sample
     floor.  Adjacent rows with equal states are merged (in seconds, before
-    quantization) with a normalization warning.
+    quantization) with a normalization warning.  Memory beyond the file's
+    bytes is one block and the runs.
     """
     _check_rate(sampling_rate_hz)
-    data, starts, commas, ends, at, fault = _read_rows(path, _RUNLENGTH_HEADER)
-    names, texts = _texts(data, starts, commas), _texts(data, commas + 1, ends)
+    rows = _Rows(path, _RUNLENGTH_HEADER)
     states: list[int] = []
     seconds: list[float] = []
     durations: list[int] = []
     total = 0  # samples in all runs so far
     merged = False
-    for i, (name, text) in enumerate(zip(names, texts)):
-        name = name.strip()
-        if name not in alphabet:
-            raise UnknownStateError(f"{at(i)}: state {name!r} not in alphabet")
-        try:
-            dur = float(text)
-        except ValueError:
-            raise MalformedCsvError(f"{at(i)}: bad duration {text!r}") from None
-        if not dur > 0:
-            raise NonPositiveDurationError(f"{at(i)}: duration {dur!r} not > 0")
-        state = alphabet.index(name)
-        if states and states[-1] == state:
-            seconds[-1] += dur
-            total -= durations.pop()
-            merged = True
-        else:
-            states.append(state)
-            seconds.append(dur)
-        samples = seconds[-1] * sampling_rate_hz + 0.5
-        run = _run_samples(seconds[-1], sampling_rate_hz) if samples < _INT64_LIMIT else math.inf
-        # the run's sample count and the file's total must fit in int64; an
-        # infinite duration fails too
-        if not total + run < _INT64_LIMIT:
-            raise MalformedCsvError(
-                f"{at(i)}: duration {text!r} is non-finite or takes the "
-                f"sample count past int64 at {sampling_rate_hz:g} Hz"
-            )
-        durations.append(run)
-        total += run
-    if fault is not None:
-        raise fault
+    for block in rows:
+        names = _texts(block.data, block.starts, block.commas)
+        texts = _texts(block.data, block.commas + 1, block.ends)
+        for i, (name, text) in enumerate(zip(names, texts)):
+            name = name.strip()
+            if name not in alphabet:
+                raise UnknownStateError(f"{block.at(i)}: state {name!r} not in alphabet")
+            try:
+                dur = float(text)
+            except ValueError:
+                raise MalformedCsvError(f"{block.at(i)}: bad duration {text!r}") from None
+            if not dur > 0:
+                raise NonPositiveDurationError(f"{block.at(i)}: duration {dur!r} not > 0")
+            state = alphabet.index(name)
+            if states and states[-1] == state:
+                seconds[-1] += dur
+                total -= durations.pop()
+                merged = True
+            else:
+                states.append(state)
+                seconds.append(dur)
+            samples = seconds[-1] * sampling_rate_hz + 0.5
+            run = (_run_samples(seconds[-1], sampling_rate_hz) if samples < _INT64_LIMIT
+                   else math.inf)
+            # the run's sample count and the file's total must fit in int64; an
+            # infinite duration fails too
+            if not total + run < _INT64_LIMIT:
+                raise MalformedCsvError(
+                    f"{block.at(i)}: duration {text!r} is non-finite or takes the "
+                    f"sample count past int64 at {sampling_rate_hz:g} Hz"
+                )
+            durations.append(run)
+            total += run
+    if rows.fault is not None:
+        raise rows.fault
     if merged:
         warnings.warn(
             f"{path}: merged adjacent runs with equal states",
@@ -517,18 +646,26 @@ def write_label_csv(seq: LabeledSequence, alphabet: StateAlphabet, path) -> None
     """Write a per-sample label CSV with sample i at time i / rate.
 
     Each time is printed as ``float_text`` prints it (i / rate is finite), by
-    one ``repr`` of the list of all times, and each run's rows are one join.
+    one ``repr`` per block of _ROWS_PER_BLOCK (4096) times, and each run's
+    rows in a block are one join.  So beyond the runs, memory is one block's
+    text, well under 1 MB, however long the recording.
     """
     runs = encode_runs(seq)
-    times = np.arange(runs.total_samples) / runs.sampling_rate_hz
-    texts = repr(times.tolist())[1:-1].split(", ")
-    start = 0
+    rate, total = runs.sampling_rate_hz, runs.total_samples
+    texts, lo = [], 0  # the times of samples lo, lo + 1, ... as text
+    start = 0  # the first sample not yet written
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("time_s,state\n")
         for state, n in runs.runs:
-            end = f",{alphabet.name(state)}\n"
-            fh.write(end.join(texts[start:start + n]) + end)
-            start += n
+            end, stop = f",{alphabet.name(state)}\n", start + n
+            while start < stop:
+                if start == lo + len(texts):
+                    lo = start
+                    times = np.arange(lo, min(lo + _ROWS_PER_BLOCK, total)) / rate
+                    texts = repr(times.tolist())[1:-1].split(", ")
+                piece = min(stop, lo + len(texts))
+                fh.write(end.join(texts[start - lo:piece - lo]) + end)
+                start = piece
 
 
 def write_runlength_csv(runs: RunSequence, alphabet: StateAlphabet, path) -> None:
@@ -620,7 +757,6 @@ def read_model_json(path) -> SemiMarkovModel:
 # --- histograms --------------------------------------------------------------
 
 MAX_HISTOGRAM_BINS = 10**6  # rows of one histogram CSV
-_ROWS_PER_BLOCK = 1 << 16  # histogram rows formatted at once
 
 
 def histogram_bin_count(max_duration_s: float, bin_width_s: float) -> int:

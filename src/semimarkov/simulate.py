@@ -182,6 +182,11 @@ class _Plan:
             [(row[:-1], row[-1]) for row in np.cumsum(seg.transitions.probs, axis=1).tolist()]
             for seg in model.segments
         ]
+        # per boundary, the first sample count e whose time e / rate, as
+        # segment_at sees it, is not before the boundary: the segment changes
+        # only where the samples out reach one (n_total stands for never)
+        self.switches = [_first_sample_at(b, rate, self.n_total) for b in model.boundaries]
+        self.switches.append(self.n_total)
         # equal fits, in any segment or state, draw from one pool of run
         # lengths: each distinct fit by its key, and each segment's states'
         # keys (None where a state has no fit)
@@ -209,7 +214,7 @@ class _Plan:
         pools = {key: _Pool(partial(run_lengths, fit)) for key, fit in self.fits.items()}
         lengths_of = [[None if key is None else pools[key] for key in row] for row in self.keys]
         uniforms = _Pool(rng.random)  # next-state uniforms
-        cum_rows, candidates = self.cum_rows, self.candidates
+        cum_rows, candidates, switches = self.cum_rows, self.candidates, self.switches
         if self.config.initial_state is None:
             uniforms.refill()
             state = candidates[min(int(uniforms.pop() * len(candidates)), len(candidates) - 1)]
@@ -219,6 +224,7 @@ class _Plan:
         durations: list[int] = []
         elapsed = 0  # samples emitted so far
         segment = chain.segment_at(0.0)
+        switch = switches[segment]  # the samples out at which the segment next changes
         while True:
             lengths = lengths_of[segment][state]
             if not lengths:
@@ -230,7 +236,9 @@ class _Plan:
                 durations.append(n - (elapsed - n_total))  # truncate the final run
                 break
             durations.append(n)
-            segment = chain.segment_at(elapsed / rate)
+            if elapsed >= switch:
+                segment = chain.segment_at(elapsed / rate)
+                switch = switches[segment]
             if not uniforms:
                 uniforms.refill()
             below, total = cum_rows[segment][state]
@@ -241,6 +249,20 @@ class _Plan:
             sampling_rate_hz=rate,
             id=sequence_id,
         )
+
+
+def _first_sample_at(boundary: float, rate: float, n_total: int) -> int:
+    """The least sample count e in [0, n_total] with ``e / rate`` not below
+    ``boundary`` (n_total if there is none), by bisection: ``e / rate`` never
+    falls as e grows."""
+    lo, hi = 0, n_total
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid / rate < boundary:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def _fit_key(fit) -> tuple:

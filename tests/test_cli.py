@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from semimarkov import cli
 from semimarkov.cli import build_parser, main
 from semimarkov.dwell import FAMILIES
 from semimarkov.io import (
@@ -167,6 +168,48 @@ def test_simulate_unknown_initial_state_is_data_error(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "'XYZ'" in err[0]
     assert list(out.iterdir()) == []
+
+
+class Drew(Exception):
+    """Raised in place of simulate_cohort's draws."""
+
+
+def _simulate_without_draws(tmp_path, monkeypatch, patients, duration_s, rate_hz):
+    """``simulate`` with simulate_cohort raising Drew; returns its exit code
+    and the output directory."""
+    model_path = tmp_path / "m.json"
+    write_model_json(success_model(), model_path)
+    out = tmp_path / "out"
+    out.mkdir()
+
+    def draw(*args):
+        raise Drew
+
+    monkeypatch.setattr(cli, "simulate_cohort", draw)
+    rc = main(["simulate", "--model", str(model_path), "--patients", patients,
+               "--duration-s", duration_s, "--rate-hz", rate_hz, "--seed", "7",
+               "--out-prefix", str(out / "sim")])
+    return rc, out
+
+
+@pytest.mark.parametrize("patients,duration_s,rate_hz,samples", [
+    ("1", "1e12", "1", "1e+12"),  # would draw for days
+    ("1001", "1e6", "1", "1.001e+09"),  # past the limit by the patient count
+])
+def test_simulate_over_the_sample_limit_draws_nothing(
+        tmp_path, capsys, monkeypatch, patients, duration_s, rate_hz, samples):
+    rc, out = _simulate_without_draws(tmp_path, monkeypatch, patients, duration_s, rate_hz)
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --patients x --duration-s x --rate-hz must come to at most 1000000000 "
+        f"samples, got {samples}"]
+    assert list(out.iterdir()) == []
+
+
+def test_simulate_at_the_sample_limit_draws(tmp_path, monkeypatch):
+    assert cli.MAX_SIMULATED_SAMPLES == 10**9
+    with pytest.raises(Drew):
+        _simulate_without_draws(tmp_path, monkeypatch, "4", "5e6", "50")
 
 
 def test_report_command(tmp_path):

@@ -677,14 +677,16 @@ def test_sample_determinism():
 def test_sample_exponential_mean():
     fit = DwellFit(EXPONENTIAL, {"mu": 2.94})
     rng = np.random.default_rng(8)
-    xs = [sample_dwell(fit, rng) for _ in range(100_000)]
+    xs = sample_dwell(fit, rng, size=100_000)
     assert np.mean(xs) == pytest.approx(2.94, rel=0.02)
+    assert isinstance(sample_dwell(fit, rng), float)
 
 
 def test_inverse_gaussian_sampler_distribution():
     fit = DwellFit(INVERSE_GAUSSIAN, {"mu": 8.61, "lambda": 3.61})
     rng = np.random.default_rng(9)
-    xs = np.array([sample_dwell(fit, rng) for _ in range(20_000)])
+    xs = sample_dwell(fit, rng, size=20_000)
+    assert isinstance(sample_dwell(fit, rng), float)
     ref = stats.invgauss(8.61 / 3.61, scale=3.61)
     stat, p = stats.kstest(xs, ref.cdf)
     assert p > 0.01, f"KS stat {stat}, p {p}"

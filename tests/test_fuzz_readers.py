@@ -9,7 +9,8 @@ with the file's path.
 
 The sequence CSV readers are also checked against a row-by-row reference
 built on ``csv.reader``: on files without quotes both give the same sequence,
-warnings and error.
+warnings and error, also when the readers scan the files in blocks of a few
+bytes, so that line ends, blank lines, faults and runs cross block boundaries.
 """
 
 import copy
@@ -18,11 +19,13 @@ import json
 import math
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semimarkov import io
 from semimarkov.errors import (
     DataNormalizationWarning,
     MalformedCsvError,
@@ -354,3 +357,25 @@ def test_runlength_csv_matches_row_by_row_reference(tmp_path_factory, text):
     p.write_bytes(text.encode("utf-8"))
     assert _outcome(parse_runlength_csv, p, AB, _RATE_HZ) == _outcome(
         reference_runlength_csv, p, AB, _RATE_HZ)
+
+
+# blocks of 1 byte hold one line each, and blocks of a few dozen bytes a few
+@settings(max_examples=300)
+@given(_csv_text("time_s,state", _label_row), st.sampled_from([_RATE_HZ, 2.0]),
+       st.integers(1, 40))
+def test_label_csv_in_small_blocks_matches_reference(tmp_path_factory, text, rate, block):
+    p = tmp_path_factory.mktemp("labels") / "x.csv"
+    p.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(io, "_BLOCK_BYTES", block):
+        assert _outcome(parse_label_csv, p, AB, rate) == _outcome(
+            reference_label_csv, p, AB, rate)
+
+
+@settings(max_examples=300)
+@given(_csv_text("state,duration_s", _runlength_row), st.integers(1, 40))
+def test_runlength_csv_in_small_blocks_matches_reference(tmp_path_factory, text, block):
+    p = tmp_path_factory.mktemp("runs") / "r.csv"
+    p.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(io, "_BLOCK_BYTES", block):
+        assert _outcome(parse_runlength_csv, p, AB, _RATE_HZ) == _outcome(
+            reference_runlength_csv, p, AB, _RATE_HZ)

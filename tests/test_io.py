@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from semimarkov import io as io_module
 from semimarkov.dwell import EXPONENTIAL, GEV, GPD, INVERSE_GAUSSIAN, DwellFit, log_pdf
 from semimarkov.errors import (
     DataNormalizationWarning,
@@ -99,6 +100,17 @@ class TestLabelCsv:
         assert p.read_text().splitlines()[:3] == ["time_s,state", "0.0,A", f"{1 / rate!r},A"]
         back = parse_label_csv(p, AB, rate)
         assert np.array_equal(back.labels, s.labels)
+
+    @pytest.mark.parametrize("rows_per_block", [1, 3, 7, 4096])
+    def test_blocks_write_each_row_as_float_text(self, tmp_path, monkeypatch, rows_per_block):
+        # runs shorter and longer than a block, and run ends on block ends
+        labels = [0] * 7 + [1] + [0] * 2 + [1] * 20 + [0] * 3 + [1]
+        s = seq(labels, rate=50.0)
+        monkeypatch.setattr(io_module, "_ROWS_PER_BLOCK", rows_per_block)
+        p = tmp_path / "p.csv"
+        write_label_csv(s, AB, p)
+        rows = [f"{float_text(i / 50.0)},{AB.name(k)}\n" for i, k in enumerate(labels)]
+        assert p.read_bytes() == ("time_s,state\n" + "".join(rows)).encode()
 
     def test_spec_example(self, tmp_path):
         p = tmp_path / "x.csv"
@@ -203,6 +215,25 @@ def test_csv_that_is_not_utf8_names_file_and_line(
     p.write_bytes((newline.join(lines) + newline).encode("latin-1"))
     with pytest.raises(MalformedCsvError, match=rf"x\.csv:{bad_line}: not valid UTF-8"):
         parse(p)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 40])
+@pytest.mark.parametrize("header,parse", [
+    ("time_s,state", lambda p: parse_label_csv(p, AB, 1.0)),
+    ("state,duration_s", lambda p: parse_runlength_csv(p, AB, 1.0)),
+], ids=["label", "runlength"])
+def test_csv_that_is_not_utf8_in_small_blocks(tmp_path, monkeypatch, header, parse, block):
+    # two- and three-byte characters ahead of the bad byte are cut across blocks
+    text = header + "\n" + "".join(f"{i}.0,A\u00e9\u20ac\n" for i in range(40))
+    p = tmp_path / "x.csv"
+    p.write_bytes(text.encode("utf-8").replace(b"\n30.0", b"\n30.0\xff"))
+    with pytest.raises(MalformedCsvError) as whole:
+        parse(p)
+    monkeypatch.setattr(io_module, "_BLOCK_BYTES", block)
+    with pytest.raises(MalformedCsvError) as blocks:
+        parse(p)
+    assert str(blocks.value) == str(whole.value)
+    assert str(whole.value).startswith(f"{p}:32: not valid UTF-8: invalid start byte")
 
 
 class TestRunlengthCsv:
