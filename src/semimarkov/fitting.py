@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 import json
 import logging
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -231,8 +232,8 @@ class MultiChainModel:
     """Ordered per-segment semi-Markov models over non-overlapping time spans.
 
     ``boundaries`` are the segment cut points in seconds (len(segments) - 1
-    of them, strictly increasing); segment k governs [boundaries[k-1],
-    boundaries[k]) with the convention boundaries[-1] = 0.
+    finite positive times, strictly increasing); segment k governs
+    [boundaries[k-1], boundaries[k]) with the convention boundaries[-1] = 0.
     """
 
     segments: tuple[SemiMarkovModel, ...]
@@ -245,8 +246,8 @@ class MultiChainModel:
             raise ValueError("MultiChainModel needs at least one segment")
         if len(self.segments) != len(self.boundaries) + 1:
             raise ValueError("need exactly len(segments) - 1 boundaries")
-        if any(b <= 0 for b in self.boundaries):
-            raise ValueError("boundaries must be positive times in seconds")
+        if any(not (b > 0 and math.isfinite(b)) for b in self.boundaries):
+            raise ValueError("boundaries must be finite positive times in seconds")
         if any(b2 <= b1 for b1, b2 in zip(self.boundaries, self.boundaries[1:])):
             raise ValueError("boundaries must be strictly increasing")
         first = self.segments[0].alphabet

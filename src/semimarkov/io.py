@@ -5,8 +5,13 @@ produce byte-identical files (the determinism contract the CLI tests rely
 on).  JSON is emitted by ``json.dumps`` with sorted keys and no whitespace,
 and every float, in JSON and CSV alike, is printed as ``repr`` prints it: the
 shortest text that round-trips the double, which always holds a "." or an
-"e", so a float never reparses as an int.  A model file reads back as the
-``SemiMarkovModel`` the fitters return; a DTMC file is one with no dwell fits.
+"e", so a float never reparses as an int.  ``write_label_csv`` prints the
+same text without ``repr`` for a block of times that are all decimals of at
+most 15 significant digits (counted from the block's largest time), as at 2,
+50, 100 or 1000 Hz: their shortest text is their exact decimal digits.  Other
+blocks (3 Hz, 7 Hz, 30 kHz) go through ``repr``, and the bytes are the same
+either way.  A model file reads back as the ``SemiMarkovModel`` the fitters
+return; a DTMC file is one with no dwell fits.
 
 Two sequence formats exist because the sampling rate of per-sample label
 streams matters for DTMC fitting but not for semi-Markov fitting:
@@ -28,7 +33,8 @@ sequence readers hold the file's bytes and scan them in blocks of about
 block: ``parse_label_csv`` takes about the file's bytes, plus 8 bytes per row
 for its time column, plus one block; ``parse_runlength_csv`` the file's bytes,
 one block and its runs.  ``write_label_csv`` and ``emit_histogram_csv`` format
-4096 rows at a time, so beyond their input they hold one block of text.
+4096 rows at a time, so beyond their input they hold one block of text, on
+either of the writer's paths.
 """
 
 from __future__ import annotations
@@ -642,30 +648,84 @@ def load_sequences(manifest: CohortManifest) -> list[LabeledSequence]:
     return out
 
 
+def _is_decimal(times: np.ndarray, places: int) -> bool:
+    """Whether every time is a decimal with `places` digits after the point."""
+    scale = 10.0**places
+    return bool((np.rint(times * scale) / scale == times).all())
+
+
+def _decimal_rows(times: np.ndarray, states: np.ndarray, ends: list[bytes]) -> bytes | None:
+    """The rows ``float_text(t)`` + ``ends[state]`` (UTF-8) of times t >= 0
+    other than -0.0, or None unless every t is 0 or at least 1e-4 (below it
+    ``repr`` writes an exponent) and, for one d, a decimal k / 10**d with
+    k < 10**15.
+
+    Then each row is k's digits with a "." inserted d places from the right,
+    trailing fraction zeros dropped but one kept, which is ``repr``'s text:
+    k / 10**d is correctly rounded, so equality proves the decimal reads back
+    as t, and two decimals of at most 15 significant digits never share a
+    double, so no shorter text does.  The digits come from float arithmetic,
+    exact on integers below 2**53, into one byte matrix padded with 0xFF,
+    which UTF-8 never holds.
+    """
+    top = float(times.max())
+    if not (top < 1e15 and ((times == 0) | (times >= 1e-4)).all()):
+        return None
+    whole = len(str(int(top))) if top >= 1 else 0  # digits before the point
+    if not _is_decimal(times, 15 - whole):
+        return None  # then no smaller d works either
+    places = next(d for d in range(16 - whole) if _is_decimal(times, d))
+    q = np.rint(times * 10.0**places)
+    point = max(whole, 1)  # the column of the "."
+    suffix = point + 1 + max(places, 1)  # the first column of the row end
+    width = max(map(len, ends))
+    table = np.array([end.ljust(width, b"\xff") for end in ends])
+    out = np.empty((len(times), suffix + width), np.uint8)
+    out[:, suffix:] = table[states].view(np.uint8).reshape(len(times), width)
+    out[:, point], out[:, point + 1] = ord("."), ord("0")
+    seen = np.zeros(len(times), bool)  # a digit other than 0 at or after c
+    for c in range(point + places, point, -1):
+        rest = np.floor(q / 10)
+        digit = q - 10 * rest
+        seen |= (digit != 0) | (c == point + 1)
+        out[:, c] = np.where(seen, digit + 48, 255)
+        q = rest
+    for c in range(point - 1, -1, -1):
+        rest = np.floor(q / 10)
+        out[:, c] = np.where((q != 0) | (c == point - 1), q - 10 * rest + 48, 255)
+        q = rest
+    return out.tobytes().translate(None, b"\xff")
+
+
 def write_label_csv(seq: LabeledSequence, alphabet: StateAlphabet, path) -> None:
     """Write a per-sample label CSV with sample i at time i / rate.
 
-    Each time is printed as ``float_text`` prints it (i / rate is finite), by
-    one ``repr`` per block of _ROWS_PER_BLOCK (4096) times, and each run's
-    rows in a block are one join.  So beyond the runs, memory is one block's
+    Each time is printed as ``float_text`` prints it, a block of
+    _ROWS_PER_BLOCK (4096) rows at a time: as exact decimal digits when every
+    time of the block is a decimal of at most 15 significant digits (as at 2,
+    50, 100 or 1000 Hz; the exact rule is ``_decimal_rows``'s), otherwise by
+    one ``repr`` of the block's times, with each run's rows one join.  Both
+    give the same bytes.  Either way, beyond the runs, memory is one block's
     text, well under 1 MB, however long the recording.
     """
     runs = encode_runs(seq)
     rate, total = runs.sampling_rate_hz, runs.total_samples
-    texts, lo = [], 0  # the times of samples lo, lo + 1, ... as text
-    start = 0  # the first sample not yet written
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("time_s,state\n")
-        for state, n in runs.runs:
-            end, stop = f",{alphabet.name(state)}\n", start + n
-            while start < stop:
-                if start == lo + len(texts):
-                    lo = start
-                    times = np.arange(lo, min(lo + _ROWS_PER_BLOCK, total)) / rate
-                    texts = repr(times.tolist())[1:-1].split(", ")
-                piece = min(stop, lo + len(texts))
-                fh.write(end.join(texts[start - lo:piece - lo]) + end)
-                start = piece
+    ends = [f",{name}\n".encode() for name in alphabet.states]
+    starts = np.concatenate(([0], np.cumsum(runs.durations)))  # run i starts at row starts[i]
+    with open(path, "wb") as fh:
+        fh.write(b"time_s,state\n")
+        for lo in range(0, total, _ROWS_PER_BLOCK):
+            hi = min(lo + _ROWS_PER_BLOCK, total)
+            first, stop = np.searchsorted(starts, (lo, hi - 1), side="right")
+            states = runs.states[first - 1:stop]  # the runs of rows lo..hi - 1
+            cuts = np.clip(starts[first - 1:stop + 1], lo, hi) - lo
+            times = np.arange(lo, hi) / rate
+            text = _decimal_rows(times, np.repeat(states, np.diff(cuts)), ends)
+            if text is None:
+                texts = repr(times.tolist()).encode()[1:-1].split(b", ")
+                pieces = zip(states.tolist(), cuts.tolist(), cuts[1:].tolist())
+                text = b"".join(ends[k].join(texts[i:j]) + ends[k] for k, i, j in pieces)
+            fh.write(text)
 
 
 def write_runlength_csv(runs: RunSequence, alphabet: StateAlphabet, path) -> None:

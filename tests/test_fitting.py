@@ -1,4 +1,5 @@
 import json
+import math
 import pickle
 
 import numpy as np
@@ -315,7 +316,7 @@ class TestMultiChainModelType:
         with pytest.raises(ValueError, match="at least one segment"):
             MultiChainModel(segments=(), boundaries=())
 
-    @pytest.mark.parametrize("boundary", [0.0, -5.0])
+    @pytest.mark.parametrize("boundary", [0.0, -5.0, math.nan, math.inf])
     def test_boundaries_are_positive_times(self, boundary):
         m = flip_flop()
         with pytest.raises(ValueError, match="positive times"):

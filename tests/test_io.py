@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from semimarkov import io as io_module
 from semimarkov.dwell import EXPONENTIAL, GEV, GPD, INVERSE_GAUSSIAN, DwellFit, log_pdf
@@ -49,6 +51,33 @@ def seq(labels, rate=1.0, id=""):
     return LabeledSequence(labels=np.array(labels), sampling_rate_hz=rate, id=id)
 
 
+# row ends for io._decimal_rows, of unequal lengths, one not ASCII
+ENDS = [b",A\n", ",\u00e9t\u00e9\n".encode(), b",\x00,PAU\n"]
+STATES = st.integers(0, len(ENDS) - 1)
+TIMES = st.one_of(
+    st.builds(lambda k, d: k / 10**d, st.integers(0, 10**15 - 1), st.integers(0, 22)),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    st.just(0.0),
+    st.sampled_from([float(np.nextafter(x, to)) for x in (1e-4, 1e15) for to in (0, np.inf)]),
+    # 16 significant digits, where rint(t * 1e16) is one off repr's digits
+    st.sampled_from([0.9938997041984357, 0.9222882683443993]),
+    st.builds(  # 15 and 16 significant digits
+        lambda k, e: float(f"{k}e{e}"),
+        st.integers(10**14, 10**15 - 1) | st.integers(10**15, 10**16 - 1),
+        st.integers(-20, 2),
+    ),
+)
+SHORT_DECIMALS = st.integers(0, 15).flatmap(  # k / 10**d with k < 10**15, one d
+    lambda d: st.lists(st.integers(0, 10**15 - 1), min_size=1, max_size=40).map(
+        lambda ks: [k / 10**d for k in ks]
+    )
+)
+
+
+def float_text_rows(times, states):
+    return b"".join(float_text(t).encode() + ENDS[k] for t, k in zip(times, states))
+
+
 class TestCanonicalJson:
     def test_floats_keep_a_decimal_point(self):
         assert float_text(2.0) == "2.0"
@@ -90,7 +119,7 @@ class TestLabelCsv:
         assert back.sampling_rate_hz == 2.0
         assert back.id == "p0"
 
-    @pytest.mark.parametrize("rate", [2.0, 50.0, 3e4, 7e4, 3e5])
+    @pytest.mark.parametrize("rate", [2.0, 3.0, 50.0, 3e4, 44100.0, 7e4, 3e5])
     def test_roundtrip_at_any_rate(self, tmp_path, rate):
         # times printed to 6 decimals would vary in spacing by 1e-6 s at the
         # three high rates; the shortest round-trip text does not
@@ -101,16 +130,40 @@ class TestLabelCsv:
         back = parse_label_csv(p, AB, rate)
         assert np.array_equal(back.labels, s.labels)
 
-    @pytest.mark.parametrize("rows_per_block", [1, 3, 7, 4096])
-    def test_blocks_write_each_row_as_float_text(self, tmp_path, monkeypatch, rows_per_block):
+    # 50 Hz times are short decimals and 3 Hz times are not; at 3e4 Hz they
+    # reach 1e-4 (below it repr writes an exponent) at row 3, inside block 0
+    @pytest.mark.parametrize(
+        "rows_per_block,rate",
+        [
+            pytest.param(n, rate, id=f"{n}" if rate == 50.0 else f"{n}-{rate}")
+            for rate in (50.0, 3.0, 3e4)
+            for n in (1, 3, 7, 4096)
+        ],
+    )
+    def test_blocks_write_each_row_as_float_text(
+        self, tmp_path, monkeypatch, rows_per_block, rate
+    ):
         # runs shorter and longer than a block, and run ends on block ends
         labels = [0] * 7 + [1] + [0] * 2 + [1] * 20 + [0] * 3 + [1]
-        s = seq(labels, rate=50.0)
+        s = seq(labels, rate=rate)
         monkeypatch.setattr(io_module, "_ROWS_PER_BLOCK", rows_per_block)
         p = tmp_path / "p.csv"
         write_label_csv(s, AB, p)
-        rows = [f"{float_text(i / 50.0)},{AB.name(k)}\n" for i, k in enumerate(labels)]
+        rows = [f"{float_text(i / rate)},{AB.name(k)}\n" for i, k in enumerate(labels)]
         assert p.read_bytes() == ("time_s,state\n" + "".join(rows)).encode()
+
+    @given(st.lists(TIMES, min_size=1, max_size=40), st.data())
+    def test_decimal_rows_match_float_text(self, times, data):
+        states = data.draw(st.lists(STATES, min_size=len(times), max_size=len(times)))
+        got = io_module._decimal_rows(np.array(times), np.array(states), ENDS)
+        assert got in (None, float_text_rows(times, states))
+
+    @given(SHORT_DECIMALS, st.data())
+    def test_decimal_rows_decline_short_decimals_only_below_1e_4(self, times, data):
+        states = data.draw(st.lists(STATES, min_size=len(times), max_size=len(times)))
+        got = io_module._decimal_rows(np.array(times), np.array(states), ENDS)
+        exponent = any(0 < t < 1e-4 for t in times)  # as repr writes it
+        assert got == (None if exponent else float_text_rows(times, states))
 
     def test_spec_example(self, tmp_path):
         p = tmp_path / "x.csv"
