@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dwell import _read_only
 from .errors import (
     AlphabetMismatchError,
     EmptyInputError,
@@ -71,7 +72,8 @@ def symmetric_kl(p, q) -> float:
 class ComparisonReport:
     """Row-wise symmetric KL between two transition matrices.
 
-    ``per_row`` maps state name to the row divergence in nats; ``aggregate``
+    ``per_row`` maps state name to the row divergence in nats, stored
+    read-only, so it cannot disagree with ``aggregate``; ``aggregate``
     is the unweighted mean over compared rows; ``skipped_rows`` lists states
     absent (no outgoing observations) in either matrix, which are excluded
     from the aggregate.
@@ -80,6 +82,9 @@ class ComparisonReport:
     per_row: dict[str, float]
     aggregate: float
     skipped_rows: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "per_row", _read_only(self.per_row))
 
 
 def _comparison_rows(tm: TransitionMatrix, i: int) -> np.ndarray:

@@ -16,6 +16,10 @@ Four families are supported.  Parameterizations (all times in seconds):
 
 A ``DwellFit`` checks its parameters once, when built, and freezes them;
 ``log_pdf``, ``cdf``, ``quantile`` and ``sample_dwell`` take the fit as is.
+``quantile`` covers the closed-form families (Exponential, GEV, GPD), at a
+float level or an array of them; ``sample_dwell(fit, rng, min_seconds,
+size=n)`` returns an array of n draws, taking InverseGaussian by a
+transformation rather than its quantile.
 
 Log densities return -inf outside the support rather than truncating.
 Each family's log-density is written once, as a vectorized per-value kernel
@@ -41,10 +45,8 @@ import math
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.optimize import minimize  # noqa: F401  (perfbench/tracing.py wraps dwell.minimize)
 from scipy.special import log_ndtr, ndtr
 
@@ -98,6 +100,32 @@ _GPD_GRID = np.concatenate([-_GPD_GRID[::-1], _GPD_GRID])
 # Attempts sample_dwell makes per draw before it returns the minimum.
 _ATTEMPTS = 1000
 _EULER_GAMMA = 0.5772156649015329
+# exp(-exp(t)) is exactly 0.0 for t at or above this; math.exp overflows beyond it.
+_EXP_TOP = 709.0
+
+
+class _ReadOnlyDict(dict):
+    """A dict that refuses every change, so JSON writers still take it as a
+    dict: dwell parameters, model maps and metadata, comparison rows."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("this mapping is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):  # pickle and copy would otherwise set items one by one
+        return _ReadOnlyDict, (dict(self),)
+
+
+def _read_only(value):
+    """A deep read-only copy of JSON-like data: every mapping becomes a
+    read-only dict and every list or tuple a tuple."""
+    if isinstance(value, Mapping):
+        return _ReadOnlyDict({key: _read_only(item) for key, item in value.items()})
+    if isinstance(value, (list, tuple)):
+        return tuple(_read_only(item) for item in value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -130,11 +158,7 @@ class DwellFit:
                 raise ValueError("InverseGaussian mu and lambda must be positive")
         if not all(math.isfinite(v) for v in params.values()):
             raise ValueError(f"{family} parameters must be finite: {params}")
-        object.__setattr__(self, "params", MappingProxyType(params))
-
-    def __reduce__(self):  # a mappingproxy does not pickle; its dict does
-        return DwellFit, (self.family, dict(self.params), self.n_obs,
-                          self.log_likelihood, self.bic)
+        object.__setattr__(self, "params", _read_only(params))
 
     @property
     def n_params(self) -> int:
@@ -161,11 +185,13 @@ def cdf(fit: DwellFit, x: float) -> float:
         k, sigma, mu = params["k"], params["sigma"], params["mu"]
         z = (x - mu) / sigma
         if abs(k) < _SHAPE_EPS:
-            return math.exp(-math.exp(-z))
-        w = 1.0 + k * z
-        if w <= 0.0:
-            return 0.0 if k > 0 else 1.0
-        return math.exp(-math.exp(-math.log(w) / k))
+            t = -z
+        else:
+            w = 1.0 + k * z
+            if w <= 0.0:
+                return 0.0 if k > 0 else 1.0
+            t = -math.log(w) / k
+        return math.exp(-math.exp(min(t, _EXP_TOP)))
     if family == GPD:
         k, sigma = params["k"], params["sigma"]
         if x <= 0:
@@ -188,52 +214,27 @@ def cdf(fit: DwellFit, x: float) -> float:
 
 
 def quantile(fit: DwellFit, u):
-    """Inverse CDF at u in (0, 1): a float for a float level, and for the
-    closed-form families an array for an array of levels.
-
-    Closed form for Exponential, GEV, and GPD, written once and evaluated
-    with ``math`` for a float and ``numpy`` for an array; numerical
-    inversion of the CDF for InverseGaussian, one float level only.
-    """
-    scalar = np.ndim(u) == 0
-    xp = math if scalar else np
-    if scalar:
-        u = float(u)
-        valid = 0.0 < u < 1.0
-    else:
-        u = np.asarray(u, dtype=float)
-        valid = ((u > 0.0) & (u < 1.0)).all()
-    if not valid:
+    """Inverse CDF at u in (0, 1), a float level or an array of them, in
+    closed form for Exponential, GEV and GPD; TypeError for InverseGaussian,
+    which has none."""
+    u = np.asarray(u, dtype=float)
+    if not ((u > 0.0) & (u < 1.0)).all():
         raise ValueError(f"quantile levels must be in (0, 1), got {u}")
     family, params = fit.family, fit.params
     if family == EXPONENTIAL:
-        return -params["mu"] * xp.log1p(-u)
+        return -params["mu"] * np.log1p(-u)
     if family == GEV:
         k, sigma, mu = params["k"], params["sigma"], params["mu"]
-        g = xp.log(-xp.log(u))  # ln(-ln u)
+        g = np.log(-np.log(u))  # ln(-ln u)
         if abs(k) < _SHAPE_EPS:
             return mu - sigma * g
-        return mu + sigma * xp.expm1(-k * g) / k
+        return mu + sigma * np.expm1(-k * g) / k
     if family == GPD:
         k, sigma = params["k"], params["sigma"]
         if abs(k) < _SHAPE_EPS:
-            return -sigma * xp.log1p(-u)
-        return sigma * xp.expm1(-k * xp.log1p(-u)) / k
-    if not scalar:
-        raise TypeError("the InverseGaussian quantile takes one float level")
-    # InverseGaussian: strictly increasing CDF, bracket then root-find
-    mu = params["mu"]
-    lo, hi = mu * 1e-12, mu
-    while cdf(fit, hi) < u:
-        hi *= 2.0
-        if hi > mu * 1e18:  # pragma: no cover - unreachable for valid u
-            raise ArithmeticError("failed to bracket InverseGaussian quantile")
-    while cdf(fit, lo) > u:
-        lo *= 0.5
-    return float(
-        brentq(lambda x: cdf(fit, x) - u, lo, hi, xtol=1e-300, rtol=8.9e-16,
-               maxiter=200)
-    )
+            return -sigma * np.log1p(-u)
+        return sigma * np.expm1(-k * np.log1p(-u)) / k
+    raise TypeError(f"{family} has no closed-form quantile")
 
 
 # --- per-value log-densities (densities, fits and certificates) -------------
@@ -727,9 +728,8 @@ def _round_size(need: int, kept: float) -> int:
     return math.ceil(min(want, _ATTEMPTS * need, max(need, 1 << 16)))
 
 
-def sample_dwell(fit: DwellFit, rng, min_seconds: float = 0.0, size: int | None = None):
-    """Draw dwell times (seconds) from a fitted distribution: one float when
-    ``size`` is None, else an array of ``size`` draws.
+def sample_dwell(fit: DwellFit, rng, min_seconds: float = 0.0, *, size: int) -> np.ndarray:
+    """Draw an array of ``size`` dwell times (seconds) from a fitted distribution.
 
     Inverse-CDF sampling for the closed-form families; the transformation
     method for InverseGaussian.  A raw draw that is non-positive, NaN or
@@ -739,13 +739,12 @@ def sample_dwell(fit: DwellFit, rng, min_seconds: float = 0.0, size: int | None 
     in rounds sized from the fit's share of kept draws, so one round
     usually yields all ``size`` draws.
     """
-    n = 1 if size is None else size
     floor = min_seconds if min_seconds > 0.0 else 1e-12
     kept = 1.0 - cdf(fit, max(min_seconds, 0.0))  # share of raw draws kept
-    out = np.empty(n)
+    out = np.empty(size)
     have = misses = hit = 0  # misses: the draw in progress's rejections so far
-    while have < n:
-        need = n - have
+    while have < size:
+        need = size - have
         m = _round_size(need, kept)
         x = _draw(fit, rng, m)
         keep = x >= min_seconds if min_seconds > 0.0 else x > 0.0  # NaN fails both
@@ -767,8 +766,8 @@ def sample_dwell(fit: DwellFit, rng, min_seconds: float = 0.0, size: int | None 
     if hit:
         warnings.warn(
             f"dwell sampling for {fit.family} hit the rejection bound on "
-            f"{hit} of {n} draws; returning minimum {floor} s",
+            f"{hit} of {size} draws; returning minimum {floor} s",
             MinimumDwellWarning,
             stacklevel=2,
         )
-    return float(out[0]) if size is None else out
+    return out

@@ -21,12 +21,11 @@ import logging
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Any
 
 import numpy as np
 
-from .dwell import DwellFit, select_family
+from .dwell import DwellFit, _read_only, select_family
 from .dwell import fit_exponential  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .errors import (
     BoundaryOutOfRangeError,
@@ -116,12 +115,6 @@ class TransitionMatrix:
         if self.kind == SEMI_MARKOV and np.any(np.diag(probs) != 0.0):
             raise ValueError("semi_markov matrices must have an exactly zero diagonal")
 
-    def absent_states(self) -> list[str]:
-        return [self.alphabet.name(i) for i in np.flatnonzero(~self.row_fitted)]
-
-    def row(self, state: str) -> np.ndarray:
-        return self.probs[self.alphabet.index(state)]
-
     @classmethod
     def from_probabilities(
         cls, rows, alphabet: StateAlphabet, kind: str = SEMI_MARKOV
@@ -152,30 +145,6 @@ def _plain(value):
         return {key: _plain(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(item) for item in value]
-    return value
-
-
-class _ReadOnlyDict(dict):
-    """A dict that refuses every change, so JSON writers still take it as a
-    dict: model metadata at every depth."""
-
-    def _refuse(self, *args, **kwargs):
-        raise TypeError("model metadata is read-only")
-
-    __setitem__ = __delitem__ = __ior__ = _refuse
-    clear = pop = popitem = setdefault = update = _refuse
-
-    def __reduce__(self):  # pickle and copy would otherwise set items one by one
-        return _ReadOnlyDict, (dict(self),)
-
-
-def _read_only(value):
-    """A deep read-only copy of JSON-like data: every mapping becomes a
-    read-only dict and every list or tuple a tuple."""
-    if isinstance(value, Mapping):
-        return _ReadOnlyDict({key: _read_only(item) for key, item in value.items()})
-    if isinstance(value, (list, tuple)):
-        return tuple(_read_only(item) for item in value)
     return value
 
 
@@ -212,11 +181,8 @@ class SemiMarkovModel:
             json.dumps(metadata, sort_keys=True, allow_nan=False)
         except ValueError:
             raise ValueError("metadata must not hold NaN or an infinity") from None
-        object.__setattr__(self, "dwell", MappingProxyType(dwell))
+        object.__setattr__(self, "dwell", _read_only(dwell))
         object.__setattr__(self, "metadata", metadata)
-
-    def __reduce__(self):  # a mappingproxy does not pickle; its dict does
-        return SemiMarkovModel, (self.transitions, dict(self.dwell), self.plain_metadata())
 
     def plain_metadata(self) -> dict[str, Any]:
         """A mutable copy of ``metadata``: dicts and lists, as JSON holds it."""

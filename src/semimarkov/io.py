@@ -710,6 +710,9 @@ def write_label_csv(seq: LabeledSequence, alphabet: StateAlphabet, path) -> None
     """
     runs = encode_runs(seq)
     rate, total = runs.sampling_rate_hz, runs.total_samples
+    if not math.isfinite((total - 1) / rate):  # before the file is opened
+        raise ValueError(f"the last time, {total - 1} samples at {rate!r} Hz, "
+                         f"is not a finite number of seconds")
     ends = [f",{name}\n".encode() for name in alphabet.states]
     starts = np.concatenate(([0], np.cumsum(runs.durations)))  # run i starts at row starts[i]
     with open(path, "wb") as fh:
@@ -731,6 +734,10 @@ def write_label_csv(seq: LabeledSequence, alphabet: StateAlphabet, path) -> None
 def write_runlength_csv(runs: RunSequence, alphabet: StateAlphabet, path) -> None:
     """Write a run-length CSV; durations are exact sample counts in seconds."""
     rate = runs.sampling_rate_hz
+    longest = int(runs.durations.max())
+    if not math.isfinite(longest / rate):  # before the file is opened
+        raise ValueError(f"the longest run, {longest} samples at {rate!r} Hz, "
+                         f"is not a finite number of seconds")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("state,duration_s\n")
         for state, dur in runs.runs:

@@ -101,6 +101,10 @@ class RunSequence:
             raise ValueError("states must be non-negative alphabet indices")
         if np.any(self.durations < 1):
             raise ValueError("run durations must be at least one sample")
+        # a total of 2**63 samples wraps int64; summed exactly only where it could
+        if (int(self.durations.max()) * len(self.durations) >= 2**63
+                and sum(self.durations.tolist()) >= 2**63):
+            raise ValueError("run durations must total fewer than 2**63 samples")
         if np.any(self.states[1:] == self.states[:-1]):
             raise ValueError("adjacent runs must have different states")
         _check_rate(self.sampling_rate_hz)

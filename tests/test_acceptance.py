@@ -371,9 +371,8 @@ def test_criterion_8_brute_force_oracle():
     runs = RunSequence(states=np.array([0, 1, 0, 2]),
                        durations=np.array([3, 2, 2, 1]), sampling_rate_hz=1.0)
     sm = fit_semi_markov_transitions([runs], abc)
-    assert sm.row("A").tolist() == [0.0, 0.5, 0.5]
-    assert sm.row("B").tolist() == [1.0, 0.0, 0.0]
-    assert sm.absent_states() == ["C"]
+    assert sm.probs.tolist() == [[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    assert sm.row_fitted.tolist() == [True, True, False]
 
     with pytest.raises(NoTransitionsError):
         fit_semi_markov_transitions(

@@ -7,7 +7,8 @@ import pytest
 
 from semimarkov import cli
 from semimarkov.cli import build_parser, main
-from semimarkov.dwell import FAMILIES
+from semimarkov.dwell import FAMILIES, GEV, DwellFit
+from semimarkov.fitting import SemiMarkovModel
 from semimarkov.io import (
     CohortManifest,
     load_sequences,
@@ -349,6 +350,19 @@ def test_infinite_simulation_setting_is_data_error(tmp_path, capsys, duration, r
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("k", [0.0, 1e-10])
+def test_simulate_a_gev_dwell_far_above_one_sample(tmp_path, k):
+    # every draw lies near 10 s, far above the 0.5 s sample period, where the
+    # cdf that sizes the sampler's rounds is exactly 0
+    m = success_model()
+    dwell = dict(m.dwell, ASB=DwellFit(GEV, {"k": k, "sigma": 0.01, "mu": 10.0}))
+    model_path = tmp_path / "m.json"
+    write_model_json(SemiMarkovModel(m.transitions, dwell, m.plain_metadata()), model_path)
+    rc = main(["simulate", "--model", str(model_path), "--duration-s", "60",
+               "--rate-hz", "2", "--seed", "1", "--out-prefix", str(tmp_path / "s")])
+    assert rc == 0
 
 
 def _set_dwell(state, key=None, value=None):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -222,3 +224,14 @@ class TestBootstrap:
         # 10^13 replicates of two fractions would take 146 TiB
         with pytest.raises(ValueError, match=f"n_replicates must be from 1 to {MAX_REPLICATES}"):
             bootstrap_group_fractions([seq([0, 1])], n, seed=0, alphabet=AB)
+
+
+def test_report_rows_are_read_only_and_round_trip():
+    report = compare_transition_matrices(success_model().transitions,
+                                         failure_model().transitions)
+    with pytest.raises(TypeError):  # the rows would then disagree with the aggregate
+        report.per_row["PAU"] = 0.0
+    for back in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+        assert back == report
+        with pytest.raises(TypeError):
+            back.per_row["PAU"] = 0.0

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import pickle
@@ -57,8 +58,7 @@ class TestDtmc:
     def test_absent_row(self):
         tm, _ = fit_dtmc([seq([0, 0, 0, 0])], AB)
         assert tm.probs[0].tolist() == [1.0, 0.0]
-        assert not tm.row_fitted[1]
-        assert tm.absent_states() == ["B"]
+        assert tm.row_fitted.tolist() == [True, False]
 
     def test_no_cross_sequence_transitions(self):
         tm, counts = fit_dtmc([seq([0, 1]), seq([1, 0])], AB)
@@ -155,7 +155,6 @@ class TestTransitionMatrixType:
             kind="semi_markov",
         )
         assert tm.row_fitted.tolist() == [True, False, True]
-        assert tm.absent_states() == ["B"]
         with pytest.raises(ValueError):  # read-only, like probs
             tm.row_fitted[1] = True
         with pytest.raises(TypeError):  # derived, never passed in
@@ -264,6 +263,19 @@ class TestSemiMarkovModel:
             back.dwell["XYZ"] = back.dwell["PAU"]
         with pytest.raises(TypeError):
             back.metadata["x"] = 1
+
+    @pytest.mark.parametrize("round_trip", [lambda x: pickle.loads(pickle.dumps(x)),
+                                            copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_fitted_model_and_its_fits_round_trip(self, round_trip):
+        m = fit_semi_markov([seq([0, 0, 1, 1, 1, 0, 0, 1] * 3)], AB)
+        back = round_trip(m)
+        assert document_to_dict(back) == document_to_dict(m)
+        for name, fit in m.dwell.items():
+            assert round_trip(fit) == fit == back.dwell[name]
+            with pytest.raises(TypeError):
+                back.dwell[name].params["mu"] = 1.0
+        with pytest.raises(TypeError):
+            back.dwell["A"] = back.dwell["B"]
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), [1.0, -float("inf")],
                                        {"y": float("nan")}],

@@ -341,6 +341,16 @@ class TestRunlengthCsv:
         assert np.array_equal(back.durations, r.durations)
 
 
+@pytest.mark.parametrize("write", [write_label_csv, write_runlength_csv])
+def test_writer_refuses_times_past_a_double_and_writes_nothing(tmp_path, write):
+    # at 1e-308 Hz a second sample lies at 1e308 s and a third past any double
+    s = seq([0, 1, 1, 0, 0, 0], rate=1e-308)
+    p = tmp_path / "tiny.csv"
+    with pytest.raises(ValueError, match="not a finite number of seconds"):
+        write(s if write is write_label_csv else encode_runs(s), AB, p)
+    assert not p.exists()
+
+
 class TestManifest:
     def test_roundtrip_and_resolution(self, tmp_path):
         m = CohortManifest(

@@ -104,6 +104,12 @@ class TestRunEncoding:
                 sampling_rate_hz=1.0,
             )
 
+    def test_total_that_wraps_int64_rejected(self):
+        with pytest.raises(ValueError, match="fewer than 2\\*\\*63 samples"):
+            RunSequence(states=[0, 1], durations=[2**62, 2**62], sampling_rate_hz=1.0)
+        top = RunSequence(states=[0, 1], durations=[2**62, 2**62 - 1], sampling_rate_hz=1.0)
+        assert top.total_samples == 2**63 - 1
+
     @given(label_arrays)
     def test_roundtrip(self, labels):
         s = seq(labels, rate=2.0, id="p0")
