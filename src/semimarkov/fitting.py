@@ -75,6 +75,9 @@ class TransitionCounts:
         arr.setflags(write=False)
         object.__setattr__(self, "counts", arr)
 
+    def __reduce__(self):  # pickle and copy would otherwise restore a writeable array
+        return TransitionCounts, (self.counts, self.alphabet)
+
     @property
     def total(self) -> int:
         return int(self.counts.sum())
@@ -114,6 +117,9 @@ class TransitionMatrix:
         object.__setattr__(self, "row_fitted", fitted)
         if self.kind == SEMI_MARKOV and np.any(np.diag(probs) != 0.0):
             raise ValueError("semi_markov matrices must have an exactly zero diagonal")
+
+    def __reduce__(self):  # pickle and copy would otherwise restore writeable arrays
+        return TransitionMatrix, (self.probs, self.alphabet, self.kind)
 
     @classmethod
     def from_probabilities(

@@ -10,8 +10,11 @@ same text without ``repr`` for a block of times that are all decimals of at
 most 15 significant digits (counted from the block's largest time), as at 2,
 50, 100 or 1000 Hz: their shortest text is their exact decimal digits.  Other
 blocks (3 Hz, 7 Hz, 30 kHz) go through ``repr``, and the bytes are the same
-either way.  A model file reads back as the ``SemiMarkovModel`` the fitters
-return; a DTMC file is one with no dwell fits.
+either way.  The label reader mirrors this: a file whose times are all
+decimals of at most 8 bytes (digits and one ".") has them parsed exactly in
+numpy, and any other file goes through ``np.loadtxt`` and ``float()``, so
+``float()`` is the grammar either way.  A model file reads back as the
+``SemiMarkovModel`` the fitters return; a DTMC file is one with no dwell fits.
 
 Two sequence formats exist because the sampling rate of per-sample label
 streams matters for DTMC fitting but not for semi-Markov fitting:
@@ -29,12 +32,13 @@ the time or state check like any other stray character.
 
 Memory grows with a file's bytes and its runs, not with per-row objects.  The
 sequence readers hold the file's bytes and scan them in blocks of about
-256 KiB, each cut after a line end, keeping only per-run state from block to
+128 KiB, each cut after a line end, keeping only per-run state from block to
 block: ``parse_label_csv`` takes about the file's bytes, plus 8 bytes per row
-for its time column, plus one block; ``parse_runlength_csv`` the file's bytes,
-one block and its runs.  ``write_label_csv`` and ``emit_histogram_csv`` format
-4096 rows at a time, so beyond their input they hold one block of text, on
-either of the writer's paths.
+for its time column (16 while the blocks' times are joined), plus one block;
+``parse_runlength_csv`` the file's bytes, one block and its runs.
+``write_label_csv`` and ``emit_histogram_csv`` format 4096 rows at a time, so
+beyond their input they hold one block of text, on either of the writer's
+paths.
 """
 
 from __future__ import annotations
@@ -86,9 +90,9 @@ _SPACING_TOL_S = 1e-6
 _RATE_REL_TOL = 1e-6
 # Run-length durations must quantize to a sample count that fits in int64.
 _INT64_LIMIT = 2.0**63
-# Bytes of a sequence CSV scanned at once (about 23 k rows of a 50 Hz label
+# Bytes of a sequence CSV scanned at once (about 11 k rows of a 50 Hz label
 # file), and rows of a label or histogram CSV formatted at once.
-_BLOCK_BYTES = 1 << 18
+_BLOCK_BYTES = 1 << 17
 _ROWS_PER_BLOCK = 1 << 12
 _LINE_END = re.compile(rb"[\r\n]")
 
@@ -306,8 +310,9 @@ def _check_utf8(path, data: bytes) -> None:
 class _Block(NamedTuple):
     """The data rows of one block of a sequence CSV: bytes that hold the
     block from offset ``begin`` on, with every line end ``"\\n"``; the offsets
-    of each row's start, its one comma and its end in them; the index in the
-    file of the block's first row; and the file's lines ahead of the block."""
+    of each row's start, its one comma and its end in them, every comma at
+    least 8 bytes in; the index in the file of the block's first row; and the
+    file's lines ahead of the block."""
 
     path: Any
     data: bytes
@@ -388,14 +393,18 @@ class _Rows:
             block, begin, end = data, pos, _block_end(data, pos)
             pos = end
             if data.find(b"\r", begin, end) >= 0 or data[end - 1] != 10:
-                block = data[begin:end].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+                # 8 bytes of slack ahead of the rows, as the header is in the
+                # file, so that every comma is at least 8 bytes in
+                block = bytes(8) + data[begin:end]
+                block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
                 if not block.endswith(b"\n"):
                     block += b"\n"  # every line ends in "\n", the last one too
-                begin, end = 0, len(block)
+                begin, end = 8, len(block)
             starts, commas, ends, n_lines, fault = _scan(block, begin, end)
             n = starts.size
             if n:
                 yield _Block(path, block, begin, starts, commas, ends, row, line)
+            del starts, commas, ends  # before the next block is scanned
             if fault is not None:
                 self.fault = MalformedCsvError(
                     f"{path}:{line + 1 + fault[0]}: expected 2 fields, got {fault[1]}")
@@ -418,6 +427,97 @@ def _texts(data: bytes, lo: np.ndarray, hi: np.ndarray) -> list[str]:
     return [data[a:b].decode() for a, b in zip(lo.tolist(), hi.tolist())]
 
 
+def _each_byte(b: int) -> np.uint64:
+    """The 64-bit word whose eight bytes are all ``b``."""
+    return np.uint64(b * 0x0101010101010101)
+
+
+_ASCII_0, _DOT, _HIGH_NIBBLES, _LOW7, _SIX, _ONES = map(
+    _each_byte, (0x30, 0x2E, 0xF0, 0x7F, 0x06, 0x01))
+_ALL_BITS = np.uint64(2**64 - 1)
+_LONE_DOT = np.uint64(0x2E30303030303030)  # "." padded with "0"s, as "0." is
+_TWO_DOTS = np.uint64(2 << 56)
+# mask-multiply-shift steps that combine eight ASCII digits, the first in the
+# lowest byte, into pairs, fours and the whole number
+_COMBINE = tuple(tuple(map(np.uint64, step)) for step in (
+    (0x0F0F0F0F0F0F0F0F, 10 << 8 | 1, 8),
+    (0x00FF00FF00FF00FF, 100 << 16 | 1, 16),
+    (0x0000FFFF0000FFFF, 10000 << 32 | 1, 32)))
+_DIVISORS = 10.0 ** np.arange(8, -1, -1)  # 10**(8 - p), p bytes ahead of the "."
+
+
+def _decimal_times(data: bytes, starts: np.ndarray, commas: np.ndarray) -> np.ndarray | None:
+    """The times ``data[starts[i]:commas[i]]``, or None unless every one is 1
+    to 8 bytes of ASCII digits and at most one ".", with a digit.
+
+    Each row's 8 bytes that end at its comma are read as one little-endian
+    word, the bytes ahead of the time are set to "0", and the "." is found by
+    an exact zero-byte test and dropped.  The digits combine into k < 10**8
+    by three mask-multiply-shift steps, and the time is k / 10**f, f the
+    digits after the ".".  Both are exact doubles, so the quotient is the
+    decimal correctly rounded, which is what ``float()`` returns.  Everything
+    else ``float()`` reads (signs, exponents, spaces, "_", other digits,
+    "inf", "nan"), and the texts "." and "0." alike, is declined.  Beyond
+    the times, memory is two words a row.
+    """
+    scratch = commas - 8  # every comma is at least 8 bytes in
+    word = np.ndarray(len(data) - 7, "<u8", data, strides=(1,))[scratch]
+    np.subtract(commas, starts, out=scratch)
+    if scratch.min() < 1 or scratch.max() > 8:
+        return None
+    mask = scratch.view(np.uint64)
+    np.subtract(8, mask, out=mask)
+    mask <<= np.uint64(3)
+    np.left_shift(_ALL_BITS, mask, out=mask)  # the time's bytes
+    word ^= _ASCII_0
+    word &= mask
+    word ^= _ASCII_0  # "0" ahead of the time
+    if (word == _LONE_DOT).any():
+        return None
+    # the exact zero-byte test on word ^ _DOT, whose top bits are word's: the
+    # top bit of a byte ends up set unless the byte is "."
+    dots = mask
+    np.bitwise_xor(word, _DOT, out=dots)
+    dots &= _LOW7
+    dots += _LOW7
+    dots |= word
+    np.invert(dots, out=dots)
+    dots >>= np.uint64(7)
+    dots &= _ONES  # 1 in each "." byte
+    word += dots
+    word += dots  # "." (0x2E) becomes "0" (0x30)
+    times = np.empty(word.size)
+    check = times.view(np.uint64)
+    np.bitwise_and(word, _HIGH_NIBBLES, out=check)
+    if (check != _ASCII_0).any():
+        return None
+    np.add(word, _SIX, out=check)
+    check &= _HIGH_NIBBLES
+    if (check != _ASCII_0).any():  # a byte 0x3A-0x3F
+        return None
+    dots *= _ONES  # byte j: the "."s in bytes 0..j; the top byte, all of them
+    if (dots >= _TWO_DOTS).any():
+        return None
+    # drop the ".": the bytes after it move down one, and a 0 enters at the top
+    dots *= np.uint64(0xFF)  # the bytes from the "." on
+    np.right_shift(word, np.uint64(8), out=check)
+    check &= dots
+    np.invert(dots, out=dots)  # the bytes ahead of the "."; all 8 without one
+    word &= dots
+    word |= check
+    for keep, multiplier, shift in _COMBINE:
+        word &= keep
+        word *= multiplier
+        word >>= shift
+    # p, the bytes ahead of the "." (8 without one): the word is k * 10**(8 - p - f)
+    dots &= _ONES
+    dots *= _ONES
+    dots >>= np.uint64(56)
+    np.take(_DIVISORS, scratch, out=times, mode="clip")
+    np.divide(word, times, out=times)
+    return times
+
+
 # ASCII separators that numpy strips from around a number and float() does not
 _NUMPY_STRIPS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
@@ -426,6 +526,7 @@ def _time_column(rows: _Rows, n: int) -> np.ndarray:
     """The times of the ``n`` rows, up to the first one that ``float()``
     refuses: the result is shorter than ``n`` exactly when one does.
 
+    This is the path of a file whose times ``_decimal_times`` declines, so
     ``float()`` is the grammar.  When the rows are whole (none has a wrong
     field count), numpy parses the column from the file in C with the
     conversion ``float()`` uses; where it refuses a time that ``float()`` may
@@ -451,52 +552,70 @@ def _time_column(rows: _Rows, n: int) -> np.ndarray:
     return times
 
 
-def _run_heads(data: bytes, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The rows whose field ``data[lo:hi]`` differs from the row before's,
-    row 0 and every empty field included.
+def _run_heads(data: bytes, commas: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The rows whose second field, ``data[commas + 1:ends]``, differs from
+    the row before's, row 0 and every empty field included.
 
     The rows are grouped by field length, and each group's fields are
     gathered once as byte strings of that length, so no array holds more than
     those fields' own bytes.  numpy compares byte strings of one length byte
     for byte.
     """
-    lens = hi - lo
-    order = np.argsort(lens, kind="stable")  # the rows of each length, in file order
+    lens = ends - commas
+    lens -= 1
     head = np.ones(lens.size, bool)
+    if lens.min() == lens.max():  # one length, as with names of one length
+        if lens[0]:
+            fields = _fields(data, int(lens[0]), commas)
+            head[1:] = fields[1:] != fields[:-1]
+        return np.flatnonzero(head)
+    order = np.argsort(lens, kind="stable")  # the rows of each length, in file order
     for rows in np.split(order, np.flatnonzero(np.diff(lens[order])) + 1):
-        width = int(lens[rows[0]]) if rows.size else 0  # a file of no rows
+        width = int(lens[rows[0]])
         if width:
-            fields = np.ndarray(len(data) - width + 1, f"S{width}", data, strides=(1,))
-            fields = fields[lo[rows]]
+            fields = _fields(data, width, commas[rows])
             head[rows[1:]] = (np.diff(rows) != 1) | (fields[1:] != fields[:-1])
     return np.flatnonzero(head)
+
+
+def _fields(data: bytes, width: int, commas: np.ndarray) -> np.ndarray:
+    """The ``width`` bytes after each comma, as byte strings."""
+    return np.ndarray(len(data) - width, f"S{width}", data, 1, strides=(1,))[commas]
 
 
 def _label_runs(rows: _Rows, alphabet: StateAlphabet):
     """The runs of a label CSV's rows, block by block: the rows where the state
     field's text changes (each a run's first row) and their state ids (-1 for
     a name not in ``alphabet``); the first of those rows with an unknown state
-    as its index, ``path:line`` and name (None if there is none); and the
-    row count."""
+    as its index, ``path:line`` and name (None if there is none); the times
+    from ``_decimal_times``, or None if it declines a row; and the row count.
+    """
     index = {name: i for i, name in enumerate(alphabet.states)}
     heads, states = [np.empty(0, np.int64)], [np.empty(0, np.int64)]  # per block
     unknown = last = None  # last: the state field of the last row scanned
+    times = [np.empty(0)]  # per block; None once _decimal_times declines a row
     n = 0
     for block in rows:
-        lo, hi = block.commas + 1, block.ends
-        block_heads = _run_heads(block.data, lo, hi)
-        if block.data[lo[0]:hi[0]] == last:
+        data, commas, ends = block.data, block.commas, block.ends
+        if times is not None:
+            times.append(_decimal_times(data, block.starts, commas))
+            if times[-1] is None:
+                times = None  # the file's times go to _time_column instead
+        block_heads = _run_heads(data, commas, ends)
+        if data[commas[0] + 1:ends[0]] == last:
             block_heads = block_heads[1:]  # the run goes on from the block before
-        names = [name.strip() for name in _texts(block.data, lo[block_heads], hi[block_heads])]
+        names = [name.strip() for name in _texts(data, commas[block_heads] + 1, ends[block_heads])]
         block_states = np.array([index.get(name, -1) for name in names], np.int64)
         if unknown is None and (block_states < 0).any():
             k = int(np.argmax(block_states < 0))
             unknown = (block.first + int(block_heads[k]), block.at(block_heads[k]), names[k])
         heads.append(block_heads + block.first)
         states.append(block_states)
-        last = block.data[lo[-1]:hi[-1]]
-        n = block.first + lo.size
-    return np.concatenate(heads), np.concatenate(states), unknown, n
+        last = data[commas[-1] + 1:ends[-1]]
+        n = block.first + commas.size
+        del block, data, commas, ends  # before the next block is scanned
+    times = None if times is None else np.concatenate(times)
+    return np.concatenate(heads), np.concatenate(states), unknown, times, n
 
 
 def parse_label_csv(path, alphabet: StateAlphabet, sampling_rate_hz: float) -> LabeledSequence:
@@ -506,13 +625,18 @@ def parse_label_csv(path, alphabet: StateAlphabet, sampling_rate_hz: float) -> L
     Timestamps must ascend with uniform spacing (tolerance 1e-6 s), and the
     rate that spacing implies must match ``sampling_rate_hz`` (the manifest's)
     to a relative 1e-6.  The sequence carries ``sampling_rate_hz``, which is
-    exact where the text timestamps are rounded.  Each state name is looked
-    up once per run of rows that spell it alike.  Memory beyond the file's
-    bytes is one block, 8 bytes per row for the times, and the runs.
+    exact where the text timestamps are rounded.  Times are parsed as
+    ``float()`` parses them: when every one is a decimal of at most 8 bytes
+    (digits and one "."), exactly in numpy as the rows are scanned
+    (``_decimal_times``), otherwise by ``np.loadtxt`` and ``float()``
+    (``_time_column``).  Each state name is looked up once per run of rows
+    that spell it alike.  Memory beyond the file's bytes is one block, 8
+    bytes per row for the times (16 while they are joined), and the runs.
     """
     rows = _Rows(path, _LABEL_HEADER)
-    heads, states, unknown, n = _label_runs(rows, alphabet)
-    times = _time_column(rows, n)
+    heads, states, unknown, times, n = _label_runs(rows, alphabet)
+    if times is None:
+        times = _time_column(rows, n)
     # the first faulty row, as a row-by-row reader meets it: time, then state
     bad_state = n if unknown is None else unknown[0]
     if times.size < n and times.size <= bad_state:

@@ -109,6 +109,9 @@ class RunSequence:
             raise ValueError("adjacent runs must have different states")
         _check_rate(self.sampling_rate_hz)
 
+    def __reduce__(self):  # pickle and copy would otherwise restore writeable arrays
+        return RunSequence, (self.states, self.durations, self.sampling_rate_hz, self.id)
+
     def __len__(self) -> int:
         return len(self.states)
 

@@ -277,6 +277,29 @@ class TestSemiMarkovModel:
         with pytest.raises(TypeError):
             back.dwell["A"] = back.dwell["B"]
 
+    @pytest.mark.parametrize("round_trip", [lambda x: pickle.loads(pickle.dumps(x)),
+                                            copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_arrays_stay_read_only_through_pickle_and_copy(self, round_trip):
+        labels = [0, 0, 1, 1, 1, 0, 0, 1] * 3
+        fitted = fit_semi_markov([seq(labels)], AB)
+        multi = fit_multi_chain([seq(labels * 2)], 2, AB)
+        _, counts = fit_dtmc([seq(labels)], AB)
+        runs = RunSequence([0, 1], [2, 3], 1.0, "r")
+        back_fitted, back_multi, back_counts, back_runs, back_seq = map(
+            round_trip, (fitted, multi, counts, runs, seq(labels)))
+        assert document_to_dict(back_fitted) == document_to_dict(fitted)
+        assert back_runs.runs == runs.runs and back_runs.id == "r"
+        assert back_counts.counts.tolist() == counts.counts.tolist()
+        arrays = [back_fitted.transitions.probs, back_fitted.transitions.row_fitted,
+                  back_counts.counts, back_runs.states, back_runs.durations,
+                  encode_runs(back_seq).durations]
+        for segment in back_multi.segments:
+            arrays += [segment.transitions.probs, segment.transitions.row_fitted]
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[-1]
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), [1.0, -float("inf")],
                                        {"y": float("nan")}],
                              ids=["nan", "inf", "list-minus-inf", "nested-nan"])

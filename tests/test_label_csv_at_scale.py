@@ -135,6 +135,28 @@ def test_label_csv_in_small_blocks_matches_reference(cohort, tmp_path, monkeypat
         assert result == (runs.runs, RATE_HZ, runs.id)
 
 
+def _no_fallback(rows, n):
+    raise AssertionError("a time went to io._time_column")
+
+
+@pytest.mark.parametrize("block_bytes", [None, SMALL_BLOCK_BYTES],
+                         ids=["default-blocks", "small-blocks"])
+@pytest.mark.parametrize("variant", ["lf", "crlf", "cr"])
+def test_written_times_never_take_the_fallback(cohort, tmp_path, monkeypatch, variant,
+                                               block_bytes):
+    # every time write_label_csv writes at 50 Hz is a decimal of at most 8
+    # bytes, which io._decimal_times parses, whatever the line ends
+    monkeypatch.setattr(io, "_time_column", _no_fallback)
+    if block_bytes:
+        monkeypatch.setattr(io, "_BLOCK_BYTES", block_bytes)
+    change, alphabet = VARIANTS[variant]
+    for runs, text in cohort[:1] if block_bytes else cohort:
+        path = tmp_path / f"{runs.id}.csv"
+        path.write_bytes(change(text).encode("utf-8"))
+        seq = parse_label_csv(path, alphabet, RATE_HZ)
+        assert encode_runs(seq).runs == runs.runs
+
+
 def _peak_bytes(call) -> int:
     """The most memory traced while call() runs, beyond what was traced before."""
     tracemalloc.start()
