@@ -3,17 +3,21 @@
 
 Fits DTMC and semi-Markov models per cohort, compares the cohorts, splits
 each recording in half and refits per segment, simulates a fresh cohort from
-the fitted success model, and emits occupancy/histogram reports.  Everything
-lands in the output directory (default: ./demo_out); rerunning reproduces
-identical files.
+the fitted success model, and emits occupancy/histogram reports.  The
+simulated cohort is also written as per-sample label CSVs and refitted from
+them; the script fails unless that refit is byte-identical to the refit of
+the run-length CSVs.  Everything lands in the output directory (default:
+./demo_out); rerunning reproduces identical files.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
+from semimarkov import io
 from semimarkov.cli import main as cli
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "synthetic"
@@ -59,6 +63,17 @@ def main() -> int:
          "--seed", str(args.seed), "--out-prefix", str(out / "resim")])
     run(["fit", "--manifest", str(out / "resim_manifest.json"),
          "--model", "semi-markov", "--out", str(out / "resim_refit.json")])
+    # the same cohort as per-sample label CSVs must refit to the same bytes
+    resim = io.read_manifest(out / "resim_manifest.json")
+    files = [f"resim_label{i:03d}.csv" for i in range(len(resim.patient_files))]
+    for name, seq in zip(files, io.load_sequences(resim)):
+        io.write_label_csv(seq, resim.alphabet, out / name)
+    io.write_manifest(dataclasses.replace(resim, patient_files=files),
+                      out / "resim_label_manifest.json")
+    run(["fit", "--manifest", str(out / "resim_label_manifest.json"),
+         "--model", "semi-markov", "--out", str(out / "resim_label_refit.json")])
+    if (out / "resim_label_refit.json").read_bytes() != (out / "resim_refit.json").read_bytes():
+        sys.exit("resim_label_refit.json differs from resim_refit.json")
     print(f"pipeline artifacts in {out}/")
     return 0
 

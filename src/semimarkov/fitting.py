@@ -248,7 +248,8 @@ def _count_run_pairs(
     for runs in runs_list:
         if runs.states.max() >= n:
             raise ValueError(f"sequence {runs.id!r} uses states outside the alphabet")
-        np.add.at(counts, (runs.states[:-1], runs.states[1:]), 1)
+        pairs = runs.states[:-1] * n + runs.states[1:]
+        counts += np.bincount(pairs, minlength=n * n).reshape(n, n)
     return counts
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     BoundaryOutOfRangeError,
     DuplicateStateError,
+    EmptyInputError,
     TooFewStatesError,
 )
 
@@ -199,7 +200,8 @@ def split_at_time(
     A sample starting at time t belongs to the segment whose half-open
     window [start, end) contains t, so a run spanning a boundary is cut and
     the boundary sample goes to the later segment.  Concatenating the
-    segments reproduces the input exactly.
+    segments reproduces the input exactly.  The cuts are merged into the run
+    ends by one ``searchsorted``; no per-sample array is built.
     """
     duration = seq.duration_s
     bounds = list(boundaries)
@@ -219,9 +221,13 @@ def split_at_time(
         )
     runs, cuts = encode_runs(seq), np.array(indices, dtype=np.int64)
     run_ends = np.cumsum(runs.durations)
-    # cut the runs at the boundaries too; each piece keeps the state of its run
-    ends = np.union1d(run_ends, cuts)
-    states = runs.states[np.searchsorted(run_ends, ends)]
+    # cut the runs at the boundaries too; each piece keeps the state of its run.
+    # Cut k lies in run inside[k] and adds an end unless it is that run's end
+    inside = np.searchsorted(run_ends, cuts)
+    new = run_ends[inside] != cuts
+    where = inside[new]
+    ends = np.insert(run_ends, where, cuts[new])
+    states = np.insert(runs.states, where, runs.states[where])
     at = np.searchsorted(ends, cuts, side="right")
     pieces = zip(np.split(states, at), np.split(np.diff(ends, prepend=0), at))
     return [decode_runs(RunSequence(s, d, seq.sampling_rate_hz, seq.id)) for s, d in pieces]
@@ -231,8 +237,19 @@ def durations_by_state(runs_list: Sequence[RunSequence]) -> dict[int, tuple]:
     """Per-state dwell table of runs_list, keyed in state order: the sorted
     distinct run durations in seconds, each exactly ``samples / rate`` (equal
     durations at different rates merge), and their int64 counts.
+
+    The runs are grouped by state with one stable sort on the narrowest
+    unsigned key that holds every state index; each state's group is then
+    one contiguous slice.
     """
+    if not runs_list:
+        raise EmptyInputError("no run sequences supplied")
     states = np.concatenate([r.states for r in runs_list])
-    seconds = np.concatenate([r.durations / r.sampling_rate_hz for r in runs_list])
-    return {s: np.unique(seconds[states == s], return_counts=True)
-            for s in np.unique(states).tolist()}
+    states = states.astype(np.min_scalar_type(states.max()))
+    order = np.argsort(states, kind="stable")
+    counts = np.bincount(states)
+    del states  # so the order and the seconds, before and after, are all that is live
+    seconds = np.concatenate([r.durations / r.sampling_rate_hz for r in runs_list])[order]
+    bounds = [0, *np.cumsum(counts).tolist()]
+    return {s: np.unique(seconds[bounds[s]:bounds[s + 1]], return_counts=True)
+            for s in np.flatnonzero(counts).tolist()}

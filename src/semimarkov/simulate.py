@@ -222,27 +222,32 @@ class _Plan:
             state = candidates[0]
         states: list[int] = []
         durations: list[int] = []
+        # the loop's lookups, bound once; the segment's tables at each switch
+        add_state, add_duration = states.append, durations.append
+        next_uniform, bisect_right = uniforms.pop, bisect.bisect_right
         elapsed = 0  # samples emitted so far
         segment = chain.segment_at(0.0)
         switch = switches[segment]  # the samples out at which the segment next changes
+        lengths_by_state, rows = lengths_of[segment], cum_rows[segment]
         while True:
-            lengths = lengths_of[segment][state]
+            lengths = lengths_by_state[state]
             if not lengths:
                 lengths.refill()
             n = lengths.pop()
-            states.append(state)
+            add_state(state)
             elapsed += n
             if elapsed >= n_total:
-                durations.append(n - (elapsed - n_total))  # truncate the final run
+                add_duration(n - (elapsed - n_total))  # truncate the final run
                 break
-            durations.append(n)
+            add_duration(n)
             if elapsed >= switch:
                 segment = chain.segment_at(elapsed / rate)
                 switch = switches[segment]
+                lengths_by_state, rows = lengths_of[segment], cum_rows[segment]
             if not uniforms:
                 uniforms.refill()
-            below, total = cum_rows[segment][state]
-            state = bisect.bisect_right(below, uniforms.pop() * total)
+            below, total = rows[state]
+            state = bisect_right(below, next_uniform() * total)
         return RunSequence(
             states=np.array(states, dtype=np.int64),
             durations=np.array(durations, dtype=np.int64),

@@ -1,11 +1,12 @@
 import copy
+import itertools
 import json
 import math
 import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from semimarkov.dwell import EXPONENTIAL, DwellFit
@@ -136,6 +137,42 @@ class TestSemiMarkovTransitions:
         up_runs = RunSequence(r.states, r.durations * k, r.sampling_rate_hz * k, r.id)
         up = fit_semi_markov_transitions([up_runs], alpha)
         assert np.array_equal(base.probs, up.probs)  # bit-identical
+
+
+WIDE = build_alphabet(tuple(f"S{i}" for i in range(300)))
+
+# 1 Hz recordings over 300 states, as runs of one to three samples; one-run
+# recordings are among them
+wide_recordings = st.lists(
+    st.lists(st.tuples(st.integers(0, 299), st.integers(1, 3)), min_size=1, max_size=12)
+    .map(lambda pairs: [s for s, d in pairs for _ in range(d)])
+    .filter(lambda labels: len(labels) >= 2),
+    min_size=1,
+    max_size=5,
+)
+
+
+@given(wide_recordings)
+@example([[7, 7], [299, 0, 0, 256, 256]])
+@example([[299, 299, 299]])
+def test_counts_match_add_at_oracle(recordings):
+    """Both fits count exactly what np.add.at counts: per-sample pairs for
+    the DTMC, pairs of consecutive runs for the semi-Markov transitions."""
+    per_sample = np.zeros((len(WIDE), len(WIDE)), dtype=np.int64)
+    run_pairs = np.zeros_like(per_sample)
+    for labels in recordings:
+        np.add.at(per_sample, (labels[:-1], labels[1:]), 1)
+        states = [s for s, _ in itertools.groupby(labels)]
+        np.add.at(run_pairs, (states[:-1], states[1:]), 1)
+    seqs = [seq(labels) for labels in recordings]
+    assert np.array_equal(fit_dtmc(seqs, WIDE)[1].counts, per_sample)
+    runs_list = [encode_runs(s) for s in seqs]
+    if not run_pairs.any():
+        with pytest.raises(NoTransitionsError):
+            fit_semi_markov_transitions(runs_list, WIDE)
+        return
+    expected = TransitionMatrix.from_probabilities(run_pairs, WIDE)
+    assert np.array_equal(fit_semi_markov_transitions(runs_list, WIDE).probs, expected.probs)
 
 
 class TestTransitionMatrixType:

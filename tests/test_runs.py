@@ -7,7 +7,7 @@ the fits on a sequence far too long to expand.
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from semimarkov.compare import time_fractions
@@ -52,6 +52,8 @@ def cut_sequences(draw):
 
 
 @given(cut_sequences())
+# a cut on a run end, and two cuts inside one run
+@example(([0, 0, 1, 1, 1, 2], 1.0, [2, 3, 4], [2.0, 2.5, 4.0]))
 def test_split_matches_slicing_the_labels(case):
     labels, rate, idx, cuts = case
     s = LabeledSequence(labels=labels, sampling_rate_hz=rate, id="p3")

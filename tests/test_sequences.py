@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from semimarkov.errors import (
     BoundaryOutOfRangeError,
     DuplicateStateError,
+    EmptyInputError,
     TooFewStatesError,
 )
 from semimarkov.sequences import (
@@ -168,11 +169,19 @@ class TestDwellTable:
             st.tuples(label_arrays, st.sampled_from([1.0, 2.0, 3.0, 50.0, 0.1])),
             min_size=1,
             max_size=6,
-        )
+        ),
+        st.permutations([0, 1, 2, 300, 70_000]),
     )
-    def test_matches_oracle(self, recordings):
-        runs_list = [encode_runs(seq(labels, rate)) for labels, rate in recordings]
+    def test_matches_oracle(self, recordings, indices):
+        # labels 0..2 name three of these state indices, so the runs are
+        # grouped on uint8, uint16 and uint32 sort keys
+        runs_list = [encode_runs(seq(np.take(indices, labels), rate))
+                     for labels, rate in recordings]
         assert_tables_equal(durations_by_state(runs_list), self.oracle(runs_list))
+
+    def test_no_runs(self):
+        with pytest.raises(EmptyInputError, match="no run sequences supplied"):
+            durations_by_state([])
 
 
 class TestSplit:
