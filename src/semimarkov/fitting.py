@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import bisect
 import json
-import logging
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -43,8 +42,6 @@ from .sequences import (
     encode_runs,
     split_at_time,
 )
-
-logger = logging.getLogger(__name__)
 
 DTMC = "dtmc"
 SEMI_MARKOV = "semi_markov"
@@ -144,16 +141,6 @@ class TransitionMatrix:
         return cls(probs=arr, alphabet=alphabet, kind=kind)
 
 
-def _plain(value):
-    """A deep copy of JSON-like data with every mapping a dict and every
-    list or tuple a list."""
-    if isinstance(value, Mapping):
-        return {key: _plain(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(item) for item in value]
-    return value
-
-
 @dataclass(frozen=True, eq=False)
 class SemiMarkovModel:
     """Run-level transition matrix plus per-state dwell-time distributions.
@@ -189,10 +176,6 @@ class SemiMarkovModel:
             raise ValueError("metadata must not hold NaN or an infinity") from None
         object.__setattr__(self, "dwell", _read_only(dwell))
         object.__setattr__(self, "metadata", metadata)
-
-    def plain_metadata(self) -> dict[str, Any]:
-        """A mutable copy of ``metadata``: dicts and lists, as JSON holds it."""
-        return _plain(self.metadata)
 
     @property
     def alphabet(self) -> StateAlphabet:

@@ -685,6 +685,7 @@ def parse_runlength_csv(path, alphabet: StateAlphabet, sampling_rate_hz: float) 
     """
     _check_rate(sampling_rate_hz)
     rows = _Rows(path, _RUNLENGTH_HEADER)
+    index = {name: i for i, name in enumerate(alphabet.states)}
     states: list[int] = []
     seconds: list[float] = []
     durations: list[int] = []
@@ -695,7 +696,8 @@ def parse_runlength_csv(path, alphabet: StateAlphabet, sampling_rate_hz: float) 
         texts = _texts(block.data, block.commas + 1, block.ends)
         for i, (name, text) in enumerate(zip(names, texts)):
             name = name.strip()
-            if name not in alphabet:
+            state = index.get(name)
+            if state is None:
                 raise UnknownStateError(f"{block.at(i)}: state {name!r} not in alphabet")
             try:
                 dur = float(text)
@@ -703,7 +705,6 @@ def parse_runlength_csv(path, alphabet: StateAlphabet, sampling_rate_hz: float) 
                 raise MalformedCsvError(f"{block.at(i)}: bad duration {text!r}") from None
             if not dur > 0:
                 raise NonPositiveDurationError(f"{block.at(i)}: duration {dur!r} not > 0")
-            state = alphabet.index(name)
             if states and states[-1] == state:
                 seconds[-1] += dur
                 total -= durations.pop()
@@ -910,7 +911,7 @@ def document_to_dict(model: SemiMarkovModel) -> dict[str, Any]:
         "transitions": tm.probs.tolist(),
         "row_fitted": tm.row_fitted.tolist(),
         "dwell": {name: _dwell_to_dict(fit) for name, fit in model.dwell.items()},
-        "metadata": model.plain_metadata(),
+        "metadata": model.metadata,  # read-only; json.dumps writes its tuples as lists
     }
 
 

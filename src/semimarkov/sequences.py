@@ -240,16 +240,18 @@ def durations_by_state(runs_list: Sequence[RunSequence]) -> dict[int, tuple]:
 
     The runs are grouped by state with one stable sort on the narrowest
     unsigned key that holds every state index; each state's group is then
-    one contiguous slice.
+    one contiguous slice, bounded where the sorted states change, so its
+    cost does not grow with the largest index.
     """
     if not runs_list:
         raise EmptyInputError("no run sequences supplied")
     states = np.concatenate([r.states for r in runs_list])
     states = states.astype(np.min_scalar_type(states.max()))
     order = np.argsort(states, kind="stable")
-    counts = np.bincount(states)
+    states = states[order]
+    bounds = [0, *(np.flatnonzero(np.diff(states)) + 1).tolist(), len(states)]
+    keys = states[bounds[:-1]].tolist()
     del states  # so the order and the seconds, before and after, are all that is live
     seconds = np.concatenate([r.durations / r.sampling_rate_hz for r in runs_list])[order]
-    bounds = [0, *np.cumsum(counts).tolist()]
-    return {s: np.unique(seconds[bounds[s]:bounds[s + 1]], return_counts=True)
-            for s in np.flatnonzero(counts).tolist()}
+    return {s: np.unique(seconds[a:b], return_counts=True)
+            for s, a, b in zip(keys, bounds, bounds[1:])}

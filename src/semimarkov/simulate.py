@@ -4,6 +4,9 @@
 ``SemiMarkovModel`` or a ``MultiChainModel``; a single model is simulated as
 a one-segment chain, so both share one generator loop.  Only ``semi_markov``
 models simulate: a DTMC read from a model file has no dwell fits to draw from.
+Before any draw, every state a recording can reach must have a fitted
+transition row and a dwell fit in every segment; this is checked once per
+simulation, from one table of the usable states per segment.
 
 The generator alternates dwell draws and categorical next-state draws,
 quantizing each dwell onto the output sampling grid (round half-up, one
@@ -48,8 +51,9 @@ class SimulationConfig:
     """Inputs for one simulated recording.
 
     ``initial_state`` None draws the first state uniformly from the states
-    with fitted transition rows (the initial-state distribution is not part
-    of the model); a state name pins it.
+    with a fitted transition row and a dwell fit in the first segment (the
+    initial-state distribution is not part of the model); a state name pins
+    it, and that state must have both.
     """
 
     duration_s: float
@@ -70,37 +74,44 @@ class SimulationConfig:
             )
 
 
-def _startable_states(model: SemiMarkovModel) -> list[int]:
-    fitted = np.flatnonzero(model.transitions.row_fitted)
-    names = model.alphabet.states
-    return [int(i) for i in fitted if names[i] in model.dwell]
+def _start_states(
+    segments: tuple[SemiMarkovModel, ...], config: SimulationConfig
+) -> list[int]:
+    """The states a recording may start from, checked once for the whole chain.
 
-
-def _check_reachability(
-    segments: tuple[SemiMarkovModel, ...], start_states: list[int]
-) -> None:
-    """Verify no reachable state lacks a transition row or dwell fit.
-
-    Edges are the union of positive-probability transitions over all
-    segments (a conservative over-approximation for multi-chain models: a
-    state counted reachable here may be unreachable in the segment where it
-    is absent, but accepting only union-safe models keeps simulation total).
+    A state is usable in a segment when it has a fitted transition row and a
+    dwell fit there.  The starts are the pinned initial state, or every state
+    usable in the first segment when none is pinned.  Every state reachable
+    from the starts over the union of the segments' positive-probability
+    transitions must be usable in every segment, so validity does not depend
+    on which start the seed picks (a conservative over-approximation: a state
+    counted reachable here may be unreachable in the segment where it is
+    absent, but accepting only union-safe models keeps simulation total).
     """
     alphabet = segments[0].alphabet
-    n = len(alphabet)
-    adjacency = np.zeros((n, n), dtype=bool)
-    usable = np.ones(n, dtype=bool)
-    for seg in segments:
-        adjacency |= seg.transitions.probs > 0.0
-        usable &= seg.transitions.row_fitted
-        for i, name in enumerate(alphabet.states):
-            if name not in seg.dwell:
-                usable[i] = False
-    seen = set(start_states)
-    queue = deque(start_states)
+    # usable[k, i]: segment k has a fitted row and a dwell fit for state i
+    usable = np.array([seg.transitions.row_fitted & [n in seg.dwell for n in alphabet.states]
+                       for seg in segments])
+    name = config.initial_state
+    if name is None:
+        starts = np.flatnonzero(usable[0]).tolist()
+        if not starts:
+            raise InvalidInitialStateError("model has no startable states")
+    else:
+        try:
+            starts = [alphabet.index(name)]
+        except KeyError:
+            raise InvalidInitialStateError(f"initial state {name!r} not in alphabet") from None
+        if not usable[0, starts[0]]:
+            lacks = ("dwell distribution" if segments[0].transitions.row_fitted[starts[0]]
+                     else "fitted transition row")
+            raise InvalidInitialStateError(f"initial state {name!r} has no {lacks}")
+    adjacency = np.logical_or.reduce([seg.transitions.probs > 0.0 for seg in segments])
+    usable_everywhere = usable.all(axis=0)
+    seen, queue = set(starts), deque(starts)
     while queue:
         s = queue.popleft()
-        if not usable[s]:
+        if not usable_everywhere[s]:
             raise UnreachableAbsentRowError(
                 f"state {alphabet.name(s)!r} is reachable but has no fitted "
                 f"transition row or dwell distribution in some segment"
@@ -109,32 +120,7 @@ def _check_reachability(
             if t not in seen:
                 seen.add(t)
                 queue.append(t)
-
-
-def _start_states(first_model: SemiMarkovModel, config: SimulationConfig) -> list[int]:
-    """The states a run may start from: the pinned initial state, or every
-    startable state when none is pinned."""
-    alphabet = first_model.alphabet
-    if config.initial_state is None:
-        candidates = _startable_states(first_model)
-        if not candidates:
-            raise InvalidInitialStateError("model has no startable states")
-        return candidates
-    try:
-        idx = alphabet.index(config.initial_state)
-    except KeyError:
-        raise InvalidInitialStateError(
-            f"initial state {config.initial_state!r} not in alphabet"
-        ) from None
-    if not first_model.transitions.row_fitted[idx]:
-        raise InvalidInitialStateError(
-            f"initial state {config.initial_state!r} has no fitted transition row"
-        )
-    if config.initial_state not in first_model.dwell:
-        raise InvalidInitialStateError(
-            f"initial state {config.initial_state!r} has no dwell distribution"
-        )
-    return [idx]
+    return starts
 
 
 class _Pool(list):
@@ -173,9 +159,7 @@ class _Plan:
             raise ValueError("duration_s is shorter than half a sample period")
         self.chain, self.config = model, config
         self.n_total = _run_samples(config.duration_s, rate)
-        self.candidates = _start_states(model.segments[0], config)
-        # validity must not depend on which start the seed happened to pick
-        _check_reachability(model.segments, self.candidates)
+        self.candidates = _start_states(model.segments, config)
         # per segment and from-state: the cumulative row without its last
         # entry, so one bisect lands on a state index, and the row total
         self.cum_rows = [
@@ -184,8 +168,10 @@ class _Plan:
         ]
         # per boundary, the first sample count e whose time e / rate, as
         # segment_at sees it, is not before the boundary: the segment changes
-        # only where the samples out reach one (n_total stands for never)
-        self.switches = [_first_sample_at(b, rate, self.n_total) for b in model.boundaries]
+        # only where the samples out reach one (n_total stands for never).
+        # e / rate never falls as e grows, so bisection finds it
+        self.switches = [bisect.bisect_left(range(self.n_total), b, key=lambda e: e / rate)
+                         for b in model.boundaries]
         self.switches.append(self.n_total)
         # equal fits, in any segment or state, draw from one pool of run
         # lengths: each distinct fit by its key, and each segment's states'
@@ -254,20 +240,6 @@ class _Plan:
             sampling_rate_hz=rate,
             id=sequence_id,
         )
-
-
-def _first_sample_at(boundary: float, rate: float, n_total: int) -> int:
-    """The least sample count e in [0, n_total] with ``e / rate`` not below
-    ``boundary`` (n_total if there is none), by bisection: ``e / rate`` never
-    falls as e grows."""
-    lo, hi = 0, n_total
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid / rate < boundary:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 def _fit_key(fit) -> tuple:

@@ -359,7 +359,7 @@ def test_simulate_a_gev_dwell_far_above_one_sample(tmp_path, k):
     m = success_model()
     dwell = dict(m.dwell, ASB=DwellFit(GEV, {"k": k, "sigma": 0.01, "mu": 10.0}))
     model_path = tmp_path / "m.json"
-    write_model_json(SemiMarkovModel(m.transitions, dwell, m.plain_metadata()), model_path)
+    write_model_json(SemiMarkovModel(m.transitions, dwell, m.metadata), model_path)
     rc = main(["simulate", "--model", str(model_path), "--duration-s", "60",
                "--rate-hz", "2", "--seed", "1", "--out-prefix", str(tmp_path / "s")])
     assert rc == 0

@@ -369,11 +369,15 @@ class TestSemiMarkovModel:
             m.metadata["runs"]["A"].append(float("nan"))
         for model in (m, fitted, pickle.loads(pickle.dumps(fitted))):
             write_model_json(model, tmp_path / "m.json")
-            assert read_model_json(tmp_path / "m.json").plain_metadata() == (
-                model.plain_metadata())
-        assert m.plain_metadata() == {"runs": {"A": [1, 2]}}
-        # still JSON to a plain json.dumps, at every depth
-        assert json.loads(json.dumps(fitted.metadata)) == fitted.plain_metadata()
+            written = json.loads((tmp_path / "m.json").read_text())["metadata"]
+            assert written == json.loads(json.dumps(model.metadata))
+            assert read_model_json(tmp_path / "m.json").metadata == model.metadata
+        assert m.metadata == {"runs": {"A": (1, 2)}}
+        # still JSON to a plain json.dumps, at every depth: a read-only dict
+        # is written as an object and a tuple as a list
+        assert json.loads(json.dumps(m.metadata)) == {"runs": {"A": [1, 2]}}
+        plain = json.loads(json.dumps(fitted.metadata))
+        assert type(plain) is dict and SemiMarkovModel(tm, {}, plain).metadata == fitted.metadata
 
 
 def flip_flop(alphabet=AB):

@@ -179,6 +179,13 @@ class TestDwellTable:
                      for labels, rate in recordings]
         assert_tables_equal(durations_by_state(runs_list), self.oracle(runs_list))
 
+    def test_cost_does_not_grow_with_the_largest_index(self):
+        # a counter per index up to 2**32 would ask for 32 GiB
+        runs_list = [RunSequence([0, 2**32], [1, 2], 1.0)]
+        table = durations_by_state(runs_list)
+        assert list(table) == [0, 2**32]
+        assert_tables_equal(table, self.oracle(runs_list))
+
     def test_no_runs(self):
         with pytest.raises(EmptyInputError, match="no run sequences supplied"):
             durations_by_state([])

@@ -333,7 +333,67 @@ class TestDistribution:
         assert stats.chisquare(observed, expected).pvalue > self.LEVEL
 
 
+ABC = build_alphabet(("A", "B", "C"))
+
+
+def abc_segment(to_c=False, c_row=True, c_dwell=True):
+    """A <-> B, with A also moving to C when to_c; C moves back to A when it
+    has a fitted row, and draws its dwell when it has a fit."""
+    a_row = [0.0, 0.5, 0.5] if to_c else [0.0, 1.0, 0.0]
+    c_row = [1.0, 0.0, 0.0] if c_row else [0.0, 0.0, 0.0]
+    tm = TransitionMatrix(probs=np.array([a_row, [1.0, 0.0, 0.0], c_row]), alphabet=ABC,
+                          kind="semi_markov")
+    fit = DwellFit(EXPONENTIAL, {"mu": 1.0})
+    return SemiMarkovModel(tm, {"A": fit, "B": fit, **({"C": fit} if c_dwell else {})})
+
+
 class TestMultiChain:
+    @pytest.mark.parametrize("lacks", [{"c_row": False}, {"c_dwell": False}])
+    @pytest.mark.parametrize("edge_in", [0, 1])
+    def test_state_usable_only_in_segment_one(self, lacks, edge_in):
+        # C has a fitted row and a dwell fit in segment 1 but lacks one of
+        # them in segment 2; the edge A -> C lies in either segment
+        pinned = SimulationConfig(duration_s=20.0, seed=3, initial_state="A")
+        unreachable = MultiChainModel((abc_segment(), abc_segment(**lacks)), (10.0,))
+        assert simulate_sequence(unreachable, pinned).total_samples == 20
+        # unpinned, C is a start, whether or not the seed picks it
+        with pytest.raises(UnreachableAbsentRowError, match="state 'C' is reachable"):
+            simulate_sequence(unreachable, replace(pinned, initial_state=None))
+        reachable = MultiChainModel(
+            (abc_segment(to_c=edge_in == 0), abc_segment(to_c=edge_in == 1, **lacks)), (10.0,))
+        with pytest.raises(UnreachableAbsentRowError, match="state 'C' is reachable"):
+            simulate_sequence(reachable, pinned)
+
+    @pytest.mark.parametrize("lacks, message", [
+        ({"c_row": False}, "'C' has no fitted transition row"),
+        ({"c_dwell": False}, "'C' has no dwell distribution"),
+    ])
+    def test_pinned_state_usable_only_in_segment_two(self, lacks, message):
+        # a recording starts in segment 1, so only its table decides a start
+        chain = MultiChainModel((abc_segment(**lacks), abc_segment()), (10.0,))
+        cfg = SimulationConfig(duration_s=20.0, seed=3, initial_state="C")
+        with pytest.raises(InvalidInitialStateError, match=message):
+            simulate_sequence(chain, cfg)
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(st.floats(0.01, 60.0) | st.integers(1, 240).map(lambda k: k / 4),
+                 min_size=1, max_size=3, unique=True),
+        st.integers(1, 200),
+        st.sampled_from([0.5, 1.0, 2.0, 3.0, 7.0, 50.0]),
+    )
+    def test_switches_match_a_scan_of_segment_at(self, boundaries, n_samples, rate):
+        boundaries = sorted(boundaries)
+        chain = MultiChainModel((two_state_model(),) * (len(boundaries) + 1), boundaries)
+        cfg = SimulationConfig(duration_s=n_samples / rate, seed=0, output_sampling_rate_hz=rate)
+        plan = simulate_mod._Plan(chain, cfg)
+        n_total = plan.n_total
+        segments = [chain.segment_at(e / rate) for e in range(n_total)]
+        # segment k ends at the first sample count whose time a later segment owns
+        expected = [next((e for e, seg in enumerate(segments) if seg > k), n_total)
+                    for k in range(len(boundaries))]
+        assert plan.switches == [*expected, n_total]
+
     def test_degenerate_equals_single(self):
         m = success_model()
         mc = MultiChainModel(segments=(m, m), boundaries=(150.0,))
