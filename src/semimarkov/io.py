@@ -5,15 +5,11 @@ produce byte-identical files (the determinism contract the CLI tests rely
 on).  JSON is emitted by ``json.dumps`` with sorted keys and no whitespace,
 and every float, in JSON and CSV alike, is printed as ``repr`` prints it: the
 shortest text that round-trips the double, which always holds a "." or an
-"e", so a float never reparses as an int.  ``write_label_csv`` prints the
-same text without ``repr`` for a block of times that are all decimals of at
-most 15 significant digits (counted from the block's largest time), as at 2,
-50, 100 or 1000 Hz: their shortest text is their exact decimal digits.  Other
-blocks (3 Hz, 7 Hz, 30 kHz) go through ``repr``, and the bytes are the same
-either way.  The label reader mirrors this: a file whose times are all
-decimals of at most 8 bytes (digits and one ".") has them parsed exactly in
-numpy, and any other file goes through ``np.loadtxt`` and ``float()``, so
-``float()`` is the grammar either way.  A model file reads back as the
+"e", so a float never reparses as an int.  Label CSV times that are short
+decimals take exact numpy kernels instead, with the same bytes and values: a
+block of them is printed from its digits (``_decimal_rows``) and, at most 8
+bytes each, parsed from them (``_decimal_times``); any other block goes
+through ``repr`` and ``float()``.  A model file reads back as the
 ``SemiMarkovModel`` the fitters return; a DTMC file is one with no dwell fits.
 
 Two sequence formats exist because the sampling rate of per-sample label
@@ -28,17 +24,17 @@ There is no quoting: a field that starts with ``"`` is read as it stands, so
 it fails as a bad time or duration, an unknown state or a wrong field count,
 and the error names its ``path:line`` instead of the field being misparsed.
 For the same reason no field length limit applies, and a NUL character fails
-the time or state check like any other stray character.
+the time or state check like any other stray character.  The readers check
+the rows in one pass and raise the fault a row-by-row reader meets first;
+the writers refuse, before the file is opened, a state outside the alphabet
+and a name the readers could not read back (one holding a comma, a line end
+or a surrogate, which UTF-8 cannot encode, or with whitespace around it).
 
-Memory grows with a file's bytes and its runs, not with per-row objects.  The
-sequence readers hold the file's bytes and scan them in blocks of about
-128 KiB, each cut after a line end, keeping only per-run state from block to
-block: ``parse_label_csv`` takes about the file's bytes, plus 8 bytes per row
-for its time column (16 while the blocks' times are joined), plus one block;
-``parse_runlength_csv`` the file's bytes, one block and its runs.
-``write_label_csv`` and ``emit_histogram_csv`` format 4096 rows at a time, so
-beyond their input they hold one block of text, on either of the writer's
-paths.
+Memory grows with a file's bytes and its runs, not with per-row objects: the
+sequence readers scan the file's bytes in blocks of about 128 KiB, each cut
+after a line end, keeping only per-run state from block to block, and the
+writers format 4096 rows at a time.  Each function's docstring gives its
+figure.
 """
 
 from __future__ import annotations
@@ -364,16 +360,15 @@ class _Rows:
     Building one checks the file: valid UTF-8, not empty, the expected
     header.  Iterating yields each block's rows as a ``_Block``; blank lines
     are skipped but counted.  The rows stop before the first row that does
-    not hold exactly two fields, whose error is then ``fault`` (None if there
-    is none), so the caller checks the rows ahead of it first and raises
-    ``fault`` only if they pass, as a row-by-row reader would.  A file with
-    no data rows raises when the scan ends.  Beyond the file's bytes, no
-    array spans more than one block and no per-row object is built: a block
-    is copied only to make its line ends ``"\\n"``.
+    not hold exactly two fields, and the iteration after the rows ahead of it
+    raises its error, so the caller checks those rows first, as a row-by-row
+    reader would.  A file with no data rows raises when the scan ends.  Beyond
+    the file's bytes, no array spans more than one block and no per-row
+    object is built: a block is copied only to make its line ends ``"\\n"``.
     """
 
     def __init__(self, path, header: tuple[str, str]) -> None:
-        self.path, self.fault = path, None
+        self.path = path
         self.data = data = Path(path).read_bytes()
         _check_utf8(path, data)
         if not data:
@@ -406,20 +401,11 @@ class _Rows:
                 yield _Block(path, block, begin, starts, commas, ends, row, line)
             del starts, commas, ends  # before the next block is scanned
             if fault is not None:
-                self.fault = MalformedCsvError(
+                raise MalformedCsvError(
                     f"{path}:{line + 1 + fault[0]}: expected 2 fields, got {fault[1]}")
-                return
             line, row = line + n_lines, row + n
         if not row:
             raise MalformedCsvError(f"{path}: no data rows")
-
-    def first_field(self, i: int) -> tuple[str, str]:
-        """The ``path:line`` of data row i (one the scan yields) and the text
-        of its first field."""
-        for block in self:
-            j = i - block.first
-            if j < block.starts.size:
-                return block.at(j), block.data[block.starts[j]:block.commas[j]].decode()
 
 
 def _texts(data: bytes, lo: np.ndarray, hi: np.ndarray) -> list[str]:
@@ -518,37 +504,16 @@ def _decimal_times(data: bytes, starts: np.ndarray, commas: np.ndarray) -> np.nd
     return times
 
 
-# ASCII separators that numpy strips from around a number and float() does not
-_NUMPY_STRIPS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-
-
-def _time_column(rows: _Rows, n: int) -> np.ndarray:
-    """The times of the ``n`` rows, up to the first one that ``float()``
-    refuses: the result is shorter than ``n`` exactly when one does.
-
-    This is the path of a file whose times ``_decimal_times`` declines, so
-    ``float()`` is the grammar.  When the rows are whole (none has a wrong
-    field count), numpy parses the column from the file in C with the
-    conversion ``float()`` uses; where it refuses a time that ``float()`` may
-    read, such as ``1_0`` or digits of other scripts, each block's rows are
-    read one by one.
-    """
-    if rows.fault is None and not any(c in rows.data for c in _NUMPY_STRIPS):
+def _float_times(data: bytes, starts: np.ndarray, commas: np.ndarray) -> np.ndarray:
+    """The times ``data[starts[i]:commas[i]]`` as ``float()`` reads them, up
+    to the first one it refuses: the result is shorter than ``starts``
+    exactly when one does."""
+    times = np.empty(starts.size)
+    for i, text in enumerate(_texts(data, starts, commas)):
         try:
-            times = np.loadtxt(rows.path, delimiter=",", usecols=0, skiprows=1,
-                               comments=None, quotechar=None, encoding="utf-8", ndmin=1)
+            times[i] = float(text)
         except ValueError:
-            pass
-        else:
-            if times.size == n:  # numpy skips the same blank lines
-                return times
-    times = np.empty(n)
-    for block in rows:
-        for i, text in enumerate(_texts(block.data, block.starts, block.commas), block.first):
-            try:
-                times[i] = float(text)
-            except ValueError:
-                return times[:i]
+            return times[:i]
     return times
 
 
@@ -584,38 +549,47 @@ def _fields(data: bytes, width: int, commas: np.ndarray) -> np.ndarray:
 
 
 def _label_runs(rows: _Rows, alphabet: StateAlphabet):
-    """The runs of a label CSV's rows, block by block: the rows where the state
-    field's text changes (each a run's first row) and their state ids (-1 for
-    a name not in ``alphabet``); the first of those rows with an unknown state
-    as its index, ``path:line`` and name (None if there is none); the times
-    from ``_decimal_times``, or None if it declines a row; and the row count.
+    """The runs of a label CSV's rows, in one pass of its blocks: the rows
+    where the state field's text changes (each a run's first row) and their
+    state ids, the times, the row count, and the error of the first
+    non-finite time (None if there is none).  A bad time or an unknown state
+    raises as a row-by-row reader meets it, in a row the time first.
     """
     index = {name: i for i, name in enumerate(alphabet.states)}
-    heads, states = [np.empty(0, np.int64)], [np.empty(0, np.int64)]  # per block
-    unknown = last = None  # last: the state field of the last row scanned
-    times = [np.empty(0)]  # per block; None once _decimal_times declines a row
+    heads, states, times = [], [], []  # per block; _Rows yields one at least or raises
+    last = nonfinite = None  # last: the state field of the last row scanned
     n = 0
     for block in rows:
-        data, commas, ends = block.data, block.commas, block.ends
-        if times is not None:
-            times.append(_decimal_times(data, block.starts, commas))
-            if times[-1] is None:
-                times = None  # the file's times go to _time_column instead
+        data, starts, commas, ends = block.data, block.starts, block.commas, block.ends
+        block_times = _decimal_times(data, starts, commas)
+        if block_times is None:
+            block_times = _float_times(data, starts, commas)
+            bad = np.flatnonzero(~np.isfinite(block_times))  # the kernel's are finite
+            if nonfinite is None and bad.size:
+                j = int(bad[0])
+                nonfinite = MalformedCsvError(
+                    f"{block.at(j)}: non-finite time {data[starts[j]:commas[j]].decode()!r}")
         block_heads = _run_heads(data, commas, ends)
         if data[commas[0] + 1:ends[0]] == last:
             block_heads = block_heads[1:]  # the run goes on from the block before
         names = [name.strip() for name in _texts(data, commas[block_heads] + 1, ends[block_heads])]
         block_states = np.array([index.get(name, -1) for name in names], np.int64)
-        if unknown is None and (block_states < 0).any():
-            k = int(np.argmax(block_states < 0))
-            unknown = (block.first + int(block_heads[k]), block.at(block_heads[k]), names[k])
+        unknown = np.flatnonzero(block_states < 0)
+        i = block_times.size  # the first row whose time float() refuses, if any
+        if i < commas.size and not (unknown.size and block_heads[unknown[0]] < i):
+            raise MalformedCsvError(
+                f"{block.at(i)}: bad time {data[starts[i]:commas[i]].decode()!r}")
+        if unknown.size:
+            k = int(unknown[0])
+            raise UnknownStateError(
+                f"{block.at(block_heads[k])}: state {names[k]!r} not in alphabet")
         heads.append(block_heads + block.first)
         states.append(block_states)
+        times.append(block_times)
         last = data[commas[-1] + 1:ends[-1]]
         n = block.first + commas.size
-        del block, data, commas, ends  # before the next block is scanned
-    times = None if times is None else np.concatenate(times)
-    return np.concatenate(heads), np.concatenate(states), unknown, times, n
+        del block, data, starts, commas, ends  # before the next block is scanned
+    return np.concatenate(heads), np.concatenate(states), np.concatenate(times), n, nonfinite
 
 
 def parse_label_csv(path, alphabet: StateAlphabet, sampling_rate_hz: float) -> LabeledSequence:
@@ -626,31 +600,19 @@ def parse_label_csv(path, alphabet: StateAlphabet, sampling_rate_hz: float) -> L
     rate that spacing implies must match ``sampling_rate_hz`` (the manifest's)
     to a relative 1e-6.  The sequence carries ``sampling_rate_hz``, which is
     exact where the text timestamps are rounded.  Times are parsed as
-    ``float()`` parses them: when every one is a decimal of at most 8 bytes
-    (digits and one "."), exactly in numpy as the rows are scanned
-    (``_decimal_times``), otherwise by ``np.loadtxt`` and ``float()``
-    (``_time_column``).  Each state name is looked up once per run of rows
-    that spell it alike.  Memory beyond the file's bytes is one block, 8
-    bytes per row for the times (16 while they are joined), and the runs.
+    ``float()`` parses them, a block at a time: when every time of the block
+    is a decimal of at most 8 bytes (digits and one "."), exactly in numpy
+    (``_decimal_times``), otherwise by ``float()`` row by row.  Each state
+    name is looked up once per run of rows that spell it alike.  Memory
+    beyond the file's bytes is one block, 8 bytes per row for the times (16
+    while they are joined), and the runs.
     """
+    _check_rate(sampling_rate_hz)
     rows = _Rows(path, _LABEL_HEADER)
-    heads, states, unknown, times, n = _label_runs(rows, alphabet)
-    if times is None:
-        times = _time_column(rows, n)
-    # the first faulty row, as a row-by-row reader meets it: time, then state
-    bad_state = n if unknown is None else unknown[0]
-    if times.size < n and times.size <= bad_state:
-        at, text = rows.first_field(times.size)
-        raise MalformedCsvError(f"{at}: bad time {text!r}")
-    if unknown is not None:
-        raise UnknownStateError(f"{unknown[1]}: state {unknown[2]!r} not in alphabet")
-    if rows.fault is not None:
-        raise rows.fault
+    heads, states, times, n, nonfinite = _label_runs(rows, alphabet)
     # NaN compares false, so the spacing checks below would not catch it
-    bad = np.flatnonzero(~np.isfinite(times))
-    if bad.size:
-        at, text = rows.first_field(int(bad[0]))
-        raise MalformedCsvError(f"{at}: non-finite time {text!r}")
+    if nonfinite is not None:
+        raise nonfinite
     del rows  # the file's bytes, before the spacing takes 8 bytes a row
     if n >= 2:
         spacing = np.diff(times)
@@ -724,20 +686,13 @@ def parse_runlength_csv(path, alphabet: StateAlphabet, sampling_rate_hz: float) 
                 )
             durations.append(run)
             total += run
-    if rows.fault is not None:
-        raise rows.fault
     if merged:
         warnings.warn(
             f"{path}: merged adjacent runs with equal states",
             DataNormalizationWarning,
             stacklevel=2,
         )
-    return RunSequence(
-        states=np.array(states, dtype=np.int64),
-        durations=np.array(durations, dtype=np.int64),
-        sampling_rate_hz=sampling_rate_hz,
-        id=Path(path).stem,
-    )
+    return RunSequence(states, durations, sampling_rate_hz, Path(path).stem)
 
 
 def _sniff_header(path) -> tuple[str, ...]:
@@ -822,6 +777,24 @@ def _decimal_rows(times: np.ndarray, states: np.ndarray, ends: list[bytes]) -> b
     return out.tobytes().translate(None, b"\xff")
 
 
+def _check_writable(runs: RunSequence, alphabet: StateAlphabet, samples: int, what: str) -> None:
+    """ValueError, before a sequence CSV is opened, unless the readers can
+    read back every row: each state an index into ``alphabet``, every name
+    UTF-8 text free of commas and line ends, with no whitespace around it,
+    and ``samples`` (``what``) a finite number of seconds."""
+    for name in alphabet.states:
+        if name != name.strip() or any(c in ",\r\n" or "\ud800" <= c <= "\udfff" for c in name):
+            raise ValueError(f"state name {name!r} cannot be written to a CSV: it holds a "
+                             f"comma, a line end or a surrogate, or whitespace around it")
+    top = int(runs.states.max())
+    if top >= len(alphabet):
+        raise ValueError(f"state index {top} is outside the alphabet of "
+                         f"{len(alphabet)} states {alphabet.states}")
+    if not math.isfinite(samples / runs.sampling_rate_hz):
+        raise ValueError(f"{what}, {samples} samples at {runs.sampling_rate_hz!r} Hz, "
+                         f"is not a finite number of seconds")
+
+
 def write_label_csv(seq: LabeledSequence, alphabet: StateAlphabet, path) -> None:
     """Write a per-sample label CSV with sample i at time i / rate.
 
@@ -835,9 +808,7 @@ def write_label_csv(seq: LabeledSequence, alphabet: StateAlphabet, path) -> None
     """
     runs = encode_runs(seq)
     rate, total = runs.sampling_rate_hz, runs.total_samples
-    if not math.isfinite((total - 1) / rate):  # before the file is opened
-        raise ValueError(f"the last time, {total - 1} samples at {rate!r} Hz, "
-                         f"is not a finite number of seconds")
+    _check_writable(runs, alphabet, total - 1, "the last time")
     ends = [f",{name}\n".encode() for name in alphabet.states]
     starts = np.concatenate(([0], np.cumsum(runs.durations)))  # run i starts at row starts[i]
     with open(path, "wb") as fh:
@@ -858,11 +829,8 @@ def write_label_csv(seq: LabeledSequence, alphabet: StateAlphabet, path) -> None
 
 def write_runlength_csv(runs: RunSequence, alphabet: StateAlphabet, path) -> None:
     """Write a run-length CSV; durations are exact sample counts in seconds."""
+    _check_writable(runs, alphabet, int(runs.durations.max()), "the longest run")
     rate = runs.sampling_rate_hz
-    longest = int(runs.durations.max())
-    if not math.isfinite(longest / rate):  # before the file is opened
-        raise ValueError(f"the longest run, {longest} samples at {rate!r} Hz, "
-                         f"is not a finite number of seconds")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("state,duration_s\n")
         for state, dur in runs.runs:
@@ -981,7 +949,7 @@ def emit_histogram_csv(durations, bin_width_s: float, path, overlay: DwellFit, c
     Columns ``bin_left_s,bin_right_s,density,overlay_pdf``: sum(density) *
     bin_width is 1, and ``overlay_pdf`` holds the overlay fit's density at each
     bin midpoint, from one evaluation of its log-density over all midpoints.
-    At most MAX_HISTOGRAM_BINS bins are written.
+    At most MAX_HISTOGRAM_BINS bins are written, 4096 rows at a time.
     """
     arr = np.asarray(list(durations), dtype=float)
     if arr.size == 0:

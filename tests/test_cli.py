@@ -136,6 +136,22 @@ def test_simulate_non_string_cohort_is_data_error(tmp_path, capsys, cohort):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("name", ["PAU,X", " PAU", "PAU\n", "\ud800"])
+def test_simulate_a_name_the_readers_cannot_read_back_is_data_error(tmp_path, capsys, name):
+    model_path = tmp_path / "m.json"
+    write_model_json(success_model(), model_path)
+    model_path.write_text(model_path.read_text().replace('"PAU"', json.dumps(name)))
+    assert name in read_model_json(model_path).alphabet
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["simulate", "--model", str(model_path), "--patients", "2", "--duration-s", "60",
+               "--seed", "7", "--out-prefix", str(out / "sim")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "cannot be written" in err[0]
+    assert list(out.iterdir()) == []
+
+
 def test_simulate_requires_seed(tmp_path):
     model_path = tmp_path / "m.json"
     main(["fit", "--manifest", SUCCESS, "--model", "semi-markov", "--out", str(model_path)])

@@ -40,7 +40,13 @@ from semimarkov.io import (
     write_runlength_csv,
 )
 from semimarkov.presets import PATTERNS, success_model
-from semimarkov.sequences import LabeledSequence, build_alphabet, encode_runs
+from semimarkov.sequences import (
+    LabeledSequence,
+    RunSequence,
+    build_alphabet,
+    decode_runs,
+    encode_runs,
+)
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -349,6 +355,56 @@ def test_writer_refuses_times_past_a_double_and_writes_nothing(tmp_path, write):
     with pytest.raises(ValueError, match="not a finite number of seconds"):
         write(s if write is write_label_csv else encode_runs(s), AB, p)
     assert not p.exists()
+
+
+@pytest.mark.parametrize("write", [write_label_csv, write_runlength_csv])
+def test_writer_refuses_a_state_outside_the_alphabet_and_writes_nothing(tmp_path, write):
+    runs = RunSequence([0, 5], [2, 3], 2.0)
+    p = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match=r"state index 5 is outside the alphabet of 2 states"):
+        write(decode_runs(runs) if write is write_label_csv else runs, AB, p)
+    assert not p.exists()
+
+
+@pytest.mark.parametrize("name", ["A,B", ",", "A\rB", "A\nB", "A\r\n", " A", "A ", "\tA",
+                                  "A\x1c", "\u3000A", "A\x85", " ", "\ud800", "A\udfffB"])
+@pytest.mark.parametrize("write", [write_label_csv, write_runlength_csv])
+def test_writer_refuses_a_name_the_readers_cannot_read_back(tmp_path, write, name):
+    alphabet = build_alphabet((name, "B"))
+    s = seq([0, 0, 1, 1, 1, 0])
+    p = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="cannot be written to a CSV"):
+        write(s if write is write_label_csv else encode_runs(s), alphabet, p)
+    assert not p.exists()
+
+
+@pytest.mark.parametrize("name", ["A B", "", '"A"', "\u00e9t\u00e9", "A\x00", "A;B", "A\x0bB"])
+@pytest.mark.parametrize("kind", ["label", "runlength"])
+def test_names_next_to_the_refused_ones_read_back(tmp_path, kind, name):
+    alphabet = build_alphabet((name, "B"))
+    s = seq([0, 0, 1, 1, 1, 0], rate=2.0, id="n")
+    p = tmp_path / "n.csv"
+    if kind == "label":
+        write_label_csv(s, alphabet, p)
+        back = encode_runs(parse_label_csv(p, alphabet, 2.0))
+    else:
+        write_runlength_csv(encode_runs(s), alphabet, p)
+        back = parse_runlength_csv(p, alphabet, 2.0)
+    assert back.runs == encode_runs(s).runs
+
+
+@pytest.mark.parametrize("rate", [0.0, -2.0, math.nan, math.inf])
+@pytest.mark.parametrize("parse", [parse_label_csv, parse_runlength_csv])
+def test_readers_refuse_a_rate_that_is_not_finite_and_positive(tmp_path, parse, rate):
+    s = seq([0, 0, 1, 1, 1, 0])
+    p = tmp_path / "x.csv"
+    if parse is parse_label_csv:
+        write_label_csv(s, AB, p)
+    else:
+        write_runlength_csv(encode_runs(s), AB, p)
+    with pytest.raises(ValueError, match="sampling_rate_hz must be finite and positive") as exc:
+        parse(p, AB, rate)
+    assert type(exc.value) is ValueError
 
 
 class TestManifest:

@@ -135,8 +135,8 @@ def test_label_csv_in_small_blocks_matches_reference(cohort, tmp_path, monkeypat
         assert result == (runs.runs, RATE_HZ, runs.id)
 
 
-def _no_fallback(rows, n):
-    raise AssertionError("a time went to io._time_column")
+def _no_fallback(data, starts, commas):
+    raise AssertionError("a block's times went to io._float_times")
 
 
 @pytest.mark.parametrize("block_bytes", [None, SMALL_BLOCK_BYTES],
@@ -146,7 +146,7 @@ def test_written_times_never_take_the_fallback(cohort, tmp_path, monkeypatch, va
                                                block_bytes):
     # every time write_label_csv writes at 50 Hz is a decimal of at most 8
     # bytes, which io._decimal_times parses, whatever the line ends
-    monkeypatch.setattr(io, "_time_column", _no_fallback)
+    monkeypatch.setattr(io, "_float_times", _no_fallback)
     if block_bytes:
         monkeypatch.setattr(io, "_BLOCK_BYTES", block_bytes)
     change, alphabet = VARIANTS[variant]

@@ -1,11 +1,11 @@
 """The label CSV reader's time column: the decimal kernel and its fallback.
 
 ``io._decimal_times`` parses a block's times when each is 1 to 8 bytes of
-ASCII digits and at most one ".", and declines the block otherwise; a file
-with a declined row takes ``io._time_column`` (``np.loadtxt``, then
-``float()`` row by row) for its whole column.  Here the kernel is held to
-``float()`` bit for bit, and files it declines are held to the row-by-row
-reference, at the default block size and in blocks of 64 bytes.
+ASCII digits and at most one ".", and declines the block otherwise; a
+declined block's times are read by ``float()`` row by row
+(``io._float_times``).  Here the kernel is held to ``float()`` bit for bit,
+and files it declines, in whole or from a later block on, are held to the
+row-by-row reference, at the default block size and in blocks of 64 bytes.
 """
 
 import itertools
@@ -96,15 +96,21 @@ def test_kernel_declines(text):
 
 
 def _spy_on_fallback(monkeypatch):
+    """The time texts of each block that reaches ``float()``, in order."""
     calls = []
-    time_column = io._time_column
+    float_times = io._float_times
 
-    def spy(rows, n):
-        calls.append(n)
-        return time_column(rows, n)
+    def spy(data, starts, commas):
+        calls.append(io._texts(data, starts, commas))
+        return float_times(data, starts, commas)
 
-    monkeypatch.setattr(io, "_time_column", spy)
+    monkeypatch.setattr(io, "_float_times", spy)
     return calls
+
+
+def _blocks(path):
+    """The time texts of each block of the label CSV at ``path``."""
+    return [io._texts(b.data, b.starts, b.commas) for b in io._Rows(path, io._LABEL_HEADER)]
 
 
 def _labels(n):
@@ -123,7 +129,10 @@ def test_times_with_more_digits_take_the_fallback(tmp_path, monkeypatch, block_b
     outcome = _outcome(parse_label_csv, path, AB, rate)
     assert outcome == _outcome(reference_label_csv, path, AB, rate)
     assert outcome[0] == (encode_runs(seq).runs, rate, "p")
-    assert calls == [600]
+    # every block reaches float(), with all its rows
+    assert calls == _blocks(path)
+    assert sum(map(len, calls)) == 600
+    assert len(calls) > 1 if block_bytes else len(calls) == 1
 
 
 @pytest.mark.parametrize("block_bytes", [None, 64], ids=["default-blocks", "64-byte-blocks"])
@@ -142,11 +151,18 @@ def test_times_that_grow_past_8_bytes_switch_the_file_to_the_fallback(
     outcome = _outcome(parse_label_csv, path, AB, 50.0)
     assert outcome == _outcome(reference_label_csv, path, AB, 50.0)
     assert outcome[0] == (encode_runs(LabeledSequence(labels, 50.0)).runs, 50.0, "late")
-    assert calls == [len(times)]
+    # the blocks from the one that holds the first 9-byte time on reach float()
+    blocks, first = _blocks(path), next(i for i, t in enumerate(times) if len(t) > 8)
+    ends = itertools.accumulate(map(len, blocks))
+    late = [block for block, end in zip(blocks, ends) if end > first]
+    assert calls == late
+    assert len(late) < len(blocks) if block_bytes else len(blocks) == 1
 
 
-# texts that float() and numpy's loadtxt might read differently, each the
-# time of row 1 of a 1 Hz file: each file gives what the reference gives
+# texts that the kernel declines and float() reads or refuses (signs,
+# exponents, spaces and separators around a number, "_", other scripts, inf,
+# nan), each the time of row 1 of a 1 Hz file: each file gives what the
+# reference gives
 GRAMMAR = [
     "\x1c1", "1\x1d", "1\x1e", "\x1f1", " 1", "1 ", "\t1", "1\t", " \t1\t ", "1\x0b",
     "\x0c1", "1\xa0", "　1", "+1", "+1.0", "-1", "--1", "+-1", "1e0", "1E0", "10e-1",
@@ -163,3 +179,22 @@ def test_fallback_grammar_matches_the_reference(tmp_path, monkeypatch, text):
     outcome = _outcome(parse_label_csv, path, AB, 1.0)
     assert outcome == _outcome(reference_label_csv, path, AB, 1.0)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("text", GRAMMAR, ids=repr)
+def test_fallback_grammar_in_a_later_block_matches_the_reference(tmp_path, monkeypatch, text):
+    # the text is the time of row 40 of a 1 Hz file read in 64-byte blocks:
+    # the blocks ahead of it are the kernel's, and its block alone reaches
+    # float()
+    monkeypatch.setattr(io, "_BLOCK_BYTES", 64)
+    calls = _spy_on_fallback(monkeypatch)
+    texts = [f"{k}.0" for k in range(60)]
+    texts[40] = text
+    path = tmp_path / "g.csv"
+    path.write_bytes(HEADER + "".join(
+        f"{t},{'AB'[label]}\n" for t, label in zip(texts, _labels(60))).encode())
+    outcome = _outcome(parse_label_csv, path, AB, 1.0)
+    assert outcome == _outcome(reference_label_csv, path, AB, 1.0)
+    blocks = _blocks(path)
+    held = next(k for k, end in enumerate(itertools.accumulate(map(len, blocks))) if end > 40)
+    assert held > 0 and calls == [blocks[held]]
