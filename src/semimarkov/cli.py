@@ -138,25 +138,31 @@ def _cmd_report(args) -> int:
     manifest = read_manifest(args.manifest)
     seqs = load_sequences(manifest)
     table = durations_by_state([encode_runs(seq) for seq in seqs])
-    # every state's histogram must fit before the bootstrap runs or a file is written
+    prefix = Path(args.out_prefix)
+    hist_paths = {}
+    # every state's histogram must fit, in a file of the output directory,
+    # before the bootstrap runs or a file is written
     for state, (values, _) in table.items():
+        name = manifest.alphabet.name(state)
+        file = f"{prefix.name}_hist_{name}.csv"
+        if Path(file).name != file or "\0" in file:
+            raise ValueError(f"state {name!r}: histogram file name {file!r} is not one "
+                             f"file name in the output directory")
         try:
             histogram_bin_count(values.max(), args.bin_width)
         except ValueError as exc:
-            name = manifest.alphabet.name(state)
             raise ValueError(f"state {name}: {exc}; choose another --bin-width") from exc
+        hist_paths[state] = prefix.parent / file
     fractions = bootstrap_group_fractions(
         seqs, args.replicates, args.seed, manifest.alphabet
     )
     tail_fits = {}
-    prefix = Path(args.out_prefix)
     for state, (values, counts) in table.items():
         name = manifest.alphabet.name(state)
         overlay = fit_exponential(values, counts)
         tail_fits[name] = {"mu": overlay.params["mu"], "n_obs": overlay.n_obs}
-        hist_path = prefix.parent / f"{prefix.name}_hist_{name}.csv"
-        emit_histogram_csv(values, args.bin_width, hist_path, overlay, counts)
-        print(f"wrote {hist_path}")
+        emit_histogram_csv(values, args.bin_width, hist_paths[state], overlay, counts)
+        print(f"wrote {hist_paths[state]}")
     doc = {
         "group_label": manifest.group_label,
         "n_patients": len(seqs),

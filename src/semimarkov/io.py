@@ -29,12 +29,15 @@ the rows in one pass and raise the fault a row-by-row reader meets first;
 the writers refuse, before the file is opened, a state outside the alphabet
 and a name the readers could not read back (one holding a comma, a line end
 or a surrogate, which UTF-8 cannot encode, or with whitespace around it).
+A byte that is not UTF-8 fails with the file, line and byte that one decode
+of the bytes read names, and no file is read again to find them.
+``load_sequences`` picks the reader by a file's header line, read alone.
 
 Memory grows with a file's bytes and its runs, not with per-row objects: the
-sequence readers scan the file's bytes in blocks of about 128 KiB, each cut
-after a line end, keeping only per-run state from block to block, and the
-writers format 4096 rows at a time.  Each function's docstring gives its
-figure.
+sequence readers scan the file's bytes in blocks that end just past the first
+line end at or beyond 128 KiB, keeping only per-run state from block to
+block, and the writers format 4096 rows at a time.  Each function's docstring
+gives its figure.
 """
 
 from __future__ import annotations
@@ -113,27 +116,29 @@ def write_json(obj, path) -> None:
     Path(path).write_text(canonical_json(obj), encoding="ascii")
 
 
-def _not_utf8(path, exc: UnicodeDecodeError) -> str:
-    """Message naming the file, and the line of its first byte that is not UTF-8.
-
-    A text stream reports ``exc`` relative to the chunk it was decoding, so
-    the file is decoded again in full to find the line.
-    """
-    data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as first:
-        head = data[: first.start]  # lines end in LF, CRLF or CR
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        return f"{path}:{line}: not valid UTF-8: {first.reason} (byte {first.start})"
-    return f"{path}: not valid UTF-8: {exc.reason}"  # changed after the failed read
+def _require_utf8(path, data: bytes, error: type[SemiMarkovError]) -> None:
+    """Raise ``error`` naming ``path`` and the line (LF, CR and CRLF end one)
+    and byte of the first byte of ``data`` that is not UTF-8, as one decode of
+    all of ``data`` names them; the decoder takes a block at a time."""
+    if data.isascii():
+        return
+    decoder, view = codecs.getincrementaldecoder("utf-8")(), memoryview(data)
+    for lo in range(0, len(data), _BLOCK_BYTES):
+        held = len(decoder.getstate()[0])
+        try:
+            decoder.decode(view[lo:lo + _BLOCK_BYTES], final=lo + _BLOCK_BYTES >= len(data))
+        except UnicodeDecodeError as exc:
+            at = lo - held + exc.start  # held: a cut character's bytes, from before lo
+            crlf = data.count(b"\r\n", 0, at)
+            line = 1 + data.count(b"\n", 0, at) + data.count(b"\r", 0, at) - crlf
+            raise error(f"{path}:{line}: not valid UTF-8: {exc.reason} (byte {at})") from None
 
 
 def read_json(path):
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise MalformedJsonError(_not_utf8(path, exc)) from None
+    data = Path(path).read_bytes()
+    _require_utf8(path, data, MalformedJsonError)
+    try:  # with LF line ends, as text mode reads them, for the error positions
+        return json.loads(data.decode().replace("\r\n", "\n").replace("\r", "\n"))
     # ValueError: not JSON, or an integer past Python's digit limit;
     # RecursionError: nesting deeper than the interpreter's stack
     except (ValueError, RecursionError) as exc:
@@ -274,33 +279,11 @@ def _after_line_end(data: bytes, k: int) -> int:
 
 
 def _block_end(data: bytes, pos: int) -> int:
-    """Where the block of ``data`` that starts at ``pos`` ends: just past its
-    last line end within _BLOCK_BYTES, else past the first line end beyond
-    them, else at the end of the data."""
-    stop = pos + _BLOCK_BYTES
-    if stop >= len(data):
-        return len(data)
-    k = max(data.rfind(b"\n", pos, stop), data.rfind(b"\r", pos, stop))
-    if k < 0:
-        found = _LINE_END.search(data, stop)
-        if found is None:
-            return len(data)
-        k = found.start()
-    return _after_line_end(data, k)
-
-
-def _check_utf8(path, data: bytes) -> None:
-    """MalformedCsvError naming the line of the first byte that is not UTF-8;
-    a block is decoded at a time."""
-    if data.isascii():
-        return
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    view = memoryview(data)
-    try:
-        for lo in range(0, len(data), _BLOCK_BYTES):
-            decoder.decode(view[lo:lo + _BLOCK_BYTES], final=lo + _BLOCK_BYTES >= len(data))
-    except UnicodeDecodeError as exc:
-        raise MalformedCsvError(_not_utf8(path, exc)) from None
+    """Where the block of ``data`` that starts at ``pos`` ends: just past the
+    first line end at or beyond ``pos + _BLOCK_BYTES`` (a CRLF pair whole, so
+    one that straddles that offset too), else at the end of the data."""
+    found = _LINE_END.search(data, pos + _BLOCK_BYTES)
+    return len(data) if found is None else _after_line_end(data, found.start())
 
 
 class _Block(NamedTuple):
@@ -354,23 +337,25 @@ def _scan(data: bytes, begin: int, end: int):
 
 
 class _Rows:
-    """The data rows of a sequence CSV, scanned in blocks of about
-    _BLOCK_BYTES bytes, each cut after a line end.
+    """The data rows of a sequence CSV, scanned in blocks that each end just
+    past the first line end at or beyond _BLOCK_BYTES bytes (``_block_end``).
 
-    Building one checks the file: valid UTF-8, not empty, the expected
-    header.  Iterating yields each block's rows as a ``_Block``; blank lines
-    are skipped but counted.  The rows stop before the first row that does
-    not hold exactly two fields, and the iteration after the rows ahead of it
-    raises its error, so the caller checks those rows first, as a row-by-row
-    reader would.  A file with no data rows raises when the scan ends.  Beyond
-    the file's bytes, no array spans more than one block and no per-row
-    object is built: a block is copied only to make its line ends ``"\\n"``.
+    Building one reads the file's bytes once and checks them: valid UTF-8 (a
+    fault names the line and byte that one decode of those bytes names), not
+    empty, the expected header.  Iterating yields each block's rows as a
+    ``_Block``; blank lines are skipped but counted.  The rows stop before the
+    first row that does not hold exactly two fields, and the iteration after
+    the rows ahead of it raises its error, so the caller checks those rows
+    first, as a row-by-row reader would.  A file with no data rows raises when
+    the scan ends.  Beyond the file's bytes, no array spans more than one
+    block and no per-row object is built: a block is copied only to make its
+    line ends ``"\\n"``.
     """
 
     def __init__(self, path, header: tuple[str, str]) -> None:
         self.path = path
         self.data = data = Path(path).read_bytes()
-        _check_utf8(path, data)
+        _require_utf8(path, data, MalformedCsvError)
         if not data:
             raise MalformedCsvError(f"{path}: empty file")
         found = _LINE_END.search(data)  # lines end in LF, CRLF or CR
@@ -413,13 +398,9 @@ def _texts(data: bytes, lo: np.ndarray, hi: np.ndarray) -> list[str]:
     return [data[a:b].decode() for a, b in zip(lo.tolist(), hi.tolist())]
 
 
-def _each_byte(b: int) -> np.uint64:
-    """The 64-bit word whose eight bytes are all ``b``."""
-    return np.uint64(b * 0x0101010101010101)
-
-
-_ASCII_0, _DOT, _HIGH_NIBBLES, _LOW7, _SIX, _ONES = map(
-    _each_byte, (0x30, 0x2E, 0xF0, 0x7F, 0x06, 0x01))
+# 64-bit words whose eight bytes are all one byte
+_ASCII_0, _DOT, _HIGH_NIBBLES, _LOW7, _SIX, _ONES = (
+    np.uint64(b * 0x0101010101010101) for b in (0x30, 0x2E, 0xF0, 0x7F, 0x06, 0x01))
 _ALL_BITS = np.uint64(2**64 - 1)
 _LONE_DOT = np.uint64(0x2E30303030303030)  # "." padded with "0"s, as "0." is
 _TWO_DOTS = np.uint64(2 << 56)
@@ -696,30 +677,29 @@ def parse_runlength_csv(path, alphabet: StateAlphabet, sampling_rate_hz: float) 
 
 
 def _sniff_header(path) -> tuple[str, ...]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            first = fh.readline()
-    except UnicodeDecodeError as exc:
-        raise MalformedCsvError(_not_utf8(path, exc)) from None
-    return _header(first)
+    """The header of a sequence CSV, read and checked from its first line alone."""
+    with open(path, "rb") as fh:
+        first = fh.readline()  # to the first LF: with CR line ends, the whole file
+    found = _LINE_END.search(first)
+    # with its line end, so that a character the line end cuts fails as in the file
+    first = first if found is None else first[:found.start() + 1]
+    _require_utf8(path, first, MalformedCsvError)
+    return _header(first.decode())
 
 
 def load_sequences(manifest: CohortManifest) -> list[LabeledSequence]:
     """Load every patient file in a manifest as labeled sequences.
 
-    The format of each file is recognized by its header; run-length files
-    are quantized onto the manifest's sampling grid.
+    The format of each file is recognized by its header line, read alone;
+    run-length files are quantized onto the manifest's sampling grid.
     """
-    out = []
+    out, alphabet, rate = [], manifest.alphabet, manifest.sampling_rate_hz
     for p in manifest.resolved_paths():
         header = _sniff_header(p)
         if header == _LABEL_HEADER:
-            out.append(parse_label_csv(p, manifest.alphabet, manifest.sampling_rate_hz))
+            out.append(parse_label_csv(p, alphabet, rate))
         elif header == _RUNLENGTH_HEADER:
-            runs = parse_runlength_csv(
-                p, manifest.alphabet, sampling_rate_hz=manifest.sampling_rate_hz
-            )
-            out.append(decode_runs(runs))
+            out.append(decode_runs(parse_runlength_csv(p, alphabet, rate)))
         else:
             raise MalformedCsvError(
                 f"{p}: unrecognized header {','.join(header)!r}; expected "

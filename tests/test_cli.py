@@ -18,7 +18,7 @@ from semimarkov.io import (
     write_model_json,
 )
 from semimarkov.presets import PATTERNS, success_model
-from semimarkov.sequences import decode_runs, durations_by_state, encode_runs
+from semimarkov.sequences import build_alphabet, decode_runs, durations_by_state, encode_runs
 from semimarkov.simulate import SimulationConfig, simulate_cohort
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "synthetic"
@@ -625,6 +625,27 @@ def test_report_replicates_over_the_limit_writes_nothing(tmp_path, capsys):
     assert err == ["error: n_replicates must be from 1 to 1000000, got 10000000000000"]
     assert "wrote" not in captured.out
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["a/b", "x\u0000y", "../x", "a/../../x"])
+def test_report_refuses_a_state_name_that_is_not_one_file_name(tmp_path, capsys, name):
+    # "B"'s histogram comes first and would be written before the bad name's
+    (tmp_path / "p.csv").write_text(f"state,duration_s\nB,1.0\n{name},2.0\n", encoding="utf-8")
+    write_manifest(CohortManifest("g", 1.0, build_alphabet(["B", name]), ["p.csv"], tmp_path),
+                   tmp_path / "m.json")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "r_hist_a").mkdir()  # where "a/../../x" would otherwise resolve outside out
+    rc = main(["report", "--manifest", str(tmp_path / "m.json"), "--seed", "1",
+               "--replicates", "10", "--out-prefix", str(out / "r")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: state {name!r}: histogram file name")
+    assert "wrote" not in captured.out
+    assert sorted(p.name for p in out.iterdir()) == ["r_hist_a"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "out", "p.csv"]
+    assert not list((out / "r_hist_a").iterdir())
 
 
 def _epsilon_usage_error_writes_nothing(tmp_path, capsys, command, epsilon):

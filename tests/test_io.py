@@ -2,6 +2,7 @@ import json
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -293,6 +294,93 @@ def test_csv_that_is_not_utf8_in_small_blocks(tmp_path, monkeypatch, header, par
         parse(p)
     assert str(blocks.value) == str(whole.value)
     assert str(whole.value).startswith(f"{p}:32: not valid UTF-8: invalid start byte")
+
+
+# pieces of a file that is not UTF-8: ASCII, 2-4-byte characters, faults (a
+# stray byte, cut or overlong characters, a surrogate, a code point past
+# U+10FFFF) and LF, CRLF and CR line ends
+UTF8_PIECES = st.sampled_from([
+    b"time_s,state", b"0.5,A", b"x", b",", b" ", b"\xc3\xa9", b"\xe2\x82\xac",
+    b"\xf0\x9f\x98\x80", b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98",
+    b"\xc0\xaf", b"\xed\xa0\x80", b"\xf4\x90\x80\x80", b"\n", b"\r\n", b"\r",
+])
+
+
+def _whole_decode_fault(path, data: bytes) -> str:
+    """The message one ``bytes.decode`` of the whole file implies."""
+    with pytest.raises(UnicodeDecodeError) as fault:
+        data.decode("utf-8")
+    head = data[:fault.value.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    line = head.count(b"\n") + 1
+    return f"{path}:{line}: not valid UTF-8: {fault.value.reason} (byte {fault.value.start})"
+
+
+@given(pieces=st.lists(UTF8_PIECES, max_size=40), block=st.sampled_from([1, 2, 3, 5, 64]),
+       at=st.integers(0, 40), fault=st.sampled_from([b"\xff", b"\xe2\x82", b"\xed\xa0\x80"]))
+def test_utf8_fault_is_named_as_a_whole_file_decode_names_it(
+        tmp_path_factory, pieces, block, at, fault):
+    pieces.insert(min(at, len(pieces)), fault)
+    data = b"".join(pieces)
+    p = tmp_path_factory.mktemp("utf8") / "f.csv"
+    p.write_bytes(data)
+    message = _whole_decode_fault(p, data)
+    with mock.patch.object(io_module, "_BLOCK_BYTES", block):
+        for read, error in [(io_module.read_json, MalformedJsonError),
+                            (lambda q: parse_label_csv(q, AB, 1.0), MalformedCsvError),
+                            (lambda q: parse_runlength_csv(q, AB, 1.0), MalformedCsvError)]:
+            with pytest.raises(error) as raised:
+                read(p)
+            assert type(raised.value) is error and str(raised.value) == message
+
+
+def _manifest_of(path) -> CohortManifest:
+    return CohortManifest("g", 1.0, AB, (path.name,), path.parent)
+
+
+@pytest.mark.parametrize("offset", [100, 20_000])  # inside and past an 8 KiB text buffer
+def test_unknown_header_is_reported_whatever_follows_it(tmp_path, offset):
+    body = "".join(f"{i}.0,A\n" for i in range(5000)).encode()
+    p = tmp_path / "f.csv"
+    p.write_bytes(b"time,state\n" + body[:offset] + b"\xff" + body[offset:])
+    with pytest.raises(MalformedCsvError) as raised:
+        load_sequences(_manifest_of(p))
+    assert str(raised.value) == (f"{p}: unrecognized header 'time,state'; expected "
+                                 f"'time_s,state' or 'state,duration_s'")
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+@pytest.mark.parametrize("cut", [b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98"])
+def test_header_character_cut_by_its_line_end(tmp_path, end, cut):
+    data = b"time_s,st" + cut + end + b"0.0,A" + end + b"1.0,\xff" + end
+    p = tmp_path / "f.csv"
+    p.write_bytes(data)
+    message = _whole_decode_fault(p, data)
+    assert message == f"{p}:1: not valid UTF-8: invalid continuation byte (byte 9)"
+    for read in (lambda: load_sequences(_manifest_of(p)), lambda: parse_label_csv(p, AB, 1.0)):
+        with pytest.raises(MalformedCsvError) as raised:
+            read()
+        assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+def test_json_error_counts_crlf_and_cr_as_one_line_end(tmp_path, end):
+    text = '{\n"a": 1,\n"b": [1, 2,\n]}\n'
+    p = tmp_path / "m.json"
+    p.write_bytes(text.replace("\n", end).encode())
+    with pytest.raises(MalformedJsonError) as raised:
+        io_module.read_json(p)
+    assert str(raised.value) == f"{p}: Expecting value: line 4 column 1 (char 22)"
+
+
+def test_block_ends_past_the_first_line_end_at_or_beyond_block_bytes(monkeypatch):
+    monkeypatch.setattr(io_module, "_BLOCK_BYTES", 8)
+    straddle = b"1.0,AAA\r\n2.0,A\n"  # its CRLF pair is bytes 7 and 8
+    assert io_module._block_end(straddle, 0) == 9
+    assert io_module._block_end(b"x" + straddle, 1) == 10
+    long = b"1.0,ABCDEFGHIJKLMNOP\n2.0,A\n"  # its first line is longer than a block
+    assert io_module._block_end(long, 0) == 21
+    assert io_module._block_end(long, 21) == len(long)  # no line end 8 bytes on
+    assert io_module._block_end(b"1.0,AAA\r\r2.0,A\n", 0) == 9  # two lone CRs, two line ends
 
 
 class TestRunlengthCsv:
