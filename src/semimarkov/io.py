@@ -678,11 +678,16 @@ def parse_runlength_csv(path, alphabet: StateAlphabet, sampling_rate_hz: float) 
 
 def _sniff_header(path) -> tuple[str, ...]:
     """The header of a sequence CSV, read and checked from its first line alone."""
+    chunks = []  # a block at a time, up to the first LF or CR
     with open(path, "rb") as fh:
-        first = fh.readline()  # to the first LF: with CR line ends, the whole file
-    found = _LINE_END.search(first)
-    # with its line end, so that a character the line end cuts fails as in the file
-    first = first if found is None else first[:found.start() + 1]
+        while chunk := fh.read(_BLOCK_BYTES):
+            found = _LINE_END.search(chunk)
+            if found is not None:
+                # with its line end, so that a character the line end cuts fails as in the file
+                chunks.append(chunk[:found.start() + 1])
+                break
+            chunks.append(chunk)
+    first = b"".join(chunks)
     _require_utf8(path, first, MalformedCsvError)
     return _header(first.decode())
 

@@ -362,6 +362,36 @@ def test_header_character_cut_by_its_line_end(tmp_path, end, cut):
         assert str(raised.value) == message
 
 
+def test_header_of_a_cr_only_file_is_sniffed_from_one_chunk(tmp_path, monkeypatch):
+    p = tmp_path / "f.csv"
+    p.write_bytes(b"time_s,state\r" + "".join(f"{i}.0,A\r" for i in range(110_000)).encode())
+    assert p.stat().st_size > 1_000_000
+    read = []
+
+    class Counted:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def read(self, size=-1):
+            read.append(len(data := self.fh.read(size)))
+            return data
+
+        def readline(self, size=-1):
+            read.append(len(data := self.fh.readline(size)))
+            return data
+
+    monkeypatch.setattr(io_module, "open", lambda path, mode: Counted(open(path, mode)),
+                        raising=False)
+    assert io_module._sniff_header(p) == ("time_s", "state")
+    assert 0 < sum(read) <= io_module._BLOCK_BYTES
+
+
 @pytest.mark.parametrize("end", ["\r\n", "\r"])
 def test_json_error_counts_crlf_and_cr_as_one_line_end(tmp_path, end):
     text = '{\n"a": 1,\n"b": [1, 2,\n]}\n'
