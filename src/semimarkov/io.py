@@ -5,12 +5,13 @@ produce byte-identical files (the determinism contract the CLI tests rely
 on).  JSON is emitted by ``json.dumps`` with sorted keys and no whitespace,
 and every float, in JSON and CSV alike, is printed as ``repr`` prints it: the
 shortest text that round-trips the double, which always holds a "." or an
-"e", so a float never reparses as an int.  Label CSV times that are short
-decimals take exact numpy kernels instead, with the same bytes and values: a
-block of them is printed from its digits (``_decimal_rows``) and, at most 8
-bytes each, parsed from them (``_decimal_times``); any other block goes
-through ``repr`` and ``float()``.  A model file reads back as the
-``SemiMarkovModel`` the fitters return; a DTMC file is one with no dwell fits.
+"e", so a float never reparses as an int.  Short decimals take exact numpy
+kernels instead, with the same bytes and values: a block of label CSV times
+is printed from its digits (``_decimal_rows``), and one of times or
+durations, at most 8 bytes each, parsed from them (``_decimal_times``); any
+other block goes through ``repr`` and ``float()``.  A model file reads back
+as the ``SemiMarkovModel`` the fitters return; a DTMC file is one with no
+dwell fits.
 
 Two sequence formats exist because the sampling rate of per-sample label
 streams matters for DTMC fitting but not for semi-Markov fitting:
@@ -25,7 +26,8 @@ it fails as a bad time or duration, an unknown state or a wrong field count,
 and the error names its ``path:line`` instead of the field being misparsed.
 For the same reason no field length limit applies, and a NUL character fails
 the time or state check like any other stray character.  The readers check
-the rows in one pass and raise the fault a row-by-row reader meets first;
+the rows in one pass over each block's fields (``_field_pass``) and raise
+the fault a row-by-row reader meets first, the first in the file;
 the writers refuse, before the file is opened, a state outside the alphabet
 and a name the readers could not read back (one holding a comma, a line end
 or a surrogate, which UTF-8 cannot encode, or with whitespace around it).
@@ -413,32 +415,33 @@ _COMBINE = tuple(tuple(map(np.uint64, step)) for step in (
 _DIVISORS = 10.0 ** np.arange(8, -1, -1)  # 10**(8 - p), p bytes ahead of the "."
 
 
-def _decimal_times(data: bytes, starts: np.ndarray, commas: np.ndarray) -> np.ndarray | None:
-    """The times ``data[starts[i]:commas[i]]``, or None unless every one is 1
-    to 8 bytes of ASCII digits and at most one ".", with a digit.
+def _decimal_times(data: bytes, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
+    """The numbers ``data[lo[i]:hi[i]]``, each ``hi`` at least 8 bytes in, or
+    None unless every one is 1 to 8 bytes of ASCII digits and at most one
+    ".", with a digit.
 
-    Each row's 8 bytes that end at its comma are read as one little-endian
-    word, the bytes ahead of the time are set to "0", and the "." is found by
-    an exact zero-byte test and dropped.  The digits combine into k < 10**8
-    by three mask-multiply-shift steps, and the time is k / 10**f, f the
+    The 8 bytes that end at each ``hi`` are read as one little-endian word,
+    the bytes ahead of the number are set to "0", and the "." is found by an
+    exact zero-byte test and dropped.  The digits combine into k < 10**8
+    by three mask-multiply-shift steps, and the number is k / 10**f, f the
     digits after the ".".  Both are exact doubles, so the quotient is the
     decimal correctly rounded, which is what ``float()`` returns.  Everything
     else ``float()`` reads (signs, exponents, spaces, "_", other digits,
     "inf", "nan"), and the texts "." and "0." alike, is declined.  Beyond
-    the times, memory is two words a row.
+    the numbers, memory is two words a row.
     """
-    scratch = commas - 8  # every comma is at least 8 bytes in
+    scratch = hi - 8
     word = np.ndarray(len(data) - 7, "<u8", data, strides=(1,))[scratch]
-    np.subtract(commas, starts, out=scratch)
+    np.subtract(hi, lo, out=scratch)
     if scratch.min() < 1 or scratch.max() > 8:
         return None
     mask = scratch.view(np.uint64)
     np.subtract(8, mask, out=mask)
     mask <<= np.uint64(3)
-    np.left_shift(_ALL_BITS, mask, out=mask)  # the time's bytes
+    np.left_shift(_ALL_BITS, mask, out=mask)  # the number's bytes
     word ^= _ASCII_0
     word &= mask
-    word ^= _ASCII_0  # "0" ahead of the time
+    word ^= _ASCII_0  # "0" ahead of the number
     if (word == _LONE_DOT).any():
         return None
     # the exact zero-byte test on word ^ _DOT, whose top bits are word's: the
@@ -485,92 +488,74 @@ def _decimal_times(data: bytes, starts: np.ndarray, commas: np.ndarray) -> np.nd
     return times
 
 
-def _float_times(data: bytes, starts: np.ndarray, commas: np.ndarray) -> np.ndarray:
-    """The times ``data[starts[i]:commas[i]]`` as ``float()`` reads them, up
-    to the first one it refuses: the result is shorter than ``starts``
-    exactly when one does."""
-    times = np.empty(starts.size)
-    for i, text in enumerate(_texts(data, starts, commas)):
+def _float_times(data: bytes, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The numbers ``data[lo[i]:hi[i]]`` as ``float()`` reads them, up to the
+    first one it refuses: the result is shorter than ``lo`` exactly when one
+    does."""
+    numbers = np.empty(lo.size)
+    for i, text in enumerate(_texts(data, lo, hi)):
         try:
-            times[i] = float(text)
+            numbers[i] = float(text)
         except ValueError:
-            return times[:i]
-    return times
+            return numbers[:i]
+    return numbers
 
 
-def _run_heads(data: bytes, commas: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """The rows whose second field, ``data[commas + 1:ends]``, differs from
-    the row before's, row 0 and every empty field included.
+def _run_heads(data: bytes, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The rows whose field ``data[lo:hi]`` differs from the row before's,
+    row 0 and every empty field included.
 
     The rows are grouped by field length, and each group's fields are
     gathered once as byte strings of that length, so no array holds more than
     those fields' own bytes.  numpy compares byte strings of one length byte
     for byte.
     """
-    lens = ends - commas
-    lens -= 1
+    lens = hi - lo
     head = np.ones(lens.size, bool)
     if lens.min() == lens.max():  # one length, as with names of one length
         if lens[0]:
-            fields = _fields(data, int(lens[0]), commas)
+            fields = _fields(data, int(lens[0]), lo)
             head[1:] = fields[1:] != fields[:-1]
         return np.flatnonzero(head)
     order = np.argsort(lens, kind="stable")  # the rows of each length, in file order
     for rows in np.split(order, np.flatnonzero(np.diff(lens[order])) + 1):
         width = int(lens[rows[0]])
         if width:
-            fields = _fields(data, width, commas[rows])
+            fields = _fields(data, width, lo[rows])
             head[rows[1:]] = (np.diff(rows) != 1) | (fields[1:] != fields[:-1])
     return np.flatnonzero(head)
 
 
-def _fields(data: bytes, width: int, commas: np.ndarray) -> np.ndarray:
-    """The ``width`` bytes after each comma, as byte strings."""
-    return np.ndarray(len(data) - width, f"S{width}", data, 1, strides=(1,))[commas]
+def _fields(data: bytes, width: int, lo: np.ndarray) -> np.ndarray:
+    """The ``width`` bytes from each offset in ``lo``, as byte strings."""
+    return np.ndarray(len(data) - width + 1, f"S{width}", data, 0, strides=(1,))[lo]
 
 
-def _label_runs(rows: _Rows, alphabet: StateAlphabet):
-    """The runs of a label CSV's rows, in one pass of its blocks: the rows
-    where the state field's text changes (each a run's first row) and their
-    state ids, the times, the row count, and the error of the first
-    non-finite time (None if there is none).  A bad time or an unknown state
-    raises as a row-by-row reader meets it, in a row the time first.
-    """
-    index = {name: i for i, name in enumerate(alphabet.states)}
-    heads, states, times = [], [], []  # per block; _Rows yields one at least or raises
-    last = nonfinite = None  # last: the state field of the last row scanned
-    n = 0
-    for block in rows:
-        data, starts, commas, ends = block.data, block.starts, block.commas, block.ends
-        block_times = _decimal_times(data, starts, commas)
-        if block_times is None:
-            block_times = _float_times(data, starts, commas)
-            bad = np.flatnonzero(~np.isfinite(block_times))  # the kernel's are finite
-            if nonfinite is None and bad.size:
-                j = int(bad[0])
-                nonfinite = MalformedCsvError(
-                    f"{block.at(j)}: non-finite time {data[starts[j]:commas[j]].decode()!r}")
-        block_heads = _run_heads(data, commas, ends)
-        if data[commas[0] + 1:ends[0]] == last:
-            block_heads = block_heads[1:]  # the run goes on from the block before
-        names = [name.strip() for name in _texts(data, commas[block_heads] + 1, ends[block_heads])]
-        block_states = np.array([index.get(name, -1) for name in names], np.int64)
-        unknown = np.flatnonzero(block_states < 0)
-        i = block_times.size  # the first row whose time float() refuses, if any
-        if i < commas.size and not (unknown.size and block_heads[unknown[0]] < i):
-            raise MalformedCsvError(
-                f"{block.at(i)}: bad time {data[starts[i]:commas[i]].decode()!r}")
-        if unknown.size:
-            k = int(unknown[0])
-            raise UnknownStateError(
-                f"{block.at(block_heads[k])}: state {names[k]!r} not in alphabet")
-        heads.append(block_heads + block.first)
-        states.append(block_states)
-        times.append(block_times)
-        last = data[commas[-1] + 1:ends[-1]]
-        n = block.first + commas.size
-        del block, data, starts, commas, ends  # before the next block is scanned
-    return np.concatenate(heads), np.concatenate(states), np.concatenate(times), n, nonfinite
+def _field_pass(block: _Block, names, numbers, alphabet: StateAlphabet, what: str):
+    """One pass over a block's state names, at the offsets ``names`` (lo,
+    hi), and its numbers, at ``numbers``: the rows where the name's text
+    changes (row 0 included) and their states (-1 if not in ``alphabet``), the
+    numbers of the rows ahead of the block's first fault, and its error, or
+    None.  A fault is a number ``float()`` refuses (a bad ``what``) or an
+    unknown state, whichever comes first in the file."""
+    data, index = block.data, {name: i for i, name in enumerate(alphabet.states)}
+    values = _decimal_times(data, *numbers)
+    if values is None:
+        values = _float_times(data, *numbers)
+    heads = _run_heads(data, *names)
+    texts = [name.strip() for name in _texts(data, names[0][heads], names[1][heads])]
+    states = np.array([index.get(name, -1) for name in texts], np.int64)
+    fault, stop, at = None, values.size, len(data)  # the first fault's row and offset
+    if stop < numbers[0].size:  # float() refused the number of row stop
+        at = numbers[0][stop]
+        fault = MalformedCsvError(
+            f"{block.at(stop)}: bad {what} {data[at:numbers[1][stop]].decode()!r}")
+    unknown = np.flatnonzero(states < 0)
+    if unknown.size and names[0][heads[unknown[0]]] < at:
+        k = int(unknown[0])
+        stop = int(heads[k])
+        fault = UnknownStateError(f"{block.at(stop)}: state {texts[k]!r} not in alphabet")
+    return heads, states, values[:stop], fault
 
 
 def parse_label_csv(path, alphabet: StateAlphabet, sampling_rate_hz: float) -> LabeledSequence:
@@ -580,22 +565,39 @@ def parse_label_csv(path, alphabet: StateAlphabet, sampling_rate_hz: float) -> L
     Timestamps must ascend with uniform spacing (tolerance 1e-6 s), and the
     rate that spacing implies must match ``sampling_rate_hz`` (the manifest's)
     to a relative 1e-6.  The sequence carries ``sampling_rate_hz``, which is
-    exact where the text timestamps are rounded.  Times are parsed as
-    ``float()`` parses them, a block at a time: when every time of the block
-    is a decimal of at most 8 bytes (digits and one "."), exactly in numpy
-    (``_decimal_times``), otherwise by ``float()`` row by row.  Each state
-    name is looked up once per run of rows that spell it alike.  Memory
+    exact where the text timestamps are rounded.  Each block's fields are
+    read in one pass (``_field_pass``): times as ``float()`` parses them,
+    exactly in numpy when every time of the block is a decimal of at most 8
+    bytes (digits and one "."), otherwise by ``float()`` row by row, and each
+    state name looked up once per run of rows that spell it alike.  Memory
     beyond the file's bytes is one block, 8 bytes per row for the times (16
     while they are joined), and the runs.
     """
     _check_rate(sampling_rate_hz)
-    rows = _Rows(path, _LABEL_HEADER)
-    heads, states, times, n, nonfinite = _label_runs(rows, alphabet)
+    heads, states, times = [], [], []  # per block; _Rows yields one at least or raises
+    nonfinite = None  # the error of the first NaN or infinite time
+    for block in _Rows(path, _LABEL_HEADER):
+        starts, commas = block.starts, block.commas
+        block_heads, block_states, block_times, fault = _field_pass(
+            block, (commas + 1, block.ends), (starts, commas), alphabet, "time")
+        if fault is not None:
+            raise fault
+        bad = np.flatnonzero(~np.isfinite(block_times))
+        if nonfinite is None and bad.size:
+            j = int(bad[0])
+            nonfinite = MalformedCsvError(f"{block.at(j)}: non-finite time "
+                                          f"{block.data[starts[j]:commas[j]].decode()!r}")
+        heads.append(block_heads + block.first)
+        states.append(block_states)
+        times.append(block_times)
+        # before the next block is scanned; after the last, the file's bytes
+        # go with the rows, before the spacing takes 8 bytes a row
+        del block, starts, commas
     # NaN compares false, so the spacing checks below would not catch it
     if nonfinite is not None:
         raise nonfinite
-    del rows  # the file's bytes, before the spacing takes 8 bytes a row
-    if n >= 2:
+    heads, states, times = np.concatenate(heads), np.concatenate(states), np.concatenate(times)
+    if times.size >= 2:
         spacing = np.diff(times)
         if spacing.min() <= 0:
             raise NonUniformSamplingError(f"{path}: timestamps must strictly ascend")
@@ -610,42 +612,36 @@ def parse_label_csv(path, alphabet: StateAlphabet, sampling_rate_hz: float) -> L
                 f"{path}: spacing implies {inferred:.6g} Hz but the manifest "
                 f"says {sampling_rate_hz:.6g} Hz"
             )
-    # rows that spell one state differently (" A" after "A") join one run
+    # rows that spell one state differently (" A" after "A"), and a run that
+    # a block edge cuts, join one run
     keep = np.append(True, states[1:] != states[:-1])
-    heads, states = heads[keep], states[keep]
-    runs = RunSequence(states, np.diff(heads, append=n), sampling_rate_hz, Path(path).stem)
-    return decode_runs(runs)
+    durations = np.diff(heads[keep], append=times.size)
+    return decode_runs(RunSequence(states[keep], durations, sampling_rate_hz, Path(path).stem))
 
 
 def parse_runlength_csv(path, alphabet: StateAlphabet, sampling_rate_hz: float) -> RunSequence:
     """Read a run-length CSV (header ``state,duration_s``), whose id is the
     file's stem.
 
-    Durations are quantized to samples by rounding half-up with a one-sample
+    Durations and states are read as ``parse_label_csv`` reads times and
+    states, and quantized to samples by rounding half-up with a one-sample
     floor.  Adjacent rows with equal states are merged (in seconds, before
     quantization) with a normalization warning.  Memory beyond the file's
     bytes is one block and the runs.
     """
     _check_rate(sampling_rate_hz)
-    rows = _Rows(path, _RUNLENGTH_HEADER)
-    index = {name: i for i, name in enumerate(alphabet.states)}
     states: list[int] = []
     seconds: list[float] = []
     durations: list[int] = []
     total = 0  # samples in all runs so far
     merged = False
-    for block in rows:
-        names = _texts(block.data, block.starts, block.commas)
-        texts = _texts(block.data, block.commas + 1, block.ends)
-        for i, (name, text) in enumerate(zip(names, texts)):
-            name = name.strip()
-            state = index.get(name)
-            if state is None:
-                raise UnknownStateError(f"{block.at(i)}: state {name!r} not in alphabet")
-            try:
-                dur = float(text)
-            except ValueError:
-                raise MalformedCsvError(f"{block.at(i)}: bad duration {text!r}") from None
+    for block in _Rows(path, _RUNLENGTH_HEADER):
+        starts, commas, ends = block.starts, block.commas, block.ends
+        heads, names, values, fault = _field_pass(
+            block, (starts, commas), (commas + 1, ends), alphabet, "duration")
+        row_states = np.repeat(names, np.diff(heads, append=commas.size))
+        # the rows ahead of the block's fault, where values stops
+        for i, (state, dur) in enumerate(zip(row_states.tolist(), values.tolist())):
             if not dur > 0:
                 raise NonPositiveDurationError(f"{block.at(i)}: duration {dur!r} not > 0")
             if states and states[-1] == state:
@@ -662,11 +658,13 @@ def parse_runlength_csv(path, alphabet: StateAlphabet, sampling_rate_hz: float) 
             # infinite duration fails too
             if not total + run < _INT64_LIMIT:
                 raise MalformedCsvError(
-                    f"{block.at(i)}: duration {text!r} is non-finite or takes the "
-                    f"sample count past int64 at {sampling_rate_hz:g} Hz"
+                    f"{block.at(i)}: duration {block.data[commas[i] + 1:ends[i]].decode()!r} is "
+                    f"non-finite or takes the sample count past int64 at {sampling_rate_hz:g} Hz"
                 )
             durations.append(run)
             total += run
+        if fault is not None:
+            raise fault
     if merged:
         warnings.warn(
             f"{path}: merged adjacent runs with equal states",

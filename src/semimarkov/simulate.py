@@ -38,7 +38,7 @@ from .errors import (
     UnreachableAbsentRowError,
 )
 from .fitting import SEMI_MARKOV, MultiChainModel, SemiMarkovModel
-from .sequences import RunSequence, _run_samples
+from .sequences import RunSequence, _boundary_to_index, _run_samples
 
 #: Values a pool draws at once, first and at most: run lengths from one
 #: dwell fit, or next-state uniforms.
@@ -157,7 +157,7 @@ class _Plan:
         rate = config.output_sampling_rate_hz
         if config.duration_s * rate + 0.5 < 1.0:
             raise ValueError("duration_s is shorter than half a sample period")
-        self.chain, self.config = model, config
+        self.config = config
         self.n_total = _run_samples(config.duration_s, rate)
         self.candidates = _start_states(model.segments, config)
         # per segment and from-state: the cumulative row without its last
@@ -166,12 +166,10 @@ class _Plan:
             [(row[:-1], row[-1]) for row in np.cumsum(seg.transitions.probs, axis=1).tolist()]
             for seg in model.segments
         ]
-        # per boundary, the first sample count e whose time e / rate, as
-        # segment_at sees it, is not before the boundary: the segment changes
-        # only where the samples out reach one (n_total stands for never).
-        # e / rate never falls as e grows, so bisection finds it
-        self.switches = [bisect.bisect_left(range(self.n_total), b, key=lambda e: e / rate)
-                         for b in model.boundaries]
+        # per boundary, the sample count at which split_at_time cuts a
+        # recording (so fitting) and the segment changes, at most n_total
+        # (which stands for never)
+        self.switches = [min(_boundary_to_index(b, rate), self.n_total) for b in model.boundaries]
         self.switches.append(self.n_total)
         # equal fits, in any segment or state, draw from one pool of run
         # lengths: each distinct fit by its key, and each segment's states'
@@ -185,7 +183,7 @@ class _Plan:
 
     def recording(self, patient: int, sequence_id: str) -> RunSequence:
         """Patient ``patient``'s recording, drawn from its own stream."""
-        chain, rate, n_total = self.chain, self.config.output_sampling_rate_hz, self.n_total
+        rate, n_total = self.config.output_sampling_rate_hz, self.n_total
         # the patient's own stream: child `patient` of the seed's SeedSequence
         rng = np.random.default_rng(
             np.random.SeedSequence(self.config.seed, spawn_key=(patient,)))
@@ -212,7 +210,7 @@ class _Plan:
         add_state, add_duration = states.append, durations.append
         next_uniform, bisect_right = uniforms.pop, bisect.bisect_right
         elapsed = 0  # samples emitted so far
-        segment = chain.segment_at(0.0)
+        segment = bisect_right(switches, 0)
         switch = switches[segment]  # the samples out at which the segment next changes
         lengths_by_state, rows = lengths_of[segment], cum_rows[segment]
         while True:
@@ -227,7 +225,7 @@ class _Plan:
                 break
             add_duration(n)
             if elapsed >= switch:
-                segment = chain.segment_at(elapsed / rate)
+                segment = bisect_right(switches, elapsed)
                 switch = switches[segment]
                 lengths_by_state, rows = lengths_of[segment], cum_rows[segment]
             if not uniforms:
@@ -258,8 +256,9 @@ def simulate_sequence(
     Alternates dwell draws and next-state draws until the configured
     duration is reached; the final run is truncated to fit.  A single model
     is simulated as a one-segment chain.  Every stochastic choice made at
-    time t (dwell draw at a run's start, next-state draw at a transition)
-    consults the segment owning t, and a run in progress at a boundary
+    sample e (dwell draw at a run's start, next-state draw at a transition)
+    consults the segment that owns sample e where ``split_at_time``, and so
+    fitting, cuts the recording, and a run in progress at a boundary
     persists.  Deterministic for a fixed config and ``patient``: the
     recording is patient ``patient`` of ``simulate_cohort`` with the same
     config, so any one patient of a cohort can be regenerated alone.

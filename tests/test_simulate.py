@@ -11,13 +11,14 @@ from scipy import stats
 import semimarkov.simulate as simulate_mod
 from semimarkov.dwell import EXPONENTIAL, DwellFit, cdf
 from semimarkov.errors import (
+    BoundaryOutOfRangeError,
     InvalidInitialStateError,
     KindMismatchError,
     UnreachableAbsentRowError,
 )
 from semimarkov.fitting import MultiChainModel, SemiMarkovModel, TransitionMatrix
 from semimarkov.presets import failure_model, success_model
-from semimarkov.sequences import build_alphabet
+from semimarkov.sequences import LabeledSequence, build_alphabet, split_at_time
 from semimarkov.simulate import (
     SimulationConfig,
     simulate_cohort,
@@ -37,6 +38,17 @@ def two_state_model(mu_a=1.0, mu_b=1.0):
             "B": DwellFit(EXPONENTIAL, {"mu": mu_b}),
         },
     )
+
+
+def _cut(seq, boundary):
+    """Where ``split_at_time`` cuts seq at one boundary: the first piece's
+    samples, or all of them when no sample falls at or after the boundary."""
+    try:
+        first, _ = split_at_time(seq, [boundary])
+    except BoundaryOutOfRangeError:
+        assert boundary * seq.sampling_rate_hz > len(seq) - 1
+        return len(seq)
+    return len(first)
 
 
 def cohort_digest(cohort):
@@ -382,17 +394,25 @@ class TestMultiChain:
         st.integers(1, 200),
         st.sampled_from([0.5, 1.0, 2.0, 3.0, 7.0, 50.0]),
     )
-    def test_switches_match_a_scan_of_segment_at(self, boundaries, n_samples, rate):
+    def test_switches_are_split_at_times_cuts(self, boundaries, n_samples, rate):
+        # a recording is simulated on the partition it is fitted on
         boundaries = sorted(boundaries)
         chain = MultiChainModel((two_state_model(),) * (len(boundaries) + 1), boundaries)
         cfg = SimulationConfig(duration_s=n_samples / rate, seed=0, output_sampling_rate_hz=rate)
         plan = simulate_mod._Plan(chain, cfg)
-        n_total = plan.n_total
-        segments = [chain.segment_at(e / rate) for e in range(n_total)]
-        # segment k ends at the first sample count whose time a later segment owns
-        expected = [next((e for e, seg in enumerate(segments) if seg > k), n_total)
-                    for k in range(len(boundaries))]
-        assert plan.switches == [*expected, n_total]
+        seq = LabeledSequence(np.zeros(plan.n_total, np.int64), rate, "p")
+        assert plan.switches == [*(_cut(seq, b) for b in boundaries), plan.n_total]
+
+    def test_boundary_within_the_snap_tolerance_switches_where_fitting_cuts(self):
+        # 150.0000000002 s at 2 Hz is 1e-9 samples past sample 300:
+        # split_at_time snaps it and fits sample 300 in segment 2, so the
+        # simulator must switch there too, not at 301
+        boundary, rate = 150.0000000002, 2.0
+        chain = MultiChainModel((two_state_model(), two_state_model(5.0, 5.0)), (boundary,))
+        cfg = SimulationConfig(duration_s=400.0, seed=0, output_sampling_rate_hz=rate)
+        seq = LabeledSequence(np.zeros(800, np.int64), rate, "p")
+        assert _cut(seq, boundary) == 300
+        assert simulate_mod._Plan(chain, cfg).switches == [300, 800]
 
     def test_degenerate_equals_single(self):
         m = success_model()
