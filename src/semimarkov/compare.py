@@ -8,7 +8,7 @@ in nats, applied row-by-row to transition matrices.  Semi-Markov rows are
 compared as distributions over the other states (the structural diagonal
 zero is shared by both matrices and is removed, not smoothed).  Rows with
 incidental zeros are smoothed in both matrices by ``SMOOTHING_EPSILON`` so
-the divergence stays finite.
+the divergence stays finite.  Time fractions are read off ``state_counts``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedPointError,
 )
 from .fitting import SEMI_MARKOV, TransitionMatrix
-from .sequences import LabeledSequence, StateAlphabet, encode_runs
+from .sequences import LabeledSequence, StateAlphabet, encode_runs, state_counts
 
 #: Most bootstrap replicates one call draws: their table takes 8 bytes per
 #: state and replicate, so a mistyped count fails before it allocates.
@@ -149,13 +149,9 @@ def time_fractions(seq: LabeledSequence, alphabet: StateAlphabet) -> dict[str, f
     The map is keyed by state name and covers every alphabet state (zeros
     included), which gives cohorts a common support.
     """
-    runs = encode_runs(seq)
-    if runs.states.max() >= len(alphabet):
-        raise ValueError("sequence uses label indices outside the alphabet")
-    counts = np.zeros(len(alphabet), dtype=np.int64)
-    np.add.at(counts, runs.states, runs.durations)
+    samples = state_counts([encode_runs(seq)], len(alphabet))[2][0]
     n = len(seq)
-    return {k: c / n for k, c in zip(alphabet.states, counts.tolist())}
+    return {k: c / n for k, c in zip(alphabet.states, samples.tolist())}
 
 
 def bootstrap_group_fractions(
@@ -167,7 +163,7 @@ def bootstrap_group_fractions(
     """Bootstrap mean and standard deviation of cohort time fractions.
 
     Each replicate resamples patients with replacement (same cohort size)
-    and takes the unweighted mean of per-patient time_fractions.  One numpy
+    and takes the unweighted mean of per-patient time fractions.  One numpy
     Generator seeded from ``seed`` draws every replicate's patient indices,
     a block of replicates at a time, so the result depends only on the
     inputs.  Reported std is the population standard deviation over
@@ -180,8 +176,10 @@ def bootstrap_group_fractions(
             f"n_replicates must be from 1 to {MAX_REPLICATES}, got {n_replicates}"
         )
     names = alphabet.states
-    # time_fractions keys its map by alphabet.states, in that order
-    per_patient = np.array([list(time_fractions(p, alphabet).values()) for p in patients])
+    samples = state_counts([encode_runs(p) for p in patients], len(names))[2]
+    # divided as time_fractions divides, by Python int / int
+    per_patient = np.array([[c / n for c in row]
+                            for n, row in zip(map(len, patients), samples.tolist())])
     n_pat = len(patients)
     rng = np.random.default_rng(seed)
     block = max(1, _BOOTSTRAP_BLOCK // n_pat)

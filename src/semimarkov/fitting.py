@@ -8,14 +8,13 @@ Three model layers:
 * ``fit_multi_chain``: independent semi-Markov models over equal-time
   segments of each sequence, to expose non-stationarity.
 
-Counts are pooled across sequences; transitions are never counted across
-sequence boundaries (sequences are independent recordings).
+Counts are pooled across sequences (``sequences.state_counts``); transitions
+are never counted across sequence boundaries (independent recordings).
 Each model type checks its values once, when built, and is then trusted.
 """
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from collections.abc import Mapping
@@ -41,6 +40,7 @@ from .sequences import (
     durations_by_state,
     encode_runs,
     split_at_time,
+    state_counts,
 )
 
 DTMC = "dtmc"
@@ -187,8 +187,8 @@ class MultiChainModel:
     """Ordered per-segment semi-Markov models over non-overlapping time spans.
 
     ``boundaries`` are the segment cut points in seconds (len(segments) - 1
-    finite positive times, strictly increasing); segment k governs
-    [boundaries[k-1], boundaries[k]) with the convention boundaries[-1] = 0.
+    finite positive times, strictly increasing); segment k holds the samples
+    that ``split_at_time`` puts in part k when it cuts a recording there.
     """
 
     segments: tuple[SemiMarkovModel, ...]
@@ -213,27 +213,8 @@ class MultiChainModel:
     def alphabet(self) -> StateAlphabet:
         return self.segments[0].alphabet
 
-    def segment_at(self, t_s: float) -> int:
-        """Index of the segment governing time t_s (boundary belongs to the
-        later segment; times past the last boundary stay in the last segment)."""
-        return bisect.bisect_right(self.boundaries, t_s)
-
 
 # --- DTMC --------------------------------------------------------------------
-
-
-def _count_run_pairs(
-    runs_list: list[RunSequence], alphabet: StateAlphabet
-) -> np.ndarray:
-    """Pooled counts of consecutive run pairs (state of run k, state of run k+1)."""
-    n = len(alphabet)
-    counts = np.zeros((n, n), dtype=np.int64)
-    for runs in runs_list:
-        if runs.states.max() >= n:
-            raise ValueError(f"sequence {runs.id!r} uses states outside the alphabet")
-        pairs = runs.states[:-1] * n + runs.states[1:]
-        counts += np.bincount(pairs, minlength=n * n).reshape(n, n)
-    return counts
 
 
 def fit_dtmc(
@@ -258,10 +239,8 @@ def fit_dtmc(
             raise SequenceTooShortError(
                 f"sequence {seq.id!r} has {len(seq)} samples; need at least 2"
             )
-    runs_list = [encode_runs(s) for s in seqs]
-    counts = _count_run_pairs(runs_list, alphabet)
-    for runs in runs_list:
-        np.add.at(counts, (runs.states, runs.states), runs.durations - 1)
+    pairs, runs, samples = state_counts([encode_runs(s) for s in seqs], len(alphabet))
+    counts = pairs + np.diag((samples - runs).sum(axis=0))
     tc = TransitionCounts(counts=counts, alphabet=alphabet)
     return TransitionMatrix.from_probabilities(counts, alphabet, kind=DTMC), tc
 
@@ -272,14 +251,14 @@ def fit_dtmc(
 def fit_semi_markov_transitions(
     runs_list: list[RunSequence], alphabet: StateAlphabet
 ) -> TransitionMatrix:
-    """Run-level transition matrix: counts over consecutive run pairs.
+    """Run-level transition matrix: the run-pair counts of ``state_counts``.
 
     Adjacent runs differ by construction, so the diagonal is structurally
     zero.  The terminal run of each sequence has no outgoing transition.
     """
     if not runs_list:
         raise EmptyInputError("no run sequences supplied")
-    counts = _count_run_pairs(runs_list, alphabet)
+    counts = state_counts(runs_list, len(alphabet))[0]
     if not counts.any():
         raise NoTransitionsError(
             "every sequence is a single run; no run-level transitions observed"

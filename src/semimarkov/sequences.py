@@ -2,9 +2,10 @@
 
 Sequences are stored as runs of alphabet indices at a uniform sampling rate;
 per-sample labels are expanded only when ``LabeledSequence.labels`` is read.
-Run durations are kept in integer samples, so re-encoding is exact;
-``durations_by_state`` turns a cohort's runs into the per-state table of
-distinct durations in seconds with counts that every dwell fit reads.
+Run durations are kept in integer samples, so re-encoding is exact.  A
+cohort's runs give the count table (``state_counts``) that transition fits and
+time fractions read, and the per-state table of distinct durations in seconds
+with counts (``durations_by_state``) that every dwell fit reads.
 """
 
 from __future__ import annotations
@@ -231,6 +232,27 @@ def split_at_time(
     at = np.searchsorted(ends, cuts, side="right")
     pieces = zip(np.split(states, at), np.split(np.diff(ends, prepend=0), at))
     return [decode_runs(RunSequence(s, d, seq.sampling_rate_hz, seq.id)) for s, d in pieces]
+
+
+def state_counts(
+    runs_list: Sequence[RunSequence], n_states: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A cohort's count table, int64 and exact: ``pairs[i, j]``, consecutive
+    runs (i, j) pooled over the recordings, never across two of them; and per
+    recording p, its runs and its samples in state i, ``runs[p, i]`` and
+    ``samples[p, i]``.  ValueError names a recording with a state >= n_states.
+    """
+    pairs = np.zeros(n_states * n_states, dtype=np.int64)
+    runs = np.zeros((len(runs_list), n_states), dtype=np.int64)
+    samples = np.zeros_like(runs)
+    for p, r in enumerate(runs_list):
+        if r.states.max() >= n_states:
+            raise ValueError(f"sequence {r.id!r} uses states outside the alphabet")
+        pairs += np.bincount(r.states[:-1] * n_states + r.states[1:],
+                             minlength=n_states * n_states)
+        runs[p] = np.bincount(r.states, minlength=n_states)
+        np.add.at(samples[p], r.states, r.durations)
+    return pairs.reshape(n_states, n_states), runs, samples
 
 
 def durations_by_state(runs_list: Sequence[RunSequence]) -> dict[int, tuple]:

@@ -25,7 +25,7 @@ from semimarkov.errors import (
 )
 from semimarkov.fitting import TransitionMatrix
 from semimarkov.presets import PATTERNS, failure_model, success_model
-from semimarkov.sequences import LabeledSequence, build_alphabet
+from semimarkov.sequences import LabeledSequence, RunSequence, build_alphabet, decode_runs
 
 AB = build_alphabet(("A", "B"))
 
@@ -214,6 +214,27 @@ class TestBootstrap:
         for mean, std in out.values():
             assert 0.0 <= mean <= 1.0
             assert std >= 0.0
+
+    @pytest.mark.parametrize("patients, n_replicates", [
+        # more than 2**53 samples, where numpy's int64 / int64 division rounds
+        # both fractions differently from Python's int / int
+        ([decode_runs(RunSequence([0, 1], [7, 2**60 + 122], 1.0))], 70_000),
+        ([seq([0, 1, 1, 2]), seq([2] * 7 + [0]), seq([1, 0] * 50), seq([2, 1])], 30_000),
+    ])
+    def test_matches_averaging_time_fractions_rows(self, patients, n_replicates, abc):
+        block = compare._BOOTSTRAP_BLOCK // len(patients)
+        assert n_replicates > block  # more than one block of draws
+        # the bootstrap as first written: time_fractions rows of the patients
+        # each replicate draws, from one Generator a block at a time
+        per_patient = np.array([list(time_fractions(p, abc).values()) for p in patients])
+        rng = np.random.default_rng(11)
+        reps = np.concatenate([
+            per_patient[rng.integers(0, len(patients), size=(
+                min(block, n_replicates - start), len(patients)))].mean(axis=1)
+            for start in range(0, n_replicates, block)])
+        expected = {name: (float(m), float(s)) for name, m, s
+                    in zip(abc.states, reps.mean(axis=0), reps.std(axis=0))}
+        assert bootstrap_group_fractions(patients, n_replicates, 11, abc) == expected
 
     def test_empty(self):
         with pytest.raises(EmptyInputError):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from semimarkov.compare import bootstrap_group_fractions, time_fractions
 from semimarkov.dwell import EXPONENTIAL, DwellFit
 from semimarkov.errors import (
     EmptyInputError,
@@ -34,6 +35,7 @@ from semimarkov.sequences import (
     RunSequence,
     build_alphabet,
     encode_runs,
+    state_counts,
 )
 
 AB = build_alphabet(("A", "B"))
@@ -157,7 +159,8 @@ wide_recordings = st.lists(
 @example([[299, 299, 299]])
 def test_counts_match_add_at_oracle(recordings):
     """Both fits count exactly what np.add.at counts: per-sample pairs for
-    the DTMC, pairs of consecutive runs for the semi-Markov transitions."""
+    the DTMC, pairs of consecutive runs for the semi-Markov transitions; and
+    the count table holds each recording's runs and samples per state."""
     per_sample = np.zeros((len(WIDE), len(WIDE)), dtype=np.int64)
     run_pairs = np.zeros_like(per_sample)
     for labels in recordings:
@@ -167,12 +170,33 @@ def test_counts_match_add_at_oracle(recordings):
     seqs = [seq(labels) for labels in recordings]
     assert np.array_equal(fit_dtmc(seqs, WIDE)[1].counts, per_sample)
     runs_list = [encode_runs(s) for s in seqs]
+    pairs, runs, samples = state_counts(runs_list, len(WIDE))
+    assert all(a.dtype == np.int64 for a in (pairs, runs, samples))
+    assert np.array_equal(pairs, run_pairs)
+    for labels, runs_row, samples_row in zip(recordings, runs, samples):
+        states = [s for s, _ in itertools.groupby(labels)]
+        assert runs_row.tolist() == np.bincount(states, minlength=len(WIDE)).tolist()
+        assert samples_row.tolist() == np.bincount(labels, minlength=len(WIDE)).tolist()
     if not run_pairs.any():
         with pytest.raises(NoTransitionsError):
             fit_semi_markov_transitions(runs_list, WIDE)
         return
     expected = TransitionMatrix.from_probabilities(run_pairs, WIDE)
     assert np.array_equal(fit_semi_markov_transitions(runs_list, WIDE).probs, expected.probs)
+
+
+@pytest.mark.parametrize("fit", [
+    lambda seqs: fit_dtmc(seqs, AB),
+    lambda seqs: fit_semi_markov(seqs, AB),
+    lambda seqs: fit_semi_markov_transitions([encode_runs(s) for s in seqs], AB),
+    lambda seqs: time_fractions(seqs[-1], AB),
+    lambda seqs: bootstrap_group_fractions(seqs, 10, seed=0, alphabet=AB),
+], ids=["fit_dtmc", "fit_semi_markov", "fit_semi_markov_transitions",
+        "time_fractions", "bootstrap_group_fractions"])
+def test_state_outside_the_alphabet_names_its_recording(fit):
+    seqs = [seq([0, 1, 1, 0], id="p1"), seq([1, 0, 2, 2], id="p7")]
+    with pytest.raises(ValueError, match="sequence 'p7' uses states outside the alphabet"):
+        fit(seqs)
 
 
 class TestTransitionMatrixType:
@@ -414,15 +438,11 @@ class TestMultiChain:
         assert mc.segments[0].metadata["segment_index"] == 1
         assert mc.segments[1].metadata["segment_index"] == 2
 
-    def test_segment_lookup(self):
+    def test_three_segment_boundaries(self):
         rng = np.random.default_rng(2)
         seqs = [seq(rng.integers(0, 2, size=300)) for _ in range(3)]
         mc = fit_multi_chain(seqs, 3, AB)
-        assert mc.segment_at(0.0) == 0
-        assert mc.segment_at(99.9) == 0
-        assert mc.segment_at(100.0) == 1  # boundary belongs to the later segment
-        assert mc.segment_at(250.0) == 2
-        assert mc.segment_at(1e9) == 2
+        assert mc.boundaries == (100.0, 200.0)
 
     def test_one_segment_rejected(self):
         with pytest.raises(ValueError):

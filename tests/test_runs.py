@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from semimarkov.compare import time_fractions
+from semimarkov.compare import bootstrap_group_fractions, time_fractions
 from semimarkov.fitting import fit_dtmc, fit_multi_chain, fit_semi_markov
 from semimarkov.sequences import (
     LabeledSequence,
@@ -20,6 +20,7 @@ from semimarkov.sequences import (
     durations_by_state,
     encode_runs,
     split_at_time,
+    state_counts,
 )
 
 ABCD = build_alphabet(("A", "B", "C", "D"))
@@ -101,11 +102,23 @@ def test_fits_on_10_to_the_12_samples(huge):
     assert model.dwell["A"].params == {"mu": float(HALF)}
     assert model.metadata["sample_counts"] == {"A": 1, "B": 1}
     assert time_fractions(huge, ab) == {"A": 0.5, "B": 0.5}
+    assert bootstrap_group_fractions([huge], 3, 0, ab) == {"A": (0.5, 0.0), "B": (0.5, 0.0)}
     four = decode_runs(RunSequence([0, 1, 0, 1], [HALF // 2] * 4, 1.0))
     mc = fit_multi_chain([four], 2, ab)
     assert [seg.metadata["sample_counts"] for seg in mc.segments] == [
         {"A": 1, "B": 1}
     ] * 2
+
+
+def test_counts_stay_exact_past_2_to_the_53_samples():
+    """The count table adds int64 durations: float64 weights would round each
+    2**60 + 1 down to 2**60, and their sum to 2**61."""
+    r = RunSequence(states=[0, 1, 0], durations=[2**60 + 1, 3, 2**60 + 1], sampling_rate_hz=1.0)
+    pairs, runs, samples = state_counts([r], 2)
+    assert (pairs.tolist(), runs.tolist(), samples.tolist()) == (
+        [[0, 1], [1, 0]], [[2, 1]], [[2**61 + 2, 3]])
+    _, counts = fit_dtmc([decode_runs(r)], build_alphabet(("A", "B")))
+    assert counts.counts.tolist() == [[2**61, 1], [1, 2]]
 
 
 def test_split_and_upsample_on_10_to_the_12_samples(huge):
