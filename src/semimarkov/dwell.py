@@ -34,8 +34,10 @@ observations.  The closed forms (Exponential, InverseGaussian) are weighted
 sums.  The numerical fits (GEV, GPD) merge repeated values and depend only on
 the multiset.  GEV uses Newton-Raphson with the analytic score and observed
 information; GPD maximizes its 1-D profile likelihood in theta = k / sigma.
-Both are accepted only if the central-finite-difference gradient of the
-log-likelihood at the solution has norm <= 1e-4 * max(1, |LL|).
+Every fitter returns through one finishing step, ``_finish``, which computes
+the log-likelihood and BIC; for GEV and GPD it also requires a finite
+log-likelihood whose central-finite-difference gradient at the solution has
+norm <= 1e-4 * max(1, |LL|), and raises the one certificate failure otherwise.
 """
 
 from __future__ import annotations
@@ -76,6 +78,9 @@ PARAM_NAMES = {
     GPD: ("k", "sigma"),
     INVERSE_GAUSSIAN: ("mu", "lambda"),
 }
+
+#: Positions, in PARAM_NAMES order, of the parameters each family needs positive.
+_POSITIVE = {EXPONENTIAL: (0,), GEV: (1,), GPD: (1,), INVERSE_GAUSSIAN: (0, 1)}
 
 # Shape magnitudes below this are evaluated with the k -> 0 limit form.
 _SHAPE_EPS = 1e-13
@@ -149,13 +154,9 @@ class DwellFit:
             raise ValueError(f"unknown dwell family {family!r}")
         if params.keys() != set(names):
             raise ValueError(f"{family} expects parameters {sorted(names)}, got {sorted(params)}")
-        if family == EXPONENTIAL and not params["mu"] > 0:
-            raise ValueError("Exponential mu must be positive")
-        if family in (GEV, GPD) and not params["sigma"] > 0:
-            raise ValueError(f"{family} sigma must be positive")
-        if family == INVERSE_GAUSSIAN:
-            if not params["mu"] > 0 or not params["lambda"] > 0:
-                raise ValueError("InverseGaussian mu and lambda must be positive")
+        positive = [names[i] for i in _POSITIVE[family]]
+        if not all(params[name] > 0 for name in positive):
+            raise ValueError(f"{family} {' and '.join(positive)} must be positive")
         if not all(math.isfinite(v) for v in params.values()):
             raise ValueError(f"{family} parameters must be finite: {params}")
         object.__setattr__(self, "params", _read_only(params))
@@ -293,8 +294,9 @@ def _log_density(family: str, theta, xs: np.ndarray) -> np.ndarray:
 
 def _loglik(family: str, theta, xs: np.ndarray, counts: np.ndarray) -> float:
     """Log-likelihood of distinct values xs seen counts times, at parameters
-    theta; -inf for a non-positive scale or a non-finite sum."""
-    if family in (GEV, GPD) and not theta[1] > 0:  # sigma
+    theta; -inf where a parameter of _POSITIVE is not positive, or for a
+    non-finite sum."""
+    if not all(theta[i] > 0 for i in _POSITIVE[family]):
         return -math.inf
     val = float(counts @ _log_density(family, theta, xs))
     return val if math.isfinite(val) else -math.inf
@@ -309,7 +311,7 @@ def bic(log_likelihood: float, n_params: int, n_obs: int) -> float:
     return n_params * math.log(n_obs) - 2.0 * log_likelihood
 
 
-# --- stationarity certificate ------------------------------------------------
+# --- finishing a fit: log-likelihood, BIC, stationarity certificate ----------
 
 
 def _fd_gradient_norm(
@@ -333,10 +335,24 @@ def _fd_gradient_norm(
     return float(np.linalg.norm(grad))
 
 
-def _certify(
-    family: str, theta: np.ndarray, xs: np.ndarray, counts: np.ndarray, ll: float
-) -> bool:
-    return _fd_gradient_norm(family, theta, xs, counts) <= _GRAD_TOL * max(1.0, abs(ll))
+def _finish(family: str, theta, xs: np.ndarray, counts: np.ndarray) -> DwellFit:
+    """The fit of family at parameters theta to values xs seen counts times,
+    with its log-likelihood and BIC.
+
+    Every fitter returns through here.  A numerical fit (GEV, GPD) is accepted
+    only with a finite log-likelihood whose central-finite-difference gradient
+    norm is at most _GRAD_TOL * max(1, |LL|); FitDidNotConvergeError otherwise.
+    """
+    theta = np.asarray(theta, dtype=float)
+    ll = _loglik(family, theta, xs, counts)
+    if family in (GEV, GPD) and not (
+        math.isfinite(ll)
+        and _fd_gradient_norm(family, theta, xs, counts) <= _GRAD_TOL * max(1.0, abs(ll))
+    ):
+        raise FitDidNotConvergeError(f"{family} fit failed its stationarity certificate")
+    n = int(counts.sum())
+    return DwellFit(family, dict(zip(PARAM_NAMES[family], theta.tolist())), n, ll,
+                    bic(ll, len(theta), n))
 
 
 # --- closed-form fits --------------------------------------------------------
@@ -361,14 +377,7 @@ def fit_exponential(xs, counts=None) -> DwellFit:
     """Closed-form exponential MLE: mu-hat = mean(x), weighted by the counts."""
     arr, counts, n = _as_sample(xs, counts)
     mu = float((counts * arr).sum() / n)
-    ll = _loglik(EXPONENTIAL, (mu,), arr, counts)
-    return DwellFit(
-        family=EXPONENTIAL,
-        params={"mu": mu},
-        n_obs=n,
-        log_likelihood=ll,
-        bic=bic(ll, 1, n),
-    )
+    return _finish(EXPONENTIAL, (mu,), arr, counts)
 
 
 def fit_inverse_gaussian(xs, counts=None) -> DwellFit:
@@ -380,15 +389,7 @@ def fit_inverse_gaussian(xs, counts=None) -> DwellFit:
     denom = float((counts / arr).sum() - n / mu)
     if denom <= 0.0 or not math.isfinite(denom):
         raise DegenerateDataError("all observations equal; lambda is undefined")
-    lam = n / denom
-    ll = _loglik(INVERSE_GAUSSIAN, (mu, lam), arr, counts)
-    return DwellFit(
-        family=INVERSE_GAUSSIAN,
-        params={"mu": mu, "lambda": lam},
-        n_obs=n,
-        log_likelihood=ll,
-        bic=bic(ll, 2, n),
-    )
+    return _finish(INVERSE_GAUSSIAN, (mu, n / denom), arr, counts)
 
 
 # --- numerical fits ----------------------------------------------------------
@@ -415,23 +416,6 @@ def _distinct_sample(
     mean = float((counts * values).sum() / n)
     var = float((counts * (values - mean) ** 2).sum() / (n - 1))
     return values, counts, mean, var
-
-
-def _accepted(
-    family: str, theta: np.ndarray, ll: float, values: np.ndarray, counts: np.ndarray
-) -> DwellFit | None:
-    """The fit at theta if its log-likelihood ll is finite and passes the
-    stationarity certificate, else None."""
-    if not (math.isfinite(ll) and _certify(family, theta, values, counts, ll)):
-        return None
-    n = int(counts.sum())
-    return DwellFit(
-        family=family,
-        params=dict(zip(PARAM_NAMES[family], theta.tolist())),
-        n_obs=n,
-        log_likelihood=ll,
-        bic=bic(ll, len(PARAM_NAMES[family]), n),
-    )
 
 
 def _gev_derivatives(
@@ -497,20 +481,18 @@ def _newton_step(info: np.ndarray, score: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _gev_newton(
-    values: np.ndarray, counts: np.ndarray, theta: np.ndarray
-) -> tuple[np.ndarray, float]:
+def _gev_newton(values: np.ndarray, counts: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Newton-Raphson ascent of the GEV log-likelihood from theta = (k, sigma, mu).
 
     A step that leaves the support or lowers the log-likelihood is halved.
     Stops after a step whose Newton decrement (score . step, twice the
     predicted gain) was at most _DECREMENT_TOL relative to the log-likelihood,
     so the step itself lands at the maximum to rounding, or when no halving
-    keeps the log-likelihood from falling; returns (theta, log-likelihood).
+    keeps the log-likelihood from falling; returns theta.
     """
     ll = _loglik(GEV, theta, values, counts)
     if not math.isfinite(ll):
-        return theta, ll
+        return theta
     for _ in range(_NEWTON_ITER):
         score, hess = _gev_derivatives(*theta, values, counts)
         step = _newton_step(-hess, score)
@@ -528,7 +510,7 @@ def _gev_newton(
         theta, ll = trial, ll_trial
         if decrement <= _DECREMENT_TOL * max(1.0, abs(ll)):
             break
-    return theta, ll
+    return theta
 
 
 def fit_gev(xs, counts=None) -> DwellFit:
@@ -546,20 +528,20 @@ def fit_gev(xs, counts=None) -> DwellFit:
     s = math.sqrt(v)
     sigma0 = s * math.sqrt(6.0) / math.pi
     mu0 = m - _EULER_GAMMA * sigma0
-    theta, ll = _gev_newton(values, counts, np.array([0.1, sigma0, mu0]))
-    fit = _accepted(GEV, theta, ll, values, counts)
-    if fit is not None:
-        return fit
-    k, sigma, mu = theta.tolist()
-    end = mu - sigma / k if abs(k) >= _SHAPE_EPS else math.nan  # the finite support end
-    side, extreme, x = ("upper", "largest", values[-1]) if k < 0 else (
-        "lower", "smallest", values[0])
-    if abs(end - x) <= _EDGE_TOL * max(1.0, abs(x)):
-        raise FitDidNotConvergeError(
-            f"{GEV} fit ended at an edge of the likelihood: the support's {side} end "
-            f"mu - sigma/k = {end:.6g} meets the {extreme} observation (k = {k:.6g})"
-        )
-    raise FitDidNotConvergeError(f"{GEV} fit failed its stationarity certificate")
+    theta = _gev_newton(values, counts, np.array([0.1, sigma0, mu0]))
+    try:
+        return _finish(GEV, theta, values, counts)
+    except FitDidNotConvergeError:
+        k, sigma, mu = theta.tolist()
+        end = mu - sigma / k if abs(k) >= _SHAPE_EPS else math.nan  # the finite support end
+        side, extreme, x = ("upper", "largest", values[-1]) if k < 0 else (
+            "lower", "smallest", values[0])
+        if abs(end - x) <= _EDGE_TOL * max(1.0, abs(x)):
+            raise FitDidNotConvergeError(
+                f"{GEV} fit ended at an edge of the likelihood: the support's {side} end "
+                f"mu - sigma/k = {end:.6g} meets the {extreme} observation (k = {k:.6g})"
+            ) from None
+        raise
 
 
 def _gpd_profile_slope(theta: float, values: np.ndarray, weights: np.ndarray) -> float:
@@ -645,10 +627,7 @@ def fit_gpd(xs, counts=None) -> DwellFit:
             "GPD likelihood has no interior maximum: its supremum over k > -1 lies "
             "at the k > -1 edge (k -> -1, the uniform on [0, max x])"
         )
-    fit = _accepted(GPD, *best, values, counts)
-    if fit is None:
-        raise FitDidNotConvergeError(f"{GPD} fit failed its stationarity certificate")
-    return fit
+    return _finish(GPD, best[0], values, counts)
 
 
 _FITTERS = {

@@ -38,6 +38,7 @@ class StateAlphabet:
     states: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "states", tuple(self.states))
         if len(self.states) < 2:
             raise TooFewStatesError(
                 f"alphabet needs at least 2 states, got {len(self.states)}"
@@ -63,7 +64,7 @@ class StateAlphabet:
 
 def build_alphabet(names: Sequence[str]) -> StateAlphabet:
     """Build a StateAlphabet from an ordered list of unique names."""
-    return StateAlphabet(tuple(names))
+    return StateAlphabet(names)
 
 
 def _check_rate(rate_hz: float) -> None:
@@ -73,10 +74,24 @@ def _check_rate(rate_hz: float) -> None:
 
 
 def _as_readonly_int_array(values, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int64)
+    """A read-only int64 copy of the one-dimensional integers values.
+
+    Integer input is cast as is.  Floats pass only where the cast leaves every
+    value unchanged (2.0 does, 1.7, NaN and infinity do not); any other input,
+    such as the string "2", is refused.  A refusal is a ValueError naming what.
+    """
+    arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"{what} must be one-dimensional")
-    arr = arr.copy()
+    if arr.dtype.kind not in "biu":
+        if arr.dtype.kind == "f":
+            with np.errstate(invalid="ignore"):  # NaN and infinity cast to garbage, refused here
+                bad = np.flatnonzero(arr.astype(np.int64) != arr)
+        else:
+            bad = range(arr.size)
+        if len(bad):
+            raise ValueError(f"{what} must be integers, got {arr.tolist()[bad[0]]!r}")
+    arr = arr.astype(np.int64)
     arr.setflags(write=False)
     return arr
 
@@ -137,8 +152,8 @@ class LabeledSequence:
     __slots__ = ("_runs",)
 
     def __init__(self, labels, sampling_rate_hz: float, id: str = "") -> None:
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.ndim != 1 or len(labels) < 1:
+        labels = _as_readonly_int_array(labels, "labels")
+        if len(labels) < 1:
             raise ValueError("labels must be one-dimensional with at least one sample")
         starts = np.concatenate(([0], np.flatnonzero(labels[1:] != labels[:-1]) + 1))
         durations = np.diff(starts, append=len(labels))

@@ -25,7 +25,13 @@ from semimarkov.errors import (
 )
 from semimarkov.fitting import TransitionMatrix
 from semimarkov.presets import PATTERNS, failure_model, success_model
-from semimarkov.sequences import LabeledSequence, RunSequence, build_alphabet, decode_runs
+from semimarkov.sequences import (
+    LabeledSequence,
+    RunSequence,
+    StateAlphabet,
+    build_alphabet,
+    decode_runs,
+)
 
 AB = build_alphabet(("A", "B"))
 
@@ -151,6 +157,11 @@ class TestCompareMatrices:
         b = tm([[0.0, 1.0], [1.0, 0.0]], alphabet=build_alphabet(("X", "Y")))
         with pytest.raises(AlphabetMismatchError):
             compare_transition_matrices(a, b)
+
+    def test_alphabets_of_the_same_names_match(self):
+        a = tm([[0.0, 1.0], [1.0, 0.0]], alphabet=StateAlphabet(["A", "B"]))
+        b = tm([[0.0, 1.0], [1.0, 0.0]], alphabet=build_alphabet(("A", "B")))
+        assert compare_transition_matrices(a, b).aggregate == 0.0
 
     def test_kind_mismatch(self):
         a = tm([[0.0, 1.0], [1.0, 0.0]])

@@ -253,17 +253,24 @@ def test_non_finite_params_rejected(family, params):
 
 
 @pytest.mark.parametrize(
-    "family, params",
+    "family, params, message",
     [
-        (GEV, {"k": 0.1, "sigma": 0.0, "mu": 1.0}),
-        (GPD, {"k": 0.1, "sigma": -2.0}),
-        (INVERSE_GAUSSIAN, {"mu": 0.0, "lambda": 1.0}),
-        (INVERSE_GAUSSIAN, {"mu": 1.0, "lambda": -1.0}),
+        (EXPONENTIAL, {"mu": 0.0}, "Exponential mu must be positive"),
+        (GEV, {"k": 0.1, "sigma": 0.0, "mu": 1.0}, f"{GEV} sigma must be positive"),
+        (GPD, {"k": 0.1, "sigma": -2.0}, f"{GPD} sigma must be positive"),
+        (INVERSE_GAUSSIAN, {"mu": 0.0, "lambda": 1.0},
+         "InverseGaussian mu and lambda must be positive"),
+        (INVERSE_GAUSSIAN, {"mu": 1.0, "lambda": -1.0},
+         "InverseGaussian mu and lambda must be positive"),
     ],
 )
-def test_non_positive_scale_rejected(family, params):
-    with pytest.raises(ValueError, match="must be positive"):
+def test_non_positive_scale_rejected(family, params, message):
+    with pytest.raises(ValueError) as raised:
         DwellFit(family=family, params=params)
+    assert str(raised.value) == message
+    # the log-likelihood reads the same rule: -inf there rather than an error
+    theta = [params[name] for name in PARAM_NAMES[family]]
+    assert _loglik(family, theta, np.array([1.0, 2.0]), np.array([1, 1])) == -math.inf
 
 
 def test_params_are_frozen_when_checked():
@@ -543,12 +550,20 @@ def test_gev_score_and_hessian_match_finite_differences(theta):
 def test_gev_solution_failing_the_certificate_is_reported(monkeypatch):
     xs = _solver_sample(*SOLVER_SAMPLES[0], seed=40)
     # a Newton solver that stops at its start fails the certificate there
-    def stop_at_start(values, counts, theta):
-        return theta, _loglik(GEV, theta, values, counts)
-
-    monkeypatch.setattr(dwell, "_gev_newton", stop_at_start)
-    with pytest.raises(FitDidNotConvergeError, match="stationarity certificate"):
+    monkeypatch.setattr(dwell, "_gev_newton", lambda values, counts, theta: theta)
+    with pytest.raises(FitDidNotConvergeError) as raised:
         fit_gev(xs)
+    assert str(raised.value) == f"{GEV} fit failed its stationarity certificate"
+
+
+def test_gpd_solution_failing_the_certificate_is_reported(monkeypatch):
+    xs = _solver_sample(*SOLVER_SAMPLES[2], seed=42)
+    # a profile root moved 1% off the stationary point fails the certificate
+    root = dwell._bracketed_root
+    monkeypatch.setattr(dwell, "_bracketed_root", lambda *args: 1.01 * root(*args))
+    with pytest.raises(FitDidNotConvergeError) as raised:
+        fit_gpd(xs)
+    assert str(raised.value) == f"{GPD} fit failed its stationarity certificate"
 
 
 def test_gev_edge_of_an_unbounded_likelihood_is_reported():
@@ -604,6 +619,112 @@ def test_bundled_cohorts_fit_without_the_simplex(monkeypatch, label):
         fits, skipped = fit_all_families(values, counts)
         assert {GEV, GPD} <= fits.keys(), skipped
     assert len(fit_multi_chain(seqs, 2, manifest.alphabet).segments) == 2
+
+
+# Per state of the bundled cohorts: the family BIC selects, and every fitted
+# family's parameters (in PARAM_NAMES order), log-likelihood and BIC; a family
+# missing from a state's entry is skipped there.  A change to any dwell
+# estimator moves these values.
+BUNDLED_FITS = {
+    ('success', 'PAU'): (INVERSE_GAUSSIAN, {
+        EXPONENTIAL: ((3.490566037735849,), -119.25338731088874, 242.4770665353296),
+        GEV: ((0.38956655770325427, 1.4253839622145543, 1.9837490842158938),
+            -114.07625552649898, 240.06338679365433),
+        GPD: ((-0.1975186669953792, 4.165492810233327), -118.15374394065947, 244.24807170842317),
+        INVERSE_GAUSSIAN: ((3.490566037735849, 4.160716566942754),
+            -113.00945690538805, 233.95949763788033),
+    }),
+    ('success', 'ASB'): (GEV, {
+        EXPONENTIAL: ((5.03515625,), -334.90490348283197, 674.6618372295835),
+        GEV: ((0.6135646082556279, 1.5127552034073988, 2.033367297021278),
+            -300.6360437099473, 615.8281782116534),
+        GPD: ((0.25316383293903183, 3.6082849588218324), -324.65874070252517, 659.0215419328896),
+        INVERSE_GAUSSIAN: ((5.03515625, 3.6094355424862403),
+            -306.73537553241556, 623.1748115926704),
+    }),
+    ('success', 'MVT'): (INVERSE_GAUSSIAN, {
+        EXPONENTIAL: ((2.737704918032787,), -122.43431684285005, 248.9795075498734),
+        GEV: ((0.29963968972900024, 1.0543615788677256, 1.7889419707662115),
+            -109.82688639193326, 231.98639437638644),
+        GPD: ((-0.5166375731115179, 4.069534614899425), -115.1003555488624, 238.42245882607142),
+        INVERSE_GAUSSIAN: ((2.737704918032787, 5.688828657176474),
+            -107.88398932170772, 223.98972637176206),
+    }),
+    ('success', 'SYB'): (INVERSE_GAUSSIAN, {
+        EXPONENTIAL: ((8.020833333333334,), -591.7521260889398, 1188.7617475499073),
+        GEV: ((0.8095634349348637, 2.2561618471307767, 2.556207180454965),
+            -546.2536673243568, 1108.279820764797),
+        GPD: ((0.34046134263783495, 5.045544221983259), -568.1216379187803, 1146.758266581616),
+        INVERSE_GAUSSIAN: ((8.020833333333334, 3.8090119718478896),
+            -548.2562985937088, 1107.0275879314731),
+    }),
+    ('success', 'UNK'): (INVERSE_GAUSSIAN, {
+        EXPONENTIAL: ((2.633522727272727,), -346.4247406343254, 698.019965263689),
+        GEV: ((0.29707453937270895, 1.1224034413874189, 1.6088039740216198),
+            -327.73133028171924, 670.974112548553),
+        GPD: ((-0.3420174858761736, 3.516551539241263), -337.12154910462874, 684.5840661993337),
+        INVERSE_GAUSSIAN: ((2.633522727272727, 3.5749510643389018),
+            -323.4020729808076, 657.1451139516914),
+    }),
+    ('failure', 'PAU'): (INVERSE_GAUSSIAN, {
+        EXPONENTIAL: ((4.258426966292135,), -217.9520853461755, 440.39280706208314),
+        GEV: ((0.3236454683242825, 1.822676527964866, 2.5142753707484005),
+            -210.25331180490474, 433.9725327190059),
+        GPD: ((-0.2653537017050605, 5.365065359253251), -214.8953822578371, 438.7680372551385),
+        INVERSE_GAUSSIAN: ((4.258426966292135, 4.93039068163966),
+            -209.794213539265, 428.5656998179943),
+    }),
+    ('failure', 'ASB'): (GEV, {
+        EXPONENTIAL: ((6.00763358778626,), -365.88705120332895, 736.6492997298591),
+        GEV: ((0.7634042581641474, 1.5936565941596772, 1.9404002006406422),
+            -325.2783192533342, 665.1822304762718),
+        GPD: ((0.35795573286908133, 3.620321507312631), -346.4319325308486, 702.6142597080996),
+        INVERSE_GAUSSIAN: ((6.00763358778626, 3.0433052802072487),
+            -330.61783920324444, 670.9860730528912),
+    }),
+    ('failure', 'MVT'): (INVERSE_GAUSSIAN, {
+        EXPONENTIAL: ((3.8515625,), -150.30265024787667, 304.764183579113),
+        GEV: ((0.3782391564741185, 1.6836801581953484, 2.1446200325163325),
+            -147.86982722290796, 308.2163036958949),
+        GPD: ((-0.20496996821880534, 4.618350215659729), -148.80432492308938, 305.92641601289813),
+        INVERSE_GAUSSIAN: ((3.8515625, 3.742840750854029), -146.23799697855506, 300.7937601238295),
+    }),
+    ('failure', 'SYB'): (INVERSE_GAUSSIAN, {
+        EXPONENTIAL: ((6.925714285714286,), -513.6672087235055, 1032.4992034209345),
+        GEV: ((0.7786450164841, 2.2204341079419345, 2.4780862621595814),
+            -491.49271409104045, 998.4797861038514),
+        GPD: ((0.25752611920810575, 5.135825977475563), -506.4091903730047, 1023.1479526938565),
+        INVERSE_GAUSSIAN: ((6.925714285714286, 3.7393612022507554),
+            -488.5347428930234, 987.3990577338939),
+    }),
+    ('failure', 'UNK'): (INVERSE_GAUSSIAN, {
+        EXPONENTIAL: ((2.3322981366459627,), -297.34351110137595, 599.7684265677364),
+        GEV: ((0.30898735853407494, 0.9820677353924439, 1.4172058508536787),
+            -279.24565313564415, 573.7355193662416),
+        GPD: ((-0.2347317278905753, 2.8475208380392494), -291.68643803585405, 593.535684801677),
+        INVERSE_GAUSSIAN: ((2.3322981366459627, 3.2340719869271575),
+            -274.6188678132403, 559.4005443564495),
+    }),
+}
+
+
+@pytest.mark.parametrize("label", ["success", "failure"])
+def test_bundled_cohort_dwell_fits_are_pinned(label):
+    manifest = read_manifest(DATA / f"{label}_manifest.json")
+    table = durations_by_state([encode_runs(s) for s in load_sequences(manifest)])
+    names = [manifest.alphabet.name(state) for state in table]
+    assert sorted(names) == sorted(name for lab, name in BUNDLED_FITS if lab == label)
+    for name, (values, counts) in zip(names, table.values()):
+        selected, pinned = BUNDLED_FITS[label, name]
+        fits, skipped = fit_all_families(values, counts)
+        assert select_family(values, counts).family == selected, name
+        assert fits.keys() == pinned.keys(), (name, skipped)
+        assert skipped.keys() == set(FAMILIES) - pinned.keys(), name
+        for family, (params, ll, bic_value) in pinned.items():
+            fit = fits[family]
+            got = [*(fit.params[p] for p in PARAM_NAMES[family]), fit.log_likelihood, fit.bic]
+            np.testing.assert_allclose(got, [*params, ll, bic_value], rtol=1e-9,
+                                       err_msg=f"{label} {name} {family}")
 
 
 def test_min_observations():

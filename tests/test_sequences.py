@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from semimarkov.errors import (
 from semimarkov.sequences import (
     LabeledSequence,
     RunSequence,
+    StateAlphabet,
     build_alphabet,
     decode_runs,
     durations_by_state,
@@ -49,6 +51,15 @@ class TestAlphabet:
         with pytest.raises(KeyError):
             a.index("Q")
 
+    def test_a_list_of_names_is_kept_as_a_tuple(self):
+        names = ["A", "B"]
+        a = StateAlphabet(names)
+        assert a.states == ("A", "B")
+        assert a == build_alphabet(["A", "B"]) == build_alphabet(("A", "B"))
+        assert hash(a) == hash(build_alphabet(("A", "B")))
+        names.append("A")  # the alphabet holds its own copy of what it checked
+        assert a.states == ("A", "B")
+
 
 class TestLabeledSequence:
     def test_labels_read_only(self):
@@ -66,6 +77,12 @@ class TestLabeledSequence:
     def test_negative_labels_rejected(self):
         with pytest.raises(ValueError):
             seq([0, -1])
+
+    @pytest.mark.parametrize("labels, bad", [([0.4, 0.6, 1.2], "0.4"), ([0, 1, math.nan], "nan"),
+                                             (["0", "1"], "'0'")])
+    def test_non_integer_labels_rejected(self, labels, bad):
+        with pytest.raises(ValueError, match=f"^labels must be integers, got {bad}$"):
+            LabeledSequence(labels, 1.0)
 
     def test_bad_rate(self):
         for rate in (0.0, -1.0, math.inf, math.nan):
@@ -90,12 +107,27 @@ class TestRunEncoding:
     @pytest.mark.parametrize(
         "states, durations, message",
         [([[0, 1]], [[1, 1]], "one-dimensional"), ([0, 1, 0], [1, 1], "equal length"),
-         ([], [], "at least one run")],
-        ids=["2-D", "ragged", "empty"],
+         ([], [], "at least one run"),
+         # a value the int64 cast would change; NaN and infinity are refused
+         # without numpy's cast RuntimeWarning, which the test settings make an error
+         ([0, 1], [1.7, 2.9], "durations must be integers, got 1.7"),
+         ([0.2, 1.9], [1, 2], "states must be integers, got 0.2"),
+         ([0, 1], ["2", "3"], "durations must be integers, got '2'"),
+         ([0, 1], [3, math.nan], "durations must be integers, got nan"),
+         ([0, 1], [math.inf, 3], "durations must be integers, got inf"),
+         ([0, 1], [2.0**63, 3], "durations must be integers, got 9.223372036854776e+18")],
+        ids=["2-D", "ragged", "empty", "fraction", "fractional-state", "string", "nan", "inf",
+             "past-int64"],
     )
     def test_malformed_runs_rejected(self, states, durations, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             RunSequence(states=states, durations=durations, sampling_rate_hz=1.0)
+
+    def test_integral_floats_and_numpy_integers_pass(self):
+        r = RunSequence(states=[np.int16(0), 1.0], durations=np.array([2.0, 3.0]),
+                        sampling_rate_hz=1.0)
+        assert r.runs == [(0, 2), (1, 3)]
+        assert r.states.dtype == r.durations.dtype == np.int64
 
     def test_zero_duration_rejected(self):
         with pytest.raises(ValueError):
